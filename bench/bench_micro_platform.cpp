@@ -5,21 +5,22 @@
 // chip's synchronous read path. These bound how large a campaign the
 // platform can simulate per wall-second.
 //
-// Besides the registered google-benchmark cases, main() runs a fixed-work
-// A/B comparison of the PR-2 hot paths against their frozen PR-1 baselines
-// (bench/legacy_baselines.hpp) and writes the results to
-// $POFI_BENCH_DIR/BENCH_micro.json (cwd when unset) — the perf record the
-// "Allocation-free event kernel" claim is checked against.
+// Besides the registered google-benchmark cases, main() times pooled
+// session reset against fresh platform construction and writes the
+// session_reset record to $POFI_BENCH_DIR/BENCH_micro.json (cwd when unset).
+// End-to-end cost lives in perfbench/ (BENCHMARK.json), not here.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ftl/mapping.hpp"
-#include "legacy_baselines.hpp"
 #include "nand/chip.hpp"
 #include "nand/ecc.hpp"
 #include "platform/test_platform.hpp"
@@ -105,18 +106,16 @@ void BM_EventKernel(benchmark::State& state) {
 BENCHMARK(BM_EventKernel);
 
 // ---------------------------------------------------------------------------
-// Event-kernel A/B: the steady-state schedule/fire/cancel mix a campaign
+// Event-kernel mix: the steady-state schedule/fire/cancel mix a campaign
 // exerts (every NAND op, journal tick and power event goes through this).
-// Shared between the registered benches and the BENCH_micro.json writer so
-// both report the same workload. Per iteration: one schedule, one pop+fire,
-// and every 4th iteration an extra schedule plus a cancel of a random
-// recently-issued id (some already fired — the stale-handle path is part of
-// the real mix). The queue holds ~`pending` live events throughout.
+// Per iteration: one schedule, one pop+fire, and every 4th iteration an
+// extra schedule plus a cancel of a random recently-issued id (some already
+// fired — the stale-handle path is part of the real mix). The queue holds
+// ~`pending` live events throughout.
 //
 // Callbacks carry a 48-byte capture: simulator continuations drag `this`,
 // a shared_ptr'd command, an epoch stamp and progress state through the
-// queue, so an 8-byte toy capture would flatter the std::function baseline
-// (it fits libstdc++'s 16-byte SSO and never allocates, unlike the real mix).
+// queue, so an 8-byte toy capture would flatter the kernel.
 struct FatCapture {
   std::uint64_t* fired;
   std::uint64_t epoch;
@@ -127,83 +126,66 @@ struct FatCapture {
 };
 static_assert(sizeof(FatCapture) == 48);
 
-template <typename Queue, typename Id>
-struct EventMix {
-  /// Runs the mix and returns the number of kernel operations performed
-  /// (schedules + cancels + pops). `sink` defeats dead-code elimination.
-  static std::uint64_t run(std::size_t pending, std::size_t iters, std::uint64_t& sink) {
-    Queue q;
-    std::uint64_t fired = 0;
-    std::uint64_t ops = 0;
-    std::uint64_t rng = 0x2545F4914F6CDD1DULL;
-    const auto rnd = [&rng] {
-      rng ^= rng << 13;
-      rng ^= rng >> 7;
-      rng ^= rng << 17;
-      return rng;
-    };
-    std::int64_t clock_ns = 0;
-    std::vector<Id> ring(256);
+/// Runs the mix and returns the number of kernel operations performed
+/// (schedules + cancels + pops). `sink` defeats dead-code elimination.
+std::uint64_t run_event_mix(std::size_t pending, std::size_t iters, std::uint64_t& sink) {
+  sim::EventQueue q;
+  std::uint64_t fired = 0;
+  std::uint64_t ops = 0;
+  std::uint64_t rng = 0x2545F4914F6CDD1DULL;
+  const auto rnd = [&rng] {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return rng;
+  };
+  std::int64_t clock_ns = 0;
+  std::vector<sim::EventId> ring(256);
 
-    const auto schedule = [&](std::size_t slot) {
-      const auto at =
-          sim::TimePoint::from_ns(clock_ns + static_cast<std::int64_t>(rnd() % 100000) + 1);
-      const FatCapture cap{&fired, rng, nullptr, nullptr, nullptr, nullptr};
-      ring[slot % ring.size()] =
-          q.schedule_at(at, [cap] { *cap.fired += cap.epoch != 0 ? 1 : 2; });
+  const auto schedule = [&](std::size_t slot) {
+    const auto at =
+        sim::TimePoint::from_ns(clock_ns + static_cast<std::int64_t>(rnd() % 100000) + 1);
+    const FatCapture cap{&fired, rng, nullptr, nullptr, nullptr, nullptr};
+    ring[slot % ring.size()] =
+        q.schedule_at(at, [cap] { *cap.fired += cap.epoch != 0 ? 1 : 2; });
+    ++ops;
+  };
+
+  for (std::size_t i = 0; i < pending; ++i) schedule(i);
+  for (std::size_t i = 0; i < iters; ++i) {
+    schedule(i);
+    if ((i & 3) == 0) {
+      schedule(i + 1);
+      q.cancel(ring[rnd() % ring.size()]);
       ++ops;
-    };
-
-    for (std::size_t i = 0; i < pending; ++i) schedule(i);
-    for (std::size_t i = 0; i < iters; ++i) {
-      schedule(i);
-      if ((i & 3) == 0) {
-        schedule(i + 1);
-        q.cancel(ring[rnd() % ring.size()]);
-        ++ops;
-      }
-      if (!q.empty()) {
-        auto ev = q.pop();
-        clock_ns = ev.time.count_ns();
-        ev.cb();
-        ++ops;
-      }
     }
-    while (!q.empty()) q.pop();  // drain; not part of the steady-state count
-    sink += fired;
-    return ops;
+    if (!q.empty()) {
+      auto ev = q.pop();
+      clock_ns = ev.time.count_ns();
+      ev.cb();
+      ++ops;
+    }
   }
-};
-
-using NewEventMix = EventMix<sim::EventQueue, sim::EventId>;
-using LegacyEventMix = EventMix<bench::LegacyEventQueue, std::uint64_t>;
+  while (!q.empty()) q.pop();  // drain; not part of the steady-state count
+  sink += fired;
+  return ops;
+}
 
 void BM_EventMixSlotArena(benchmark::State& state) {
   std::uint64_t sink = 0;
   std::uint64_t ops = 0;
   for (auto _ : state) {
-    ops += NewEventMix::run(static_cast<std::size_t>(state.range(0)), 20000, sink);
+    ops += run_event_mix(static_cast<std::size_t>(state.range(0)), 20000, sink);
   }
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(static_cast<std::int64_t>(ops));
 }
 BENCHMARK(BM_EventMixSlotArena)->Arg(64)->Arg(4096);
 
-void BM_EventMixLegacy(benchmark::State& state) {
-  std::uint64_t sink = 0;
-  std::uint64_t ops = 0;
-  for (auto _ : state) {
-    ops += LegacyEventMix::run(static_cast<std::size_t>(state.range(0)), 20000, sink);
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(static_cast<std::int64_t>(ops));
-}
-BENCHMARK(BM_EventMixLegacy)->Arg(64)->Arg(4096);
-
 // ---------------------------------------------------------------------------
-// Mapping A/B. Lookup is a pure structure swap (dense array vs hash map);
-// update goes through the full MappingTable (volatile bookkeeping included,
-// with periodic batch commits, as the journal does in steady state).
+// Mapping table. Update goes through the full MappingTable (volatile
+// bookkeeping included, with periodic batch commits, as the journal does in
+// steady state); lookup probes the dense committed L2P.
 
 void BM_MappingUpdate(benchmark::State& state) {
   ftl::MappingTable map(ftl::MappingPolicy::kPageLevel, 64, 16, 100000);
@@ -234,19 +216,6 @@ void BM_MappingLookupFlat(benchmark::State& state) {
 }
 BENCHMARK(BM_MappingLookupFlat)->Arg(1 << 16)->Arg(1 << 20);
 
-void BM_MappingLookupHash(benchmark::State& state) {
-  const auto entries = static_cast<std::uint64_t>(state.range(0));
-  bench::LegacyL2pMap map;
-  for (std::uint64_t l = 0; l < entries; ++l) map.update(l, l * 7 + 1);
-  std::uint64_t lpn = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(map.lookup(lpn * 2654435761u % entries));
-    ++lpn;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MappingLookupHash)->Arg(1 << 16)->Arg(1 << 20);
-
 void BM_ChipSyncRead(benchmark::State& state) {
   sim::Simulator sim;
   nand::NandChip::Config cfg;
@@ -266,7 +235,7 @@ void BM_ChipSyncRead(benchmark::State& state) {
 BENCHMARK(BM_ChipSyncRead);
 
 // ---------------------------------------------------------------------------
-// BENCH_micro.json: fixed-work A/B record, best-of-3 wall-clock reps.
+// BENCH_micro.json: fixed-work session_reset record, best-of-5 wall-clock reps.
 
 double timed_seconds(const std::function<void()>& fn) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -295,78 +264,6 @@ struct AbResult {
     return baseline_ops_per_sec > 0 ? new_ops_per_sec / baseline_ops_per_sec : 0;
   }
 };
-
-AbResult ab_event_kernel(std::size_t pending, std::size_t iters) {
-  AbResult r;
-  std::uint64_t sink = 0;
-  std::uint64_t ops_new = 0;
-  std::uint64_t ops_old = 0;
-  // One untimed warmup each (page faults, allocator pools).
-  NewEventMix::run(pending, iters / 4, sink);
-  LegacyEventMix::run(pending, iters / 4, sink);
-  const auto [s_new, s_old] =
-      best_seconds_ab([&] { ops_new = NewEventMix::run(pending, iters, sink); },
-                      [&] { ops_old = LegacyEventMix::run(pending, iters, sink); });
-  r.ops = ops_new;
-  r.new_ops_per_sec = static_cast<double>(ops_new) / s_new;
-  r.baseline_ops_per_sec = static_cast<double>(ops_old) / s_old;
-  if (sink == 0) std::printf("(impossible)\n");  // keep `sink` observable
-  return r;
-}
-
-AbResult ab_mapping_lookup(std::uint64_t entries, std::uint64_t lookups) {
-  AbResult r;
-  r.ops = lookups;
-  ftl::MappingTable flat(ftl::MappingPolicy::kPageLevel, 64, 16, entries);
-  bench::LegacyL2pMap hash;
-  for (std::uint64_t l = 0; l < entries; ++l) {
-    flat.update(l, l * 7 + 1);
-    hash.update(l, l * 7 + 1);
-  }
-  flat.commit_batch(flat.begin_persist_batch());
-  std::uint64_t sink = 0;
-  const auto probe = [&](const auto& map) {
-    std::uint64_t acc = 0;
-    for (std::uint64_t i = 0; i < lookups; ++i) {
-      const auto hit = map.lookup(i * 2654435761u % entries);
-      if (hit.has_value()) acc += *hit;
-    }
-    sink += acc;
-  };
-  const auto [s_new, s_old] =
-      best_seconds_ab([&] { probe(flat); }, [&] { probe(hash); });
-  r.new_ops_per_sec = static_cast<double>(lookups) / s_new;
-  r.baseline_ops_per_sec = static_cast<double>(lookups) / s_old;
-  if (sink == 0) std::printf("(impossible)\n");
-  return r;
-}
-
-AbResult ab_mapping_update(std::uint64_t entries, std::uint64_t updates) {
-  AbResult r;
-  r.ops = updates;
-  std::uint64_t sink = 0;
-  const auto [s_new, s_old] = best_seconds_ab(
-      [&] {
-        ftl::MappingTable map(ftl::MappingPolicy::kPageLevel, 64, 16, entries);
-        for (std::uint64_t i = 0; i < updates; ++i) {
-          map.update(i % entries, i);
-          if ((i + 1) % 4096 == 0) map.commit_batch(map.begin_persist_batch());
-        }
-        sink += map.entry_count();
-      },
-      [&] {
-        bench::LegacyMappingTable map;
-        for (std::uint64_t i = 0; i < updates; ++i) {
-          map.update(i % entries, i);
-          if ((i + 1) % 4096 == 0) map.commit_batch(map.begin_persist_batch());
-        }
-        sink += map.size();
-      });
-  r.new_ops_per_sec = static_cast<double>(updates) / s_new;
-  r.baseline_ops_per_sec = static_cast<double>(updates) / s_old;
-  if (sink == 0) std::printf("(impossible)\n");
-  return r;
-}
 
 /// Session-reset A/B: rewinding a pooled TestPlatform in place (the
 /// per-entry cost of the pooled campaign runner) vs tearing it down and
@@ -400,21 +297,7 @@ AbResult ab_session_reset(std::size_t cycles) {
 }
 
 void write_micro_bench_json() {
-  constexpr std::size_t kPending = 4096;   // live events during a busy campaign
-  constexpr std::size_t kIters = 400000;
-  constexpr std::uint64_t kEntries = 1 << 20;  // 4 GiB drive's LPN space
-  constexpr std::uint64_t kLookups = 4 << 20;
-
-  std::printf("\n-- A/B vs PR-1 baselines (fixed work, best of 3) --\n");
-  const AbResult ev = ab_event_kernel(kPending, kIters);
-  std::printf("event kernel   : %8.2f Mops/s vs %8.2f Mops/s  -> %.2fx\n",
-              ev.new_ops_per_sec / 1e6, ev.baseline_ops_per_sec / 1e6, ev.speedup());
-  const AbResult lk = ab_mapping_lookup(kEntries, kLookups);
-  std::printf("mapping lookup : %8.2f Mops/s vs %8.2f Mops/s  -> %.2fx\n",
-              lk.new_ops_per_sec / 1e6, lk.baseline_ops_per_sec / 1e6, lk.speedup());
-  const AbResult up = ab_mapping_update(kEntries, kLookups / 4);
-  std::printf("mapping update : %8.2f Mops/s vs %8.2f Mops/s  -> %.2fx\n",
-              up.new_ops_per_sec / 1e6, up.baseline_ops_per_sec / 1e6, up.speedup());
+  std::printf("\n-- session reset vs fresh construction (fixed work, best of 5) --\n");
   const AbResult sr = ab_session_reset(24);
   std::printf("session reset  : %8.1f cyc/s  vs %8.1f cyc/s   -> %.2fx\n",
               sr.new_ops_per_sec, sr.baseline_ops_per_sec, sr.speedup());
@@ -426,33 +309,20 @@ void write_micro_bench_json() {
     std::fprintf(stderr, "BENCH_micro.json write FAILED: %s\n", path.c_str());
     return;
   }
-  const auto emit = [f](const char* name, const char* workload, const AbResult& r,
-                        bool last) {
-    std::fprintf(f,
-                 "  \"%s\": {\n"
-                 "    \"workload\": \"%s\",\n"
-                 "    \"ops\": %llu,\n"
-                 "    \"baseline_ops_per_sec\": %.0f,\n"
-                 "    \"new_ops_per_sec\": %.0f,\n"
-                 "    \"speedup\": %.2f\n"
-                 "  }%s\n",
-                 name, workload, static_cast<unsigned long long>(r.ops),
-                 r.baseline_ops_per_sec, r.new_ops_per_sec, r.speedup(), last ? "" : ",");
-  };
   std::fprintf(f,
                "{\n"
                "  \"bench\": \"bench_micro_platform\",\n"
-               "  \"baseline\": \"PR-1 std::function + priority_queue kernel, "
-               "unordered_map L2P (bench/legacy_baselines.hpp)\",\n");
-  emit("event_kernel",
-       "schedule/fire/cancel mix, ~4096 live events, 400k iterations", ev, false);
-  emit("mapping_lookup", "uniform-random lookups over 1Mi mapped LPNs", lk, false);
-  emit("mapping_update",
-       "sequential-wrap updates over 1Mi LPNs, journal commit every 4096", up, false);
-  emit("session_reset",
-       "pooled TestPlatform reset-in-place vs fresh construct+destroy, "
-       "Table I model A preset, 24 cycles", sr, true);
-  std::fprintf(f, "}\n");
+               "  \"session_reset\": {\n"
+               "    \"workload\": \"pooled TestPlatform reset-in-place vs fresh "
+               "construct+destroy, Table I model A preset, 24 cycles\",\n"
+               "    \"ops\": %llu,\n"
+               "    \"baseline_ops_per_sec\": %.0f,\n"
+               "    \"new_ops_per_sec\": %.0f,\n"
+               "    \"speedup\": %.2f\n"
+               "  }\n"
+               "}\n",
+               static_cast<unsigned long long>(sr.ops), sr.baseline_ops_per_sec,
+               sr.new_ops_per_sec, sr.speedup());
   std::fclose(f);
   std::printf("perf record written: %s\n", path.c_str());
 }

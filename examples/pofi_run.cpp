@@ -89,7 +89,6 @@ struct Options {
   unsigned threads = 0;
   bool threads_set = false;
   bool no_session_reuse = false;
-  bool no_snapshot = false;
   std::string progress = "console";
   std::string spec_path;
   std::string torture_path;
@@ -111,9 +110,6 @@ struct Options {
       "                       audit recovery invariants after each remount, and\n"
       "                       shrink any violation into a minimal repro spec\n"
       "  --repro-out FILE     where --torture writes the shrunk repro spec\n"
-      "  --no-snapshot        full-replay every torture crash point instead of\n"
-      "                       restoring pilot device-state snapshots (A/B\n"
-      "                       baseline; verdicts are byte-identical either way)\n"
       "  --dump-spec          print the campaign as JSON and exit (round-trips\n"
       "                       both --spec files and flag-built campaigns)\n"
       "  --set PATH=VALUE     override a spec key (dotted path, JSON value;\n"
@@ -245,8 +241,6 @@ Options parse(int argc, char** argv) {
       o.threads_set = true;
     } else if (a == "--no-session-reuse") {
       o.no_session_reuse = true;
-    } else if (a == "--no-snapshot") {
-      o.no_snapshot = true;
     } else if (a == "--progress") {
       o.progress = next_arg(argc, argv, i);
       if (o.progress != "console" && o.progress != "jsonl" && o.progress != "off") usage(2);
@@ -442,7 +436,6 @@ int run_torture(const Options& o) {
   topt.resume = o.resume;
   topt.cancel = &g_cancel;
   topt.repro_path = o.repro_out;
-  topt.use_snapshots = !o.no_snapshot;
   spec::ResumeStats resume_stats;
   topt.resume_stats = &resume_stats;
   obs::MetricRegistry registry;

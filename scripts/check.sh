@@ -70,8 +70,9 @@ echo "==> UBSan: ctest (retry + checkpoint + resume determinism + obs codec + NA
 # — dynamic_cast recovery in acquire(), RNG re-fork label hashing, heap
 # container restores — so the differential fuzz and the zero-alloc reset
 # proof run instrumented too. The device-state snapshot protocol rides the
-# same stage: its zero-alloc proof, the snapshot-vs-full-replay differential
-# (TortureExplorer) and the restore-identity golden (DeterminismGolden).
+# same stage: its zero-alloc proof, the explorer's snapshot sweeps checked
+# against an in-test full replay of every point (TortureExplorer) and the
+# restore-identity golden (DeterminismGolden).
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \
   ctest --test-dir build-ubsan --output-on-failure -j "${JOBS}" \
         -R 'RunnerResilience|CampaignStatusTaxonomy|JsonlProgressSink|Checkpoint|DeterminismGolden|ObsMetrics|ObsTrace|ObsAttribution|BlockArena|NandChipFuzz|NandChipTouchedBlocks|NandAllocFree|SessionFuzz|SessionAlloc|SnapshotAlloc|TortureAuditor|TortureExplorer'

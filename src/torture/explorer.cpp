@@ -77,22 +77,19 @@ struct ProbeHit {
 ExploreReport explore(const TortureConfig& cfg, const ExploreOptions& options) {
   ExploreReport report;
   const platform::PlatformConfig pc = run_platform_config(cfg, options);
-  const bool use_snapshots = options.use_snapshots && cfg.snapshot_interval > 0;
 
   // --- Golden run: how long is the schedule? --------------------------------
-  // With snapshots on, the golden run doubles as the pilot: it records a
-  // device-state checkpoint every ~snapshot_interval quiescent boundaries,
-  // firing exactly the events measure_schedule() would. The pilot is shared
-  // read-only by every shard worker below.
+  // The golden run doubles as the pilot: it records a device-state
+  // checkpoint every ~snapshot_interval quiescent boundaries, firing exactly
+  // the events measure_schedule() would. The pilot is shared read-only by
+  // every shard worker below.
   SchedulePilot pilot;
   {
     runner::SessionSlot slot;
     CrashHarness harness(cfg);
     platform::TestPlatform& tp =
         runner::ExperimentSession::acquire(slot, cfg.drive, pc, cfg.seed);
-    report.schedule_events = use_snapshots
-                                 ? harness.run_pilot(tp, pilot, cfg.snapshot_interval)
-                                 : harness.measure_schedule(tp);
+    report.schedule_events = harness.run_pilot(tp, pilot, cfg.snapshot_interval);
   }
 
   const std::vector<std::uint64_t> points = plan_points(cfg, report.schedule_events);
@@ -154,18 +151,17 @@ ExploreReport explore(const TortureConfig& cfg, const ExploreOptions& options) {
       rn.add_completed(label, std::move(it->second.result));
       continue;
     }
-    rn.add(label, [&cfg, &options, &points, &findings, &findings_mutex, &pilot, use_snapshots,
-                   label, begin, end](runner::SessionSlot& slot) {
+    rn.add(label, [&cfg, &options, &points, &findings, &findings_mutex, &pilot, label,
+                   begin, end](runner::SessionSlot& slot) {
       platform::ExperimentResult res;
       res.name = label;
       const platform::PlatformConfig shard_pc = run_platform_config(cfg, options);
       CrashHarness harness(cfg);
       for (std::size_t i = begin; i < end; ++i) {
-        // Snapshot path: restore the nearest pilot checkpoint at or before
-        // the point and replay only the residual window. Fall back to a full
-        // replay when no checkpoint covers the point.
-        const HarnessSnapshot* snap =
-            use_snapshots ? pilot.nearest_at_or_before(points[i]) : nullptr;
+        // Restore the nearest pilot checkpoint at or before the point and
+        // replay only the residual window. Fall back to a full replay when
+        // no checkpoint covers the point.
+        const HarnessSnapshot* snap = pilot.nearest_at_or_before(points[i]);
         CrashOutcome out;
         if (snap != nullptr) {
           platform::TestPlatform& tp =

@@ -51,11 +51,6 @@ struct ExploreOptions {
   spec::ResumeStats* resume_stats = nullptr;
   /// Write the shrunk repro spec to this file (empty keeps it in-memory only).
   std::string repro_path;
-  /// Restore pilot-run device-state snapshots instead of replaying the full
-  /// schedule prefix at every lattice point (O(schedule) sweeps instead of
-  /// O(points x schedule)). Verdicts are byte-identical either way; false is
-  /// the A/B reference path (pofi_run --no-snapshot).
-  bool use_snapshots = true;
 };
 
 struct ExploreReport {

@@ -61,7 +61,7 @@ struct TortureConfig {
   /// Pilot checkpoint cadence: capture a device-state snapshot at the first
   /// quiescent boundary at least this many events past the previous capture.
   /// Pure wall-clock knob — excluded from torture_hash, verdicts identical
-  /// at any value (and with snapshots disabled via pofi_run --no-snapshot).
+  /// at any value.
   std::uint64_t snapshot_interval = 256;
 
   runner::RunnerConfig runner;

@@ -8,10 +8,13 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "runner/experiment_session.hpp"
 #include "runner/progress.hpp"
 #include "spec/checkpoint.hpp"
 #include "torture/explorer.hpp"
+#include "torture/harness.hpp"
 #include "torture/torture_spec.hpp"
 
 namespace pofi::torture {
@@ -89,6 +92,12 @@ TEST(TortureExplorer, BrokenRecoveryIsCaughtAndShrunk) {
   EXPECT_FALSE(repro.shrink);
   EXPECT_TRUE(repro.break_recovery);
   EXPECT_EQ(repro.workload.replay.size(), repro.requests);
+
+  // Pinned shrink result: any change to the pilot, the restore path or the
+  // shrinker that moves the repro shows up here.
+  EXPECT_EQ(report.repro_requests, 1u);
+  EXPECT_EQ(report.repro_boundary, 72u);
+  EXPECT_EQ(spec::hash_string(spec::content_hash(report.repro)), "fnv1a:3fdceabd8b6ac34a");
 }
 
 // The emitted repro is self-contained and thread-count independent: explored
@@ -199,24 +208,79 @@ TEST(TortureExplorer, AuditFailedFlowsThroughJsonlProgress) {
   return s.str();
 }
 
-// Tentpole acceptance: restored-snapshot sweeps and full-replay sweeps are
-// indistinguishable — same verdicts, same violation set, same shrunk repro
-// spec — at 1, 2 and 8 runner threads, with recovery intact and broken.
+/// Independent reference for explore(): no pilot, no snapshots, no runner.
+/// Measures the schedule on a freshly acquired stack, then crashes each
+/// lattice point on its own freshly acquired stack, in boundary order. When
+/// cfg.shrink is set, the smallest failing prefix is found by linear search
+/// and the repro spec is built the way the explorer documents it.
+[[nodiscard]] ExploreReport replay_sweep(const TortureConfig& cfg) {
+  ExploreReport r;
+  // Sweeps the `requests`-prefix schedule into `out`. A shrink probe
+  // (`first_only`) stops at the first finding and keeps that run's
+  // recorded requests.
+  const auto sweep = [&cfg](std::uint64_t requests, bool first_only, ExploreReport& out,
+                            std::vector<workload::RequestSpec>* recording) {
+    TortureConfig sub = cfg;
+    sub.requests = requests;
+    CrashHarness harness(sub);
+    {
+      runner::SessionSlot slot;
+      out.schedule_events = harness.measure_schedule(
+          runner::ExperimentSession::acquire(slot, sub.drive, sub.platform, sub.seed));
+    }
+    for (std::uint64_t k = sub.window_first; k < out.schedule_events; k += sub.stride) {
+      if (sub.window_count != 0 && out.points_planned == sub.window_count) break;
+      ++out.points_planned;
+      runner::SessionSlot slot;
+      CrashOutcome crash = harness.run_crash_point(
+          runner::ExperimentSession::acquire(slot, sub.drive, sub.platform, sub.seed), k);
+      if (crash.injected) ++out.points_injected;
+      if (crash.report.ok()) continue;
+      out.total_violations += crash.report.violations.size();
+      out.findings.push_back({k, std::move(crash.report)});
+      if (recording != nullptr) *recording = harness.recorded_requests();
+      if (first_only) return;
+    }
+    out.points_explored = out.points_planned;
+  };
+
+  sweep(cfg.requests, false, r, nullptr);
+  if (r.findings.empty() || !cfg.shrink) return r;
+  for (std::uint64_t n = 1; n <= cfg.requests; ++n) {
+    ExploreReport probe;
+    std::vector<workload::RequestSpec> recording;
+    sweep(n, true, probe, &recording);
+    if (probe.findings.empty()) continue;
+    TortureConfig repro = cfg;
+    repro.name = cfg.name + "-repro";
+    repro.requests = n;
+    repro.window_first = probe.findings.front().boundary;
+    repro.window_count = 1;
+    repro.stride = 1;
+    repro.shrink = false;
+    repro.workload.replay = std::move(recording);
+    r.shrunk = true;
+    r.repro_requests = n;
+    r.repro_boundary = repro.window_first;
+    r.repro = to_json(repro);
+    break;
+  }
+  return r;
+}
+
+// Restored-snapshot sweeps are indistinguishable from full replays of every
+// point — same verdicts, same violation set, same shrunk repro spec — at 1,
+// 2 and 8 runner threads, with recovery intact and broken.
 TEST(TortureExplorer, SnapshotSweepMatchesFullReplayByteForByte) {
   for (const bool broken : {false, true}) {
     TortureConfig cfg = small_config();
     cfg.break_recovery = broken;
     cfg.shrink = broken;
-    ExploreOptions full;
-    full.use_snapshots = false;
-    cfg.runner.threads = 1;
-    const std::string reference = fingerprint(explore(cfg, full));
+    const std::string reference = fingerprint(replay_sweep(cfg));
     for (const std::uint32_t threads : {1u, 2u, 8u}) {
       cfg.runner.threads = threads;
       EXPECT_EQ(fingerprint(explore(cfg)), reference)
-          << "snapshots, broken=" << broken << " threads=" << threads;
-      EXPECT_EQ(fingerprint(explore(cfg, full)), reference)
-          << "full replay, broken=" << broken << " threads=" << threads;
+          << "broken=" << broken << " threads=" << threads;
     }
   }
 }
@@ -229,9 +293,7 @@ TEST(TortureExplorer, SnapshotIntervalNeverChangesVerdicts) {
   cfg.break_recovery = true;
   cfg.shrink = true;
   cfg.runner.threads = 1;
-  ExploreOptions full;
-  full.use_snapshots = false;
-  const std::string reference = fingerprint(explore(cfg, full));
+  const std::string reference = fingerprint(replay_sweep(cfg));
   const std::uint64_t base_hash = torture_hash(cfg);
   for (const std::uint64_t interval : {1ULL, 64ULL, 1'000'000'000ULL}) {
     cfg.snapshot_interval = interval;
