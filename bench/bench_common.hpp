@@ -18,7 +18,6 @@
 #include <sys/resource.h>
 #endif
 
-#include "platform/campaign_suite.hpp"
 #include "platform/test_platform.hpp"
 #include "runner/progress.hpp"
 #include "runner/runner_config.hpp"
@@ -45,13 +44,6 @@ inline platform::ExperimentResult run_campaign(const ssd::SsdConfig& drive,
   return tp.run(spec);
 }
 
-/// One queued campaign of a figure sweep (label + drive + spec).
-struct QueuedCampaign {
-  std::string label;
-  ssd::SsdConfig drive;
-  platform::ExperimentSpec spec;
-};
-
 /// Worker threads for parallel sweeps: POFI_THREADS overrides; default 0
 /// resolves to one worker per hardware thread.
 inline unsigned bench_threads() {
@@ -60,24 +52,6 @@ inline unsigned bench_threads() {
     if (v > 0) return static_cast<unsigned>(v);
   }
   return 0;
-}
-
-/// Run a sweep on the parallel campaign runner. Rows come back in submission
-/// order and are bit-identical to a sequential run: per-point seeds live in
-/// the specs, not in execution order.
-inline std::vector<platform::CampaignSuite::Row> run_campaigns(
-    const std::vector<QueuedCampaign>& campaigns, unsigned threads,
-    const platform::PlatformConfig& pc = {}, runner::ProgressSink* sink = nullptr) {
-  platform::CampaignSuite suite(pc);
-  for (const auto& c : campaigns) suite.add(c.label, c.drive, c.spec);
-  runner::RunnerConfig config;
-  config.threads = threads;
-  return suite.run_all(config, sink);
-}
-
-inline std::vector<platform::CampaignSuite::Row> run_campaigns(
-    const std::vector<QueuedCampaign>& campaigns) {
-  return run_campaigns(campaigns, bench_threads());
 }
 
 /// Path of a committed campaign spec: $POFI_SPEC_DIR (runtime) overrides
@@ -100,7 +74,7 @@ inline spec::CampaignSpec load_spec(const char* file) {
 /// Result of a spec-driven bench campaign: summary rows plus the outcome
 /// taxonomy of the run that produced them (for CSV provenance comments).
 struct SpecRun {
-  std::vector<platform::CampaignSuite::Row> rows;
+  std::vector<spec::CampaignRow> rows;
   std::size_t ok = 0;
   std::size_t retried = 0;
   std::size_t timed_out = 0;
@@ -125,21 +99,13 @@ inline SpecRun run_spec_campaign(const spec::CampaignSpec& campaign, const char*
   SpecRun run;
   run.checkpoint_path = options.checkpoint_path;
   auto outcomes = spec::run_campaign(campaign, options);
-  for (auto& out : outcomes) {
-    switch (out.status) {
-      case runner::CampaignStatus::kOk: ++run.ok; break;
-      case runner::CampaignStatus::kRetriedOk: ++run.retried; break;
-      case runner::CampaignStatus::kTimedOut: ++run.timed_out; break;
-      case runner::CampaignStatus::kSkippedCached: ++run.restored; break;
-      case runner::CampaignStatus::kFailed:
-        throw std::runtime_error("campaign \"" + out.label + "\" failed: " + out.error);
-      case runner::CampaignStatus::kQuarantined:
-        throw std::runtime_error("campaign \"" + out.label + "\" quarantined after " +
-                                 std::to_string(out.attempts) + " attempt(s): " + out.error);
-      default: continue;  // skipped / cancelled / pending: no row
-    }
-    run.rows.push_back({std::move(out.label), std::move(out.result)});
+  for (const auto& out : outcomes) {
+    run.ok += out.status == runner::CampaignStatus::kOk;
+    run.retried += out.status == runner::CampaignStatus::kRetriedOk;
+    run.timed_out += out.status == runner::CampaignStatus::kTimedOut;
+    run.restored += out.status == runner::CampaignStatus::kSkippedCached;
   }
+  run.rows = spec::campaign_rows(std::move(outcomes));
   return run;
 }
 
@@ -189,33 +155,27 @@ inline double peak_rss_mib() {
 #endif
 }
 
-/// Session-reuse A/B numbers for the BENCH_runner.json record: the same
-/// entry pool run with pooled reset-in-place sessions vs build-per-entry
-/// (pofi_run --no-session-reuse equivalent), plus the steady-state heap
-/// traffic per pooled entry and the pool's reset/rebuild split.
-struct SessionAb {
+/// Session-pool numbers for the BENCH_runner.json record: the steady-state
+/// heap traffic per pooled entry on an identical-config pool, and the pool's
+/// reset/rebuild split.
+struct SessionPool {
   std::size_t campaigns = 0;
-  double reuse_seconds = 0.0;
-  double rebuild_seconds = 0.0;
   double steady_allocs_per_entry = 0.0;
   std::uint64_t resets = 0;
   std::uint64_t rebuilds = 0;
-  [[nodiscard]] double speedup() const {
-    return reuse_seconds > 0.0 ? rebuild_seconds / reuse_seconds : 0.0;
-  }
 };
 
 /// Machine-readable perf record for the parallel runner, tracked across PRs
 /// (see ISSUE/ROADMAP): campaigns/sec, wall seconds, thread count, speedup
 /// over the sequential path, and the process peak RSS — the number the
 /// large-drive specs stress, since the whole fleet's NAND state now rides
-/// the SoA arena. When `session` is non-null, a "session_reuse" sub-record
-/// captures the pooled-vs-rebuild A/B. Written to
+/// the SoA arena — plus a "session_pool" sub-record with the pool's
+/// allocation and reset/rebuild numbers. Written to
 /// $POFI_BENCH_DIR/BENCH_runner.json (cwd when unset).
 inline void write_runner_bench_json(const char* bench, unsigned threads,
                                     std::size_t campaigns, double parallel_seconds,
                                     double sequential_seconds,
-                                    const SessionAb* session = nullptr) {
+                                    const SessionPool& session) {
   const char* dir = std::getenv("POFI_BENCH_DIR");
   const std::string path = std::string(dir == nullptr ? "." : dir) + "/BENCH_runner.json";
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -243,7 +203,14 @@ inline void write_runner_bench_json(const char* bench, unsigned threads,
                "  \"sequential_campaigns_per_sec\": %.3f,\n"
                "  \"speedup\": %.2f,\n"
                "  \"speedup_meaningful\": %s,\n"
-               "  \"peak_rss_mib\": %.1f%s\n",
+               "  \"peak_rss_mib\": %.1f,\n"
+               "  \"session_pool\": {\n"
+               "    \"campaigns\": %zu,\n"
+               "    \"steady_allocs_per_entry\": %.1f,\n"
+               "    \"resets\": %llu,\n"
+               "    \"rebuilds\": %llu\n"
+               "  }\n"
+               "}\n",
                bench, campaigns, threads, hw,
                parallel_seconds,
                parallel_seconds > 0 ? static_cast<double>(campaigns) / parallel_seconds : 0.0,
@@ -252,33 +219,9 @@ inline void write_runner_bench_json(const char* bench, unsigned threads,
                                       : 0.0,
                parallel_seconds > 0 ? sequential_seconds / parallel_seconds : 0.0,
                speedup_meaningful ? "true" : "false",
-               peak_rss_mib(), session != nullptr ? "," : "");
-  if (session != nullptr) {
-    std::fprintf(
-        f,
-        "  \"session_reuse\": {\n"
-        "    \"campaigns\": %zu,\n"
-        "    \"reuse_wall_seconds\": %.3f,\n"
-        "    \"rebuild_wall_seconds\": %.3f,\n"
-        "    \"reuse_campaigns_per_sec\": %.3f,\n"
-        "    \"rebuild_campaigns_per_sec\": %.3f,\n"
-        "    \"speedup\": %.2f,\n"
-        "    \"steady_allocs_per_entry\": %.1f,\n"
-        "    \"resets\": %llu,\n"
-        "    \"rebuilds\": %llu\n"
-        "  }\n",
-        session->campaigns, session->reuse_seconds, session->rebuild_seconds,
-        session->reuse_seconds > 0
-            ? static_cast<double>(session->campaigns) / session->reuse_seconds
-            : 0.0,
-        session->rebuild_seconds > 0
-            ? static_cast<double>(session->campaigns) / session->rebuild_seconds
-            : 0.0,
-        session->speedup(), session->steady_allocs_per_entry,
-        static_cast<unsigned long long>(session->resets),
-        static_cast<unsigned long long>(session->rebuilds));
-  }
-  std::fprintf(f, "}\n");
+               peak_rss_mib(), session.campaigns, session.steady_allocs_per_entry,
+               static_cast<unsigned long long>(session.resets),
+               static_cast<unsigned long long>(session.rebuilds));
   std::fclose(f);
   std::printf("perf record written: %s\n", path.c_str());
 }

@@ -11,21 +11,20 @@
 // once sequentially and once on the worker pool, cross-checks that the rows
 // are identical, and records the speedup in BENCH_runner.json.
 //
-// It also carries the session-reuse A/B: a pool of identical short campaigns
-// run once with pooled reset-in-place sessions and once rebuilding the
-// platform per entry, rows cross-checked bit-identical, with the speedup and
-// the steady-state heap allocations per pooled entry (global counting
-// new/delete — keep this bench its own binary) recorded alongside.
+// It also records the session pool's steady state: the heap allocations per
+// pooled entry on a pool of identical short campaigns (global counting
+// new/delete — keep this bench its own binary) and the pool's reset/rebuild
+// split.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <new>
 #include <thread>
 
 #include "bench_common.hpp"
 #include "runner/experiment_session.hpp"
+#include "sim/rng.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
@@ -55,29 +54,28 @@ int main() {
   stats::print_banner("fleet comparison: identical campaign on all nine Table I units");
   std::printf("write-only 4KiB..1MiB random workload; 60 faults per unit\n\n");
 
-  std::vector<bench::QueuedCampaign> fleet;
+  spec::CampaignSpec fleet;
   for (const auto model :
        {ssd::VendorModel::kA, ssd::VendorModel::kB, ssd::VendorModel::kC}) {
     for (int unit = 0; unit < 3; ++unit) {
-      auto drive = ssd::make_preset(model);
-      drive.model += "#" + std::to_string(unit + 1);
+      spec::CampaignEntry entry;
+      entry.drive = ssd::make_preset(model);
+      entry.drive.model += "#" + std::to_string(unit + 1);
+      entry.label = entry.drive.model;
 
-      workload::WorkloadConfig wl;
-      wl.name = "fleet";
-      wl.wss_pages = bench::wss_pages_for_gib(drive, 16.0);
-      bench::paper_size_range(wl, drive);
-      wl.write_fraction = 1.0;
-
-      platform::ExperimentSpec spec;
-      spec.name = "fleet-" + drive.model;
-      spec.workload = wl;
+      platform::ExperimentSpec& spec = entry.experiment;
+      spec.name = "fleet-" + entry.drive.model;
+      spec.workload.name = "fleet";
+      spec.workload.wss_pages = bench::wss_pages_for_gib(entry.drive, 16.0);
+      bench::paper_size_range(spec.workload, entry.drive);
+      spec.workload.write_fraction = 1.0;
       spec.total_requests = 4800;
       spec.faults = 60;
       spec.pace_iops = 4.0;
-      // Seed left at the ExperimentSpec default: the suite shards one per
-      // unit from its master seed, so units of a model are decorrelated.
-
-      fleet.push_back(bench::QueuedCampaign{drive.model, drive, spec});
+      // One seed per unit, sharded from master seed 42, so units of a model
+      // are decorrelated.
+      spec.seed = sim::derive_seed(fleet.master_seed, fleet.entries.size());
+      fleet.entries.push_back(std::move(entry));
     }
   }
 
@@ -86,18 +84,20 @@ int main() {
   const unsigned threads = bench::bench_threads() != 0
                                ? bench::bench_threads()
                                : std::max(2u, std::thread::hardware_concurrency());
-  std::vector<platform::CampaignSuite::Row> seq_rows, par_rows;
+  std::vector<spec::CampaignRow> seq_rows, par_rows;
+  fleet.runner.threads = 1;
   const double seq_seconds =
-      bench::wall_seconds([&] { seq_rows = bench::run_campaigns(fleet, 1); });
+      bench::wall_seconds([&] { seq_rows = spec::run_campaign_rows(fleet); });
+  fleet.runner.threads = threads;
   const double par_seconds =
-      bench::wall_seconds([&] { par_rows = bench::run_campaigns(fleet, threads); });
+      bench::wall_seconds([&] { par_rows = spec::run_campaign_rows(fleet); });
 
   stats::Table table({"unit", "cell", "ECC", "cache DRAM", "data failures", "FWA", "IO err",
                       "loss/fault", "mean Q2C (us)"});
   bool deterministic = seq_rows.size() == par_rows.size();
   for (std::size_t i = 0; i < par_rows.size(); ++i) {
     const auto& r = par_rows[i].result;
-    const auto& drive = fleet[i].drive;
+    const auto& drive = fleet.entries[i].drive;
     deterministic = deterministic && r.data_failures == seq_rows[i].result.data_failures &&
                     r.fwa_failures == seq_rows[i].result.fwa_failures &&
                     r.io_errors == seq_rows[i].result.io_errors &&
@@ -114,106 +114,70 @@ int main() {
 
   std::printf("\nrunner: %zu campaigns | sequential %.1fs | %u threads %.1fs | "
               "speedup %.2fx%s | parallel rows %s sequential rows\n",
-              fleet.size(), seq_seconds, threads, par_seconds,
+              fleet.entries.size(), seq_seconds, threads, par_seconds,
               par_seconds > 0 ? seq_seconds / par_seconds : 0.0,
               std::thread::hardware_concurrency() >= threads
                   ? ""
                   : " (NOT meaningful: fewer hardware threads than workers)",
               deterministic ? "bit-identical to" : "DIVERGE from");
 
-  // ---- session-reuse A/B ---------------------------------------------------
+  // ---- session pool ------------------------------------------------------
   // A pool of *identical-config* short campaigns (unlike the fleet above,
   // whose per-unit model strings force a rebuild every entry): the sweep
-  // shape session pooling exists for. Same pool, threads=1, run with pooled
-  // reset-in-place sessions and with build-per-entry; rows must match
-  // bit-for-bit and the wall-clock gap is the recorded speedup.
-  const auto make_pool_suite = [](std::size_t n) {
-    auto suite = std::make_unique<platform::CampaignSuite>();
-    const auto drive = ssd::make_preset(ssd::VendorModel::kA);
-    for (std::size_t i = 0; i < n; ++i) {
-      workload::WorkloadConfig wl;
-      wl.name = "pool";
-      wl.wss_pages = bench::wss_pages_for_gib(drive, 1.0);
-      wl.min_pages = 1;  // 4KiB..64KiB: keep entries short on purpose —
-      wl.max_pages = 16;  // per-entry setup is what this A/B measures
-      wl.write_fraction = 1.0;
-
-      platform::ExperimentSpec spec;
-      spec.name = "pool-" + std::to_string(i);
-      spec.workload = wl;
-      spec.total_requests = 32;
-      spec.faults = 1;
-      spec.pace_iops = 4.0;
-      // Seed defaulted: the suite shards one per entry from its master seed.
-
-      suite->add(spec.name, drive, spec);
-    }
-    return suite;
-  };
-  const auto run_pool = [](platform::CampaignSuite& suite, bool reuse) {
-    runner::RunnerConfig rc;
-    rc.threads = 1;
-    rc.session_reuse = reuse;
-    return suite.run_all(rc);
-  };
-
+  // shape session pooling exists for, run at threads=1.
   constexpr std::size_t kPoolSmall = 4, kPoolFull = 12;
-  auto pool = make_pool_suite(kPoolFull);
+  spec::CampaignSpec pool;
+  for (std::size_t i = 0; i < kPoolFull; ++i) {
+    spec::CampaignEntry entry;
+    entry.drive = ssd::make_preset(ssd::VendorModel::kA);
+    entry.label = "pool-" + std::to_string(i);
 
-  std::vector<platform::CampaignSuite::Row> reuse_rows, rebuild_rows;
-  double reuse_seconds = 1e300, rebuild_seconds = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {  // interleaved best-of-3
-    reuse_seconds = std::min(
-        reuse_seconds, bench::wall_seconds([&] { reuse_rows = run_pool(*pool, true); }));
-    rebuild_seconds = std::min(
-        rebuild_seconds, bench::wall_seconds([&] { rebuild_rows = run_pool(*pool, false); }));
+    platform::ExperimentSpec& spec = entry.experiment;
+    spec.name = entry.label;
+    spec.workload.name = "pool";
+    spec.workload.wss_pages = bench::wss_pages_for_gib(entry.drive, 1.0);
+    spec.workload.min_pages = 1;  // 4KiB..64KiB: keep entries short on purpose —
+    spec.workload.max_pages = 16;  // per-entry setup is what the pool amortises
+    spec.workload.write_fraction = 1.0;
+    spec.total_requests = 32;
+    spec.faults = 1;
+    spec.pace_iops = 4.0;
+    spec.seed = sim::derive_seed(pool.master_seed, i);
+    pool.entries.push_back(std::move(entry));
   }
-  bool session_identical = reuse_rows.size() == rebuild_rows.size();
-  for (std::size_t i = 0; session_identical && i < reuse_rows.size(); ++i) {
-    const auto& a = reuse_rows[i].result;
-    const auto& b = rebuild_rows[i].result;
-    session_identical = a.data_failures == b.data_failures &&
-                        a.fwa_failures == b.fwa_failures && a.io_errors == b.io_errors &&
-                        a.sim_seconds == b.sim_seconds;
-  }
+  spec::CampaignSpec small_pool = pool;
+  small_pool.entries.resize(kPoolSmall);
+  (void)spec::run_campaign_rows(pool);  // warm-up: first-touch allocations
 
   // Steady-state heap traffic per pooled entry: difference quotient between
   // two pool sizes, so the one-time first-entry build (and anything else
   // size-independent) cancels out of the numerator.
-  auto small_pool = make_pool_suite(kPoolSmall);
   const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
-  (void)run_pool(*small_pool, true);
+  (void)spec::run_campaign_rows(small_pool);
   const std::uint64_t a1 = g_allocs.load(std::memory_order_relaxed);
-  (void)run_pool(*pool, true);
+  (void)spec::run_campaign_rows(pool);
   const std::uint64_t a2 = g_allocs.load(std::memory_order_relaxed);
   const double steady_allocs =
       static_cast<double>((a2 - a1) - (a1 - a0)) / static_cast<double>(kPoolFull - kPoolSmall);
 
   runner::ExperimentSession::reset_counters();
-  (void)run_pool(*pool, true);
+  (void)spec::run_campaign_rows(pool);
 
-  bench::SessionAb session_ab;
-  session_ab.campaigns = kPoolFull;
-  session_ab.reuse_seconds = reuse_seconds;
-  session_ab.rebuild_seconds = rebuild_seconds;
-  session_ab.steady_allocs_per_entry = steady_allocs;
-  session_ab.resets = runner::ExperimentSession::reset_count();
-  session_ab.rebuilds = runner::ExperimentSession::rebuild_count();
+  const bench::SessionPool session_pool{kPoolFull, steady_allocs,
+                                        runner::ExperimentSession::reset_count(),
+                                        runner::ExperimentSession::rebuild_count()};
 
-  std::printf("\nsession reuse: %zu identical campaigns | pooled %.3fs | rebuild %.3fs | "
-              "speedup %.2fx | %.0f steady allocs/entry | %llu resets + %llu rebuilds | "
-              "rows %s\n",
-              session_ab.campaigns, session_ab.reuse_seconds, session_ab.rebuild_seconds,
-              session_ab.speedup(), session_ab.steady_allocs_per_entry,
-              static_cast<unsigned long long>(session_ab.resets),
-              static_cast<unsigned long long>(session_ab.rebuilds),
-              session_identical ? "bit-identical" : "DIVERGE");
+  std::printf("\nsession pool: %zu identical campaigns | %.0f steady allocs/entry | "
+              "%llu resets + %llu rebuilds\n",
+              session_pool.campaigns, session_pool.steady_allocs_per_entry,
+              static_cast<unsigned long long>(session_pool.resets),
+              static_cast<unsigned long long>(session_pool.rebuilds));
 
-  bench::write_runner_bench_json("fleet_comparison", threads, fleet.size(), par_seconds,
-                                 seq_seconds, &session_ab);
+  bench::write_runner_bench_json("fleet_comparison", threads, fleet.entries.size(),
+                                 par_seconds, seq_seconds, session_pool);
 
   std::printf("\nreading: every unit loses acknowledged data (the paper's prior-work\n");
   std::printf("baseline found 13 of 15 drives failing); units of the same model agree\n");
   std::printf("closely while models differ through cache size and flush cadence.\n");
-  return deterministic && session_identical ? 0 : 1;
+  return deterministic ? 0 : 1;
 }

@@ -17,7 +17,7 @@
 
 namespace {
 
-std::vector<double> report(const std::vector<pofi::platform::CampaignSuite::Row>& rows,
+std::vector<double> report(const std::vector<pofi::spec::CampaignRow>& rows,
                            const char* label, const std::vector<int>& delays_ms,
                            std::size_t first) {
   std::vector<double> loss_probability;

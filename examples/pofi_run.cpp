@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "platform/campaign_suite.hpp"
 #include "platform/report.hpp"
 #include "runner/progress.hpp"
 #include "spec/campaign.hpp"
@@ -88,7 +87,6 @@ struct Options {
   // Execution / spec-layer flags.
   unsigned threads = 0;
   bool threads_set = false;
-  bool no_session_reuse = false;
   std::string progress = "console";
   std::string spec_path;
   std::string torture_path;
@@ -134,9 +132,6 @@ struct Options {
       "  --seed N             campaign seed (default 42)\n"
       "  --units N            independent campaign copies, sharded seeds (default 1)\n"
       "  --threads N          runner worker threads; 0 = hardware (default 0)\n"
-      "  --no-session-reuse   rebuild the device stack for every entry instead\n"
-      "                       of pooling one per worker (A/B baseline; results\n"
-      "                       are bit-identical either way)\n"
       "  --progress console|jsonl|off   progress reporting (default console)\n"
       "  --checkpoint FILE    append each finished campaign to a durable JSONL\n"
       "                       checkpoint (crash-safe; see --resume)\n"
@@ -239,8 +234,6 @@ Options parse(int argc, char** argv) {
     else if (a == "--threads") {
       o.threads = static_cast<unsigned>(std::atoi(next_arg(argc, argv, i)));
       o.threads_set = true;
-    } else if (a == "--no-session-reuse") {
-      o.no_session_reuse = true;
     } else if (a == "--progress") {
       o.progress = next_arg(argc, argv, i);
       if (o.progress != "console" && o.progress != "jsonl" && o.progress != "off") usage(2);
@@ -516,7 +509,6 @@ int main(int argc, char** argv) {
     spec::Value doc =
         o.spec_path.empty() ? build_doc(o) : spec::parse_file(o.spec_path);
     if (o.threads_set) doc.set_path("runner.threads", std::uint64_t{o.threads});
-    if (o.no_session_reuse) doc.set_path("runner.session_reuse", false);
     // --units overrides spec files too (build_doc already folded it in for
     // flag-built docs); a spec with a pinned seed then fails load_campaign
     // loudly instead of the flag being ignored.
@@ -570,7 +562,7 @@ int main(int argc, char** argv) {
     // Fold the outcome taxonomy into rows + exit status. is_success covers
     // ok / retried-ok / timed-out / skipped-cached; everything else either
     // degrades the exit code or (fail-fast, cancel) truncated the suite.
-    std::vector<platform::CampaignSuite::Row> rows;
+    std::vector<spec::CampaignRow> rows;
     std::vector<const runner::CampaignRunner::Outcome*> degraded;
     bool any_failed = false;
     bool any_quarantined = false;
@@ -617,7 +609,7 @@ int main(int argc, char** argv) {
     std::printf("%zu/%zu campaigns completed, %u worker threads%s\n\n", rows.size(),
                 outcomes.size(), runner::resolved_threads(campaign.runner),
                 cancelled ? "  [cancelled]" : "");
-    std::fputs(platform::CampaignSuite::summary_table(rows).c_str(), stdout);
+    std::fputs(spec::summary_table(rows).c_str(), stdout);
     std::uint64_t total_loss = 0;
     std::uint32_t total_faults = 0;
     for (const auto& row : rows) {

@@ -39,9 +39,9 @@ fi
 # documents the single-thread-per-queue contract.
 echo "==> TSan: configure + build runner + event-kernel + obs + session tests (build-tsan/, -DPOFI_SANITIZE=thread)"
 cmake -B build-tsan -S . -DPOFI_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j "${JOBS}" --target runner_test runner_resilience_test platform_suite_test sim_property_test obs_concurrency_test session_fuzz_test torture_explorer_test
+cmake --build build-tsan -j "${JOBS}" --target runner_test runner_resilience_test spec_campaign_test sim_property_test obs_concurrency_test session_fuzz_test torture_explorer_test
 
-echo "==> TSan: ctest (runner + resilience + suite + event-kernel fuzz + obs registry + session fuzz)"
+echo "==> TSan: ctest (runner + resilience + campaign rows + event-kernel fuzz + obs registry + session fuzz)"
 # SessionFuzz rides the TSan stage because pooled sessions live one per
 # worker thread: the differential fuzz on instrumented workers proves the
 # slot handoff and the acquire() counters are race-free.
@@ -51,7 +51,7 @@ echo "==> TSan: ctest (runner + resilience + suite + event-kernel fuzz + obs reg
 # costs ~10 min under TSan. It still runs in tier-1 ctest and UBSan below.
 TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
   ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
-        -R 'CampaignRunner|RunnerDeterminism|RunnerResilience|JsonlProgressSink|CampaignSuite|EventQueueFuzz|EventQueueClear|ObsConcurrency|SessionFuzz|TortureExplorer' \
+        -R 'CampaignRunner|RunnerDeterminism|RunnerResilience|JsonlProgressSink|CampaignRows|EventQueueFuzz|EventQueueClear|ObsConcurrency|SessionFuzz|TortureExplorer' \
         -E 'SnapshotIntervalNeverChangesVerdicts'
 
 # The resilience layer leans on exactly the constructs UBSan polices: integer

@@ -31,7 +31,7 @@ namespace pofi::runner {
 
 struct RunnerConfig {
   /// Worker threads. 0 = one per hardware thread; 1 = run on the calling
-  /// thread (exactly the old sequential CampaignSuite behaviour, no pool).
+  /// thread (sequential, no pool).
   unsigned threads = 1;
 
   /// Stop scheduling queued campaigns after the first one that does not
@@ -56,14 +56,6 @@ struct RunnerConfig {
   /// Seed of the deterministic jitter stream (sim::derive_seed over entry
   /// index and attempt): schedules are reproducible at any thread count.
   std::uint64_t retry_jitter_seed = 42;
-
-  /// Pool one device stack per worker thread and reset it in place between
-  /// entries instead of tearing down and rebuilding (see
-  /// runner/experiment_session.hpp). Pure performance knob: results are
-  /// bit-identical either way, so it is excluded from the campaign content
-  /// hash like every other runner key. Off = historical build-per-entry
-  /// behaviour (pofi_run --no-session-reuse for A/B).
-  bool session_reuse = true;
 
   /// Cooperative suite cancellation (may be flipped by a signal handler or a
   /// supervisor thread): when it reads true, workers stop dequeuing and the

@@ -1,6 +1,7 @@
 #include "spec/campaign.hpp"
 
 #include <memory>
+#include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
@@ -9,6 +10,7 @@
 #include "sim/rng.hpp"
 #include "spec/checkpoint.hpp"
 #include "spec/codec.hpp"
+#include "stats/table.hpp"
 
 namespace pofi::spec {
 
@@ -291,30 +293,18 @@ std::vector<runner::CampaignRunner::Outcome> run_campaign(const CampaignSpec& sp
       rn.add_completed(entry.label, std::move(it->second.result));
       continue;
     }
-    if (config.session_reuse) {
-      // Pooled path: the worker's slot keeps one device stack alive across
-      // entries; acquire() resets it in place (or rebuilds on a config
-      // change). Bit-identical to the build-per-entry path below.
-      rn.add(entry.label,
-             [&entry, cancel = options.cancel,
-              metrics = options.collect_metrics](runner::SessionSlot& slot) {
-               platform::PlatformConfig pc = entry.platform;
-               pc.cancel = cancel;
-               if (metrics) pc.metrics = true;
-               platform::TestPlatform& tp = runner::ExperimentSession::acquire(
-                   slot, entry.drive, pc, entry.experiment.seed);
-               return tp.run(entry.experiment);
-             });
-    } else {
-      rn.add(entry.label,
-             [&entry, cancel = options.cancel, metrics = options.collect_metrics] {
-               platform::PlatformConfig pc = entry.platform;
-               pc.cancel = cancel;
-               if (metrics) pc.metrics = true;
-               platform::TestPlatform tp(entry.drive, pc, entry.experiment.seed);
-               return tp.run(entry.experiment);
-             });
-    }
+    // The worker's slot keeps one device stack alive across entries;
+    // acquire() resets it in place, or rebuilds it on a config change.
+    rn.add(entry.label,
+           [&entry, cancel = options.cancel,
+            metrics = options.collect_metrics](runner::SessionSlot& slot) {
+             platform::PlatformConfig pc = entry.platform;
+             pc.cancel = cancel;
+             if (metrics) pc.metrics = true;
+             platform::TestPlatform& tp = runner::ExperimentSession::acquire(
+                 slot, entry.drive, pc, entry.experiment.seed);
+             return tp.run(entry.experiment);
+           });
   }
 
   std::unique_ptr<CheckpointWriter> writer;
@@ -338,23 +328,50 @@ std::vector<runner::CampaignRunner::Outcome> run_campaign(const CampaignSpec& sp
   return rn.run();
 }
 
-std::vector<platform::CampaignSuite::Row> run_campaign_rows(const CampaignSpec& spec,
-                                                            runner::ProgressSink* sink) {
-  auto outcomes = run_campaign(spec, sink);
-  std::vector<platform::CampaignSuite::Row> rows;
+std::vector<CampaignRow> campaign_rows(std::vector<runner::CampaignRunner::Outcome> outcomes) {
+  std::vector<CampaignRow> rows;
   rows.reserve(outcomes.size());
   for (auto& out : outcomes) {
-    if (out.status == runner::CampaignStatus::kFailed) {
-      throw std::runtime_error("campaign \"" + out.label + "\" failed: " + out.error);
+    switch (out.status) {
+      case runner::CampaignStatus::kOk:
+      case runner::CampaignStatus::kRetriedOk:
+      case runner::CampaignStatus::kTimedOut:
+      case runner::CampaignStatus::kSkippedCached:
+        rows.push_back({std::move(out.label), std::move(out.result)});
+        break;
+      case runner::CampaignStatus::kFailed:
+      case runner::CampaignStatus::kAuditFailed:
+        throw std::runtime_error("campaign \"" + out.label + "\" " + to_string(out.status) +
+                                 ": " + out.error);
+      case runner::CampaignStatus::kQuarantined:
+        throw std::runtime_error("campaign \"" + out.label + "\" quarantined after " +
+                                 std::to_string(out.attempts) + " attempt(s): " + out.error);
+      case runner::CampaignStatus::kCancelled:
+      case runner::CampaignStatus::kSkipped:
+      case runner::CampaignStatus::kPending:
+        break;  // fail-fast or cancellation stopped it before it finished
     }
-    if (out.status == runner::CampaignStatus::kQuarantined) {
-      throw std::runtime_error("campaign \"" + out.label + "\" quarantined after " +
-                               std::to_string(out.attempts) + " attempt(s): " + out.error);
-    }
-    if (!runner::is_success(out.status)) continue;  // skipped / cancelled / pending
-    rows.push_back({std::move(out.label), std::move(out.result)});
   }
   return rows;
+}
+
+std::vector<CampaignRow> run_campaign_rows(const CampaignSpec& spec,
+                                           runner::ProgressSink* sink) {
+  return campaign_rows(run_campaign(spec, sink));
+}
+
+std::string summary_table(const std::vector<CampaignRow>& rows) {
+  stats::Table table({"campaign", "faults", "requests", "data failures", "FWA", "IO errors",
+                      "loss/fault", "mean Q2C us"});
+  for (const CampaignRow& row : rows) {
+    const platform::ExperimentResult& r = row.result;
+    table.add_row({row.label, stats::Table::fmt(std::uint64_t{r.faults_injected}),
+                   stats::Table::fmt(r.requests_submitted), stats::Table::fmt(r.data_failures),
+                   stats::Table::fmt(r.fwa_failures), stats::Table::fmt(r.io_errors),
+                   stats::Table::fmt(r.data_failures_per_fault(), 2),
+                   stats::Table::fmt(r.mean_latency_us, 0)});
+  }
+  return table.render();
 }
 
 }  // namespace pofi::spec

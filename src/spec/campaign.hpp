@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "obs/fwd.hpp"
-#include "platform/campaign_suite.hpp"
 #include "platform/experiment.hpp"
 #include "platform/test_platform.hpp"
 #include "runner/campaign_runner.hpp"
@@ -122,9 +121,25 @@ struct RunCampaignOptions {
 [[nodiscard]] std::vector<runner::CampaignRunner::Outcome> run_campaign(
     const CampaignSpec& spec, const RunCampaignOptions& options);
 
-/// run_campaign + failure check: throws std::runtime_error on the first
-/// failed entry, otherwise returns summary-table rows in entry order.
-[[nodiscard]] std::vector<platform::CampaignSuite::Row> run_campaign_rows(
+/// One finished entry: the summary-table row name and its result.
+struct CampaignRow {
+  std::string label;
+  platform::ExperimentResult result;
+};
+
+/// Fold outcomes into rows in entry order: every success (ok, retried-ok,
+/// timed-out, restored from a checkpoint) becomes a row; an entry that never
+/// finished (skipped, cancelled, pending) has none. Throws std::runtime_error
+/// on the first failed, audit-failed or quarantined entry — a sweep with
+/// silently missing points is worse than no sweep.
+[[nodiscard]] std::vector<CampaignRow> campaign_rows(
+    std::vector<runner::CampaignRunner::Outcome> outcomes);
+
+/// run_campaign + campaign_rows.
+[[nodiscard]] std::vector<CampaignRow> run_campaign_rows(
     const CampaignSpec& spec, runner::ProgressSink* sink = nullptr);
+
+/// Render rows as an aligned comparison table.
+[[nodiscard]] std::string summary_table(const std::vector<CampaignRow>& rows);
 
 }  // namespace pofi::spec

@@ -647,7 +647,6 @@ Value to_json(const runner::RunnerConfig& cfg) {
   v.set("retry_backoff_ms", cfg.retry_backoff_ms);
   v.set("retry_backoff_max_ms", cfg.retry_backoff_max_ms);
   v.set("retry_jitter_seed", cfg.retry_jitter_seed);
-  v.set("session_reuse", cfg.session_reuse);
   return v;
 }
 
@@ -667,8 +666,6 @@ void apply_json(runner::RunnerConfig& cfg, const Value& v) {
       cfg.retry_backoff_max_ms = read_double(m, key, 0.0, 1e9);
     } else if (key == "retry_jitter_seed") {
       cfg.retry_jitter_seed = read_u64(m, key);
-    } else if (key == "session_reuse") {
-      cfg.session_reuse = read_bool(m, key);
     } else {
       return false;
     }

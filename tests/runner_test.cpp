@@ -4,7 +4,7 @@
 //
 // The synthetic-job tests exercise CampaignRunner directly (it is generic
 // over what a campaign runs); the determinism test drives the real
-// CampaignSuite -> TestPlatform stack.
+// spec::run_campaign_rows -> TestPlatform stack.
 #include "runner/campaign_runner.hpp"
 
 #include <gtest/gtest.h>
@@ -15,8 +15,9 @@
 #include <sstream>
 #include <thread>
 
-#include "platform/campaign_suite.hpp"
 #include "runner/progress.hpp"
+#include "sim/rng.hpp"
+#include "spec/campaign.hpp"
 #include "ssd/presets.hpp"
 
 namespace pofi::runner {
@@ -122,7 +123,7 @@ TEST(CampaignRunner, ProgressEventsAreOrdered) {
   EXPECT_EQ(events.back().suite_data_loss, expected_loss);
 }
 
-TEST(CampaignRunner, FailFastSkipsQueuedCampaigns) {
+TEST(CampaignRunner, FailFastSkipsPendingCampaigns) {
   RecordingSink sink;
   RunnerConfig config;
   config.threads = 1;  // deterministic scheduling for exact assertions
@@ -270,17 +271,22 @@ platform::ExperimentSpec det_spec() {
   spec.total_requests = 120;
   spec.faults = 3;
   spec.pace_iops = 60.0;
-  return spec;  // seed left at default: the suite derives one per entry
+  return spec;
 }
 
-std::vector<platform::CampaignSuite::Row> run_det_suite(unsigned threads) {
-  platform::CampaignSuite suite({}, /*master_seed=*/2024);
-  for (int i = 0; i < 8; ++i) {
-    suite.add("det-" + std::to_string(i), det_drive(), det_spec());
+/// Eight campaigns on one drive, seeds sharded from master seed 2024.
+std::vector<spec::CampaignRow> run_det_suite(unsigned threads) {
+  spec::CampaignSpec campaign;
+  campaign.runner.threads = threads;
+  for (std::size_t i = 0; i < 8; ++i) {
+    spec::CampaignEntry entry;
+    entry.label = "det-" + std::to_string(i);
+    entry.drive = det_drive();
+    entry.experiment = det_spec();
+    entry.experiment.seed = sim::derive_seed(2024, i);
+    campaign.entries.push_back(std::move(entry));
   }
-  runner::RunnerConfig config;
-  config.threads = threads;
-  return suite.run_all(config);
+  return spec::run_campaign_rows(campaign);
 }
 
 void expect_identical(const platform::ExperimentResult& a,
@@ -327,20 +333,6 @@ TEST(RunnerDeterminism, ThreadCountDoesNotChangeResults) {
     expect_identical(seq[i].result, two[i].result);
     expect_identical(seq[i].result, eight[i].result);
   }
-}
-
-TEST(RunnerDeterminism, DerivedSeedsDecorrelateDefaultedEntries) {
-  // Two entries with untouched default seeds must not run the same campaign
-  // (the pre-runner suite gave both seed 42).
-  platform::CampaignSuite suite;
-  suite.add("a", det_drive(), det_spec()).add("b", det_drive(), det_spec());
-  const auto rows = suite.run_all();
-  ASSERT_EQ(rows.size(), 2u);
-  const bool identical =
-      rows[0].result.sim_seconds == rows[1].result.sim_seconds &&
-      rows[0].result.mean_latency_us == rows[1].result.mean_latency_us &&
-      rows[0].result.write_acks == rows[1].result.write_acks;
-  EXPECT_FALSE(identical);
 }
 
 }  // namespace

@@ -12,8 +12,13 @@
 // golden, and back). Rows, blktrace streams and metric snapshots must match
 // byte-for-byte on every trial; any divergence means some component's
 // reset() leaks history.
+//
+// A second test runs whole committed campaigns through spec::run_campaign
+// (the only campaign path, pooled) and requires the same rows as building a
+// fresh TestPlatform per entry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
@@ -90,20 +95,24 @@ Observation observe(TestPlatform& tp, const spec::CampaignEntry& entry,
   return obs;
 }
 
+/// Cap a committed entry's campaign so the differential tests stay
+/// seconds-scale (identically on both sides — the comparison is
+/// differential, not golden).
+void trim(spec::CampaignEntry& entry) {
+  entry.experiment.total_requests = std::min<std::uint64_t>(entry.experiment.total_requests, 72);
+  entry.experiment.faults = std::min<std::uint32_t>(entry.experiment.faults, 2);
+}
+
 TEST(SessionFuzz, PooledResetMatchesFreshConstructionAcrossSpecs) {
   // Three committed specs, three geometries: golden is a 1 GB capacity-
   // scaled drive, fig8 the full preset-A drive, large_drive the 128 GB
-  // variant. Entry 0 of each; campaign sizes trimmed so the fuzz stays
-  // seconds-scale (identically on both sides — the comparison is
-  // differential, not golden).
+  // variant. Entry 0 of each, trimmed.
   std::vector<spec::CampaignEntry> cases;
   for (const char* file : {"golden.json", "fig8_iops.json", "large_drive.json"}) {
     const auto campaign = spec::load_campaign_file(spec_dir() + "/" + file);
     ASSERT_FALSE(campaign.entries.empty()) << file;
     auto entry = campaign.entries.front();
-    entry.experiment.total_requests = std::min<std::uint64_t>(
-        entry.experiment.total_requests, 72);
-    entry.experiment.faults = std::min<std::uint32_t>(entry.experiment.faults, 2);
+    trim(entry);
     entry.platform.trace_enabled = true;  // pin the event stream too
     cases.push_back(std::move(entry));
   }
@@ -146,6 +155,40 @@ TEST(SessionFuzz, PooledResetMatchesFreshConstructionAcrossSpecs) {
   // nothing about the fallback).
   EXPECT_GT(mismatch_rebuilds, 1u)
       << "fuzz schedule never took the geometry-mismatch rebuild path";
+}
+
+/// Rows of `campaign` from a build-per-entry loop: a brand-new TestPlatform
+/// for every entry, the ground truth the pooled runner must reproduce.
+std::vector<std::string> fresh_rows(const spec::CampaignSpec& campaign) {
+  std::vector<std::string> rows;
+  for (const auto& e : campaign.entries) {
+    TestPlatform tp(e.drive, e.platform, e.experiment.seed);
+    rows.push_back(canonical(tp.run(e.experiment)));
+  }
+  return rows;
+}
+
+/// Rows of `campaign` through spec::run_campaign (pooled sessions).
+std::vector<std::string> pooled_rows(spec::CampaignSpec campaign, unsigned threads) {
+  campaign.runner.threads = threads;
+  std::vector<std::string> rows;
+  for (const auto& row : spec::run_campaign_rows(campaign)) rows.push_back(canonical(row.result));
+  return rows;
+}
+
+TEST(SessionFuzz, PooledCampaignMatchesBuildPerEntryOnCommittedSpecs) {
+  // Every entry of golden.json at 1 and 2 threads, and every entry of
+  // fig8_iops.json (seven identical-geometry IOPS points, so the pool resets
+  // in place between them) at 2 threads, trimmed like the fuzz above.
+  const auto golden = spec::load_campaign_file(spec_dir() + "/golden.json");
+  const auto golden_fresh = fresh_rows(golden);
+  EXPECT_EQ(pooled_rows(golden, 1), golden_fresh);
+  EXPECT_EQ(pooled_rows(golden, 2), golden_fresh);
+
+  auto fig8 = spec::load_campaign_file(spec_dir() + "/fig8_iops.json");
+  ASSERT_GT(fig8.entries.size(), 2u);
+  for (auto& entry : fig8.entries) trim(entry);
+  EXPECT_EQ(pooled_rows(fig8, 2), fresh_rows(fig8));
 }
 
 // The reset itself must be heap-quiet in steady state — covered by the

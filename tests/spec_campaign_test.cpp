@@ -1,5 +1,5 @@
-// CampaignSpec expansion semantics plus round-trip goldens over every
-// committed specs/*.json file.
+// CampaignSpec expansion semantics, running code-built campaigns into rows,
+// plus round-trip goldens over every committed specs/*.json file.
 //
 // The committed-spec half enforces two invariants the CLI and CI rely on:
 //   * canonical() is a fixed point — parse(canonical(doc)) re-canonicalises
@@ -12,13 +12,16 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <initializer_list>
 #include <set>
+#include <stdexcept>
 #include <string>
 
 #include "sim/rng.hpp"
 #include "spec/campaign.hpp"
 #include "spec/codec.hpp"
 #include "spec/value.hpp"
+#include "ssd/presets.hpp"
 #include "torture/torture_spec.hpp"
 
 namespace pofi::spec {
@@ -176,6 +179,130 @@ TEST(SpecCampaign, HashIgnoresRunnerConfig) {
   EXPECT_EQ(t1.hash, base.hash);
   EXPECT_EQ(t8.hash, base.hash);
   EXPECT_EQ(t8.runner.threads, 8U);  // still applied, just not hashed
+}
+
+// --- running campaigns ------------------------------------------------------
+
+/// A campaign built in code: one small entry (200 requests, 4 faults on a
+/// 1 GB preset-A drive) per {label, plp, seed}.
+struct TinyEntry {
+  const char* label;
+  bool plp;
+  std::uint64_t seed;
+};
+CampaignSpec tiny_campaign(std::initializer_list<TinyEntry> entries) {
+  CampaignSpec campaign;
+  for (const TinyEntry& t : entries) {
+    CampaignEntry entry;
+    entry.label = t.label;
+    ssd::PresetOptions opts;
+    opts.capacity_override_gb = 1;
+    opts.plp = t.plp;
+    entry.drive = ssd::make_preset(ssd::VendorModel::kA, opts);
+    entry.drive.mount_delay = sim::Duration::ms(50);
+    platform::ExperimentSpec& spec = entry.experiment;
+    spec.name = "suite-entry";
+    spec.workload.wss_pages = (256ULL << 20) / 4096;
+    spec.workload.min_pages = 1;
+    spec.workload.max_pages = 16;
+    spec.total_requests = 200;
+    spec.faults = 4;
+    spec.pace_iops = 40.0;
+    spec.seed = t.seed;
+    campaign.entries.push_back(std::move(entry));
+  }
+  return campaign;
+}
+
+TEST(CampaignRows, RunsEveryEntry) {
+  const auto rows = run_campaign_rows(tiny_campaign({{"commodity", false, 1}, {"plp", true, 1}}));
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].label, "commodity");
+  EXPECT_EQ(rows[1].label, "plp");
+  for (const auto& row : rows) {
+    EXPECT_EQ(row.result.faults_injected, 4u);
+    EXPECT_GT(row.result.requests_submitted, 0u);
+  }
+  // Same workload, same faults: the commodity drive loses, the PLP doesn't.
+  EXPECT_GT(rows[0].result.total_data_loss(), 0u);
+  EXPECT_EQ(rows[1].result.total_data_loss(), 0u);
+}
+
+TEST(CampaignRows, EntriesAreIndependent) {
+  // Two identical entries must produce identical results: the second runs
+  // on the first one's pooled stack, reset to just-built state (no shared
+  // device history).
+  const auto rows = run_campaign_rows(tiny_campaign({{"a", false, 7}, {"b", false, 7}}));
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].result.data_failures, rows[1].result.data_failures);
+  EXPECT_EQ(rows[0].result.fwa_failures, rows[1].result.fwa_failures);
+  EXPECT_EQ(rows[0].result.requests_submitted, rows[1].result.requests_submitted);
+  EXPECT_DOUBLE_EQ(rows[0].result.sim_seconds, rows[1].result.sim_seconds);
+}
+
+TEST(CampaignRows, SummaryTableContainsEveryRow) {
+  const auto rows = run_campaign_rows(tiny_campaign({{"row-one", false, 2}, {"row-two", true, 3}}));
+  const std::string table = summary_table(rows);
+  EXPECT_NE(table.find("row-one"), std::string::npos);
+  EXPECT_NE(table.find("row-two"), std::string::npos);
+  EXPECT_NE(table.find("loss/fault"), std::string::npos);
+}
+
+TEST(CampaignRows, EmptyCampaignIsFine) {
+  const auto rows = run_campaign_rows(CampaignSpec{});
+  EXPECT_TRUE(rows.empty());
+  EXPECT_NE(summary_table(rows).find("campaign"), std::string::npos);
+}
+
+TEST(CampaignRows, ParallelRowsMatchSequentialRows) {
+  auto campaign = tiny_campaign({{"one", false, 11}, {"two", true, 12}, {"three", false, 13}});
+  const auto seq = run_campaign_rows(campaign);
+  campaign.runner.threads = 3;
+  const auto par = run_campaign_rows(campaign);
+  ASSERT_EQ(seq.size(), par.size());
+  for (std::size_t i = 0; i < seq.size(); ++i) {
+    EXPECT_EQ(seq[i].label, par[i].label);
+    EXPECT_EQ(seq[i].result.data_failures, par[i].result.data_failures);
+    EXPECT_EQ(seq[i].result.fwa_failures, par[i].result.fwa_failures);
+    EXPECT_EQ(seq[i].result.requests_submitted, par[i].result.requests_submitted);
+    EXPECT_DOUBLE_EQ(seq[i].result.sim_seconds, par[i].result.sim_seconds);
+  }
+}
+
+TEST(CampaignRows, RunCampaignReportsPerEntryStatus) {
+  const auto outcomes = run_campaign(tiny_campaign({{"solo", false, 21}}));
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_EQ(outcomes[0].label, "solo");
+  EXPECT_EQ(outcomes[0].status, runner::CampaignStatus::kOk);
+  EXPECT_GT(outcomes[0].wall_seconds, 0.0);
+  EXPECT_EQ(outcomes[0].result.faults_injected, 4u);
+}
+
+TEST(CampaignRows, FoldKeepsSuccessesAndThrowsOnFailures) {
+  using runner::CampaignStatus;
+  const auto fold = [](std::initializer_list<CampaignStatus> statuses) {
+    std::vector<runner::CampaignRunner::Outcome> outcomes;
+    for (const CampaignStatus status : statuses) {
+      outcomes.emplace_back().label = to_string(status);
+      outcomes.back().status = status;
+    }
+    return campaign_rows(std::move(outcomes));
+  };
+  // Successes become rows in entry order; entries that never finished
+  // (fail-fast or cancellation) have none.
+  const auto rows = fold({CampaignStatus::kOk, CampaignStatus::kPending,
+                          CampaignStatus::kRetriedOk, CampaignStatus::kCancelled,
+                          CampaignStatus::kTimedOut, CampaignStatus::kSkipped,
+                          CampaignStatus::kSkippedCached});
+  ASSERT_EQ(rows.size(), 4u);
+  EXPECT_EQ(rows[0].label, "ok");
+  EXPECT_EQ(rows[1].label, "retried-ok");
+  EXPECT_EQ(rows[2].label, "timed-out");
+  EXPECT_EQ(rows[3].label, "skipped-cached");
+  // A failed, audit-failed or quarantined entry fails the whole fold.
+  EXPECT_THROW((void)fold({CampaignStatus::kOk, CampaignStatus::kFailed}), std::runtime_error);
+  EXPECT_THROW((void)fold({CampaignStatus::kAuditFailed}), std::runtime_error);
+  EXPECT_THROW((void)fold({CampaignStatus::kQuarantined}), std::runtime_error);
 }
 
 // --- committed specs --------------------------------------------------------
