@@ -241,7 +241,9 @@ void Ftl::flush_all(std::function<void()> done) {
 void Ftl::persist_batch(std::uint64_t batch) {
   const auto ppn = alloc_.alloc_page(Stream::kJournal);
   if (!ppn.has_value()) {
-    // No journal space: the batch simply stays volatile (commit never runs).
+    // No journal space: the members stay volatile and rejoin the dirty set,
+    // so the next tick recuts them.
+    map_.abort_batch(batch);
     return;
   }
   journal_in_flight_ = true;
@@ -252,7 +254,12 @@ void Ftl::persist_batch(std::uint64_t batch) {
                                                 cut_seq](nand::OpResult r) {
     journal_in_flight_ = false;
     if (auto* m = sim_.metrics()) m->trace().end(obs_span_journal_, sim_.now());
-    if (!r.ok()) return;  // batch stays volatile; next tick recuts it
+    if (!r.ok()) {
+      // Failed program (a power loss drops the callback instead): the
+      // members stay volatile and the next tick recuts them.
+      map_.abort_batch(batch);
+      return;
+    }
     // Batches commit in cut order (journal_in_flight_ serialises them), so
     // cut_seq is monotone and the horizon only advances. Record the newest
     // journaled LPN before the batch bookkeeping is consumed (fault hook).

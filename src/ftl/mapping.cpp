@@ -31,27 +31,58 @@ void MappingTable::clear_slot(Lpn lpn) {
   }
 }
 
+MappingTable::Frame* MappingTable::frame_for(Lpn lpn) {
+  if (policy_ != MappingPolicy::kHybridExtent) return nullptr;
+  const auto it = frames_.find(frame_of(lpn));
+  return it == frames_.end() ? nullptr : &it->second;
+}
+
+void MappingTable::add_unbatched(Frame* f) {
+  ++unbatched_;
+  if (f == nullptr) return;
+  ++f->unbatched;
+  if (withheld(*f)) ++withheld_unbatched_;
+}
+
+void MappingTable::drop_unbatched(Frame* f) {
+  --unbatched_;
+  if (f == nullptr) return;
+  --f->unbatched;
+  if (withheld(*f)) --withheld_unbatched_;
+}
+
 void MappingTable::mark_dirty(Lpn lpn, std::optional<Ppn> old_value) {
   auto it = volatile_.find(lpn);
   if (it == volatile_.end()) {
     volatile_.emplace(lpn, DirtyState{old_value, 0});
+    ++unbatched_;
     if (policy_ == MappingPolicy::kHybridExtent) {
       // Frames close on stagnation only: an active sequential stream keeps
       // its whole recent region volatile (the extent is still growing),
       // while a random request's frames stop growing as soon as it drains.
+      // Crossing min_extent_fill_ or reopening flips the frame to withheld,
+      // so its dirty entries are re-filed around the update.
       Frame& f = frames_[frame_of(lpn)];
+      if (withheld(f)) withheld_unbatched_ -= f.unbatched;
       f.touched += 1;
       f.dirty += 1;
+      f.unbatched += 1;
       if (f.closed) f.closed = false;  // the stream revisited: reopen
+      if (withheld(f)) withheld_unbatched_ += f.unbatched;
     }
     return;
   }
   if (it->second.batch != 0) {
     // Re-dirtied while a batch holding the previous value is in flight: once
     // that batch commits, the batched value (== current map_ value before
-    // this update) is the durable one.
+    // this update) is the durable one. The batch keeps the displaced value
+    // in case it aborts instead.
+    if (const auto bit = batches_.find(it->second.batch); bit != batches_.end()) {
+      bit->second.redirtied.emplace_back(lpn, it->second.persisted);
+    }
     it->second.persisted = old_value;
     it->second.batch = 0;
+    add_unbatched(frame_for(lpn));
   }
   // batch == 0: first-touch persisted value stands.
 }
@@ -68,30 +99,12 @@ void MappingTable::remove(Lpn lpn) {
   clear_slot(lpn);
 }
 
-bool MappingTable::withheld(Lpn lpn) const {
-  if (policy_ != MappingPolicy::kHybridExtent) return false;
-  const auto it = frames_.find(frame_of(lpn));
-  if (it == frames_.end()) return false;
-  const Frame& f = it->second;
-  return !f.closed && f.touched >= min_extent_fill_;
-}
-
-std::size_t MappingTable::committable_count() const {
-  std::size_t n = 0;
-  for (const auto& [lpn, st] : volatile_) {
-    if (st.batch != 0) continue;
-    if (withheld(lpn)) continue;
-    ++n;
-  }
-  return n;
-}
-
 std::size_t MappingTable::volatile_count() const { return volatile_.size(); }
 
 std::size_t MappingTable::open_extents() const {
   std::size_t n = 0;
   for (const auto& [id, f] : frames_) {
-    if (!f.closed && f.touched >= min_extent_fill_) ++n;
+    if (withheld(f)) ++n;
   }
   return n;
 }
@@ -104,6 +117,7 @@ std::uint64_t MappingTable::begin_persist_batch(bool include_withheld) {
       if (f.closed) continue;
       if (f.touched >= min_extent_fill_ && f.touched == f.at_last_cut) {
         f.closed = true;
+        withheld_unbatched_ -= f.unbatched;  // was withheld, now journalable
         if (f.touched >= extent_pages_) ++extents_closed_full_;
       } else {
         f.at_last_cut = f.touched;
@@ -111,28 +125,31 @@ std::uint64_t MappingTable::begin_persist_batch(bool include_withheld) {
     }
   }
 
+  const std::size_t eligible = include_withheld ? unbatched_ : committable_count();
+  if (eligible == 0) return 0;
   std::vector<Lpn> members;
-  members.reserve(volatile_.size());
+  members.reserve(eligible);
+  const std::uint64_t id = next_batch_++;
   for (auto& [lpn, st] : volatile_) {
     if (st.batch != 0) continue;
-    if (!include_withheld && withheld(lpn)) continue;
+    Frame* f = frame_for(lpn);
+    if (!include_withheld && f != nullptr && withheld(*f)) continue;
+    st.batch = id;
+    drop_unbatched(f);
     members.push_back(lpn);
   }
-  if (members.empty()) return 0;
   // Canonical cut order: volatile_ is a hash table, whose iteration order
   // depends on its insertion/rehash history — state a snapshot restore
   // cannot (and should not) reproduce. Journal record order, and with it
   // "the last journaled LPN", must not depend on container history.
   std::sort(members.begin(), members.end());
-  const std::uint64_t id = next_batch_++;
-  for (const Lpn lpn : members) volatile_[lpn].batch = id;
-  batches_.emplace(id, std::move(members));
+  batches_.emplace(id, Batch{std::move(members), {}});
   return id;
 }
 
 std::size_t MappingTable::batch_size(std::uint64_t batch) const {
   const auto it = batches_.find(batch);
-  return it == batches_.end() ? 0 : it->second.size();
+  return it == batches_.end() ? 0 : it->second.lpns.size();
 }
 
 void MappingTable::frame_entry_resolved(Lpn lpn) {
@@ -150,7 +167,7 @@ void MappingTable::frame_entry_resolved(Lpn lpn) {
 void MappingTable::commit_batch(std::uint64_t batch) {
   const auto it = batches_.find(batch);
   if (it == batches_.end()) return;
-  for (const Lpn lpn : it->second) {
+  for (const Lpn lpn : it->second.lpns) {
     const auto vit = volatile_.find(lpn);
     // Skip entries re-dirtied after the batch was cut; they stay volatile
     // with their persisted value already advanced to the batched one.
@@ -158,6 +175,25 @@ void MappingTable::commit_batch(std::uint64_t batch) {
       volatile_.erase(vit);
       frame_entry_resolved(lpn);
     }
+  }
+  batches_.erase(it);
+}
+
+void MappingTable::abort_batch(std::uint64_t batch) {
+  const auto it = batches_.find(batch);
+  if (it == batches_.end()) return;
+  for (const Lpn lpn : it->second.lpns) {
+    const auto vit = volatile_.find(lpn);
+    if (vit != volatile_.end() && vit->second.batch == batch) {
+      vit->second.batch = 0;
+      add_unbatched(frame_for(lpn));
+    }
+  }
+  // The batched value never became durable: re-dirtied members fall back to
+  // what was persisted before the cut.
+  for (const auto& [lpn, persisted] : it->second.redirtied) {
+    const auto vit = volatile_.find(lpn);
+    if (vit != volatile_.end()) vit->second.persisted = persisted;
   }
   batches_.erase(it);
 }
@@ -180,6 +216,8 @@ std::vector<RevertedUpdate> MappingTable::on_power_lost() {
   volatile_.clear();
   batches_.clear();
   frames_.clear();
+  unbatched_ = 0;
+  withheld_unbatched_ = 0;
   return reverted;
 }
 

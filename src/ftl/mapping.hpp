@@ -16,15 +16,19 @@
 // The L2P array itself is a dense std::vector<Ppn> (LPN space is dense and
 // its bound is known from device geometry), with kUnmappedPpn as the "no
 // mapping" sentinel — lookup and update on the IO hot path are a bounds
-// check and an array index, no hashing. Only the sparse *bookkeeping*
-// (volatile/dirty state, journal batches, extent frames) stays in hash maps;
-// those are touched per journal cycle, not per IO.
+// check and an array index, no hashing. The sparse *bookkeeping*
+// (volatile/dirty state, journal batches, extent frames) lives in hash maps
+// and costs O(1) per IO: the FTL asks for the committable count after every
+// host write, so it is kept as counters updated on each state change (dirty
+// entries, and those of them sitting in withheld frames) rather than scanned.
+// Only a batch cut walks the volatile set, once per journal cycle.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ftl/types.hpp"
@@ -99,12 +103,21 @@ class MappingTable {
   [[nodiscard]] std::uint64_t begin_persist_batch(bool include_withheld = false);
   /// The journal page holding `batch` was durably programmed.
   void commit_batch(std::uint64_t batch);
+  /// The journal page holding `batch` will never be programmed (no journal
+  /// space, failed program): members still in the batch return to the dirty
+  /// set so the next cut picks them up again, and members re-dirtied since
+  /// the cut get back the persisted value the batch would have replaced.
+  /// Exact while batches resolve one at a time, in cut order (the FTL keeps
+  /// at most one journal page in flight).
+  void abort_batch(std::uint64_t batch);
   [[nodiscard]] std::size_t batch_size(std::uint64_t batch) const;
 
   /// Number of updates that a power loss right now would revert.
   [[nodiscard]] std::size_t volatile_count() const;
-  /// Dirty entries eligible for the next batch (open extents excluded).
-  [[nodiscard]] std::size_t committable_count() const;
+  /// Dirty entries eligible for the next batch (open extents excluded). O(1).
+  [[nodiscard]] std::size_t committable_count() const {
+    return unbatched_ - withheld_unbatched_;
+  }
 
   /// Power loss: revert every volatile update (dirty + in-flight batches).
   /// Returns the reverted updates for accounting repair.
@@ -128,7 +141,7 @@ class MappingTable {
   [[nodiscard]] const std::vector<Lpn>& batch_lpns(std::uint64_t batch) const {
     static const std::vector<Lpn> kEmpty;
     const auto it = batches_.find(batch);
-    return it == batches_.end() ? kEmpty : it->second;
+    return it == batches_.end() ? kEmpty : it->second.lpns;
   }
 
   // --- Corruption hooks (tests + torture fault injection only) --------------
@@ -162,6 +175,8 @@ class MappingTable {
     next_batch_ = 1;
     frames_.clear();
     extents_closed_full_ = 0;
+    unbatched_ = 0;
+    withheld_unbatched_ = 0;
   }
 
   /// Frames currently detected as open (growing) extents.
@@ -178,9 +193,16 @@ class MappingTable {
     std::optional<Ppn> persisted;  ///< value to restore on revert
     std::uint64_t batch = 0;       ///< 0 = dirty, else in-flight batch id
   };
+  struct Batch {
+    std::vector<Lpn> lpns;  ///< members, in cut order
+    /// Members re-dirtied while the batch was in flight, with the persisted
+    /// value that re-dirtying displaced (restored if the batch aborts).
+    std::vector<std::pair<Lpn, std::optional<Ppn>>> redirtied;
+  };
   struct Frame {
     std::uint32_t touched = 0;      ///< monotone count of dirtied pages
     std::uint32_t dirty = 0;        ///< currently volatile entries inside
+    std::uint32_t unbatched = 0;    ///< of those, entries with batch == 0
     std::uint32_t at_last_cut = 0;  ///< `touched` at the previous batch cut
     bool closed = false;            ///< journalable
   };
@@ -189,7 +211,15 @@ class MappingTable {
 
   void mark_dirty(Lpn lpn, std::optional<Ppn> old_value);
   [[nodiscard]] std::uint64_t frame_of(Lpn lpn) const { return lpn / extent_pages_; }
-  [[nodiscard]] bool withheld(Lpn lpn) const;
+  /// An open extent: its dirty entries stay out of the journal.
+  [[nodiscard]] bool withheld(const Frame& f) const {
+    return !f.closed && f.touched >= min_extent_fill_;
+  }
+  /// The frame holding `lpn` (hybrid policy), or nullptr.
+  [[nodiscard]] Frame* frame_for(Lpn lpn);
+  /// An entry in frame `f` (nullptr: none) joined / left the batch == 0 set.
+  void add_unbatched(Frame* f);
+  void drop_unbatched(Frame* f);
   void frame_entry_resolved(Lpn lpn);
 
   /// Grow the dense array to cover `lpn` (geometric, clamped to capacity
@@ -206,11 +236,15 @@ class MappingTable {
   std::vector<Ppn> map_;  ///< dense L2P; kUnmappedPpn = no mapping
   std::size_t mapped_count_ = 0;
   std::unordered_map<Lpn, DirtyState> volatile_;  ///< first-touch persisted values
-  std::unordered_map<std::uint64_t, std::vector<Lpn>> batches_;
+  std::unordered_map<std::uint64_t, Batch> batches_;
   std::uint64_t next_batch_ = 1;
 
   std::unordered_map<std::uint64_t, Frame> frames_;
   std::uint64_t extents_closed_full_ = 0;
+
+  // committable_count() == unbatched_ - withheld_unbatched_.
+  std::size_t unbatched_ = 0;           ///< volatile entries with batch == 0
+  std::size_t withheld_unbatched_ = 0;  ///< sum of `unbatched` over withheld frames
 };
 
 /// Copyable mapping state: the dense L2P array plus all journal/extent
@@ -220,10 +254,12 @@ struct MappingTable::StateImage {
   std::vector<Ppn> map;
   std::size_t mapped_count = 0;
   std::unordered_map<Lpn, DirtyState> volatile_entries;
-  std::unordered_map<std::uint64_t, std::vector<Lpn>> batches;
+  std::unordered_map<std::uint64_t, Batch> batches;
   std::uint64_t next_batch = 1;
   std::unordered_map<std::uint64_t, Frame> frames;
   std::uint64_t extents_closed_full = 0;
+  std::size_t unbatched = 0;
+  std::size_t withheld_unbatched = 0;
 };
 
 inline void MappingTable::snapshot(StateImage& out) const {
@@ -234,6 +270,8 @@ inline void MappingTable::snapshot(StateImage& out) const {
   out.next_batch = next_batch_;
   out.frames = frames_;
   out.extents_closed_full = extents_closed_full_;
+  out.unbatched = unbatched_;
+  out.withheld_unbatched = withheld_unbatched_;
 }
 
 inline void MappingTable::restore(const StateImage& image) {
@@ -244,6 +282,8 @@ inline void MappingTable::restore(const StateImage& image) {
   next_batch_ = image.next_batch;
   frames_ = image.frames;
   extents_closed_full_ = image.extents_closed_full;
+  unbatched_ = image.unbatched;
+  withheld_unbatched_ = image.withheld_unbatched;
 }
 
 }  // namespace pofi::ftl

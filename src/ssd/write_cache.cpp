@@ -72,48 +72,40 @@ std::optional<sim::Duration> WriteCache::oldest_dirty_age() const {
   return std::nullopt;
 }
 
-std::size_t WriteCache::pick_flush_candidate(bool pressured) {
-  constexpr std::size_t kNone = ~std::size_t{0};
+std::optional<WriteCache::Candidate> WriteCache::pick_flush_candidate(bool pressured) {
   // Drop stale tickets off the head first.
+  auto head_it = entries_.end();
   while (!dirty_fifo_.empty()) {
     const Ticket& t = dirty_fifo_.front();
-    const auto it = entries_.find(t.lpn);
-    if (it != entries_.end() && it->second.dirty && it->second.seq == t.seq) break;
+    head_it = entries_.find(t.lpn);
+    if (head_it != entries_.end() && head_it->second.dirty && head_it->second.seq == t.seq) break;
     dirty_fifo_.pop_front();
   }
-  if (dirty_fifo_.empty()) return kNone;
+  if (dirty_fifo_.empty()) return std::nullopt;
 
   // Head must be ripe (or the cache pressured) for anything to flush.
-  const auto head_it = entries_.find(dirty_fifo_.front().lpn);
   const sim::Duration head_age = sim_.now() - head_it->second.dirtied_at;
   if (!pressured && head_age < config_.hold_time) {
     sim_.cancel(wake_event_);
     wake_event_ = sim_.after(config_.hold_time - head_age, [this] { pump(); });
-    return kNone;
+    return std::nullopt;
   }
 
-  // Pick uniformly among the ripe candidates in the scramble window.
+  // Pick uniformly among the ripe live tickets in the scramble window, each
+  // probed once; the head is live and ripe by the checks above.
   const std::size_t window =
       std::min<std::size_t>(std::max<std::uint32_t>(1, config_.flush_scramble_window),
                             dirty_fifo_.size());
-  std::size_t ripe = 0;
-  for (std::size_t i = 0; i < window; ++i) {
+  ripe_.clear();
+  ripe_.push_back(Candidate{0, head_it->second.content});
+  for (std::size_t i = 1; i < window; ++i) {
     const Ticket& t = dirty_fifo_[i];
     const auto it = entries_.find(t.lpn);
     if (it == entries_.end() || !it->second.dirty || it->second.seq != t.seq) continue;
     if (!pressured && (sim_.now() - it->second.dirtied_at) < config_.hold_time) break;
-    ++ripe;
+    ripe_.push_back(Candidate{i, it->second.content});
   }
-  if (ripe == 0) return 0;  // head itself (ripe by the check above)
-  std::size_t target = rng_.below(ripe);
-  for (std::size_t i = 0; i < window; ++i) {
-    const Ticket& t = dirty_fifo_[i];
-    const auto it = entries_.find(t.lpn);
-    if (it == entries_.end() || !it->second.dirty || it->second.seq != t.seq) continue;
-    if (!pressured && (sim_.now() - it->second.dirtied_at) < config_.hold_time) break;
-    if (target-- == 0) return i;
-  }
-  return 0;
+  return ripe_[rng_.below(ripe_.size())];
 }
 
 void WriteCache::pump() {
@@ -123,13 +115,12 @@ void WriteCache::pump() {
       static_cast<double>(dirty_count_) >=
           config_.high_watermark * static_cast<double>(config_.capacity_pages);
   while (in_flight_ < config_.flush_ways) {
-    const std::size_t idx = pick_flush_candidate(pressured);
-    if (idx == ~std::size_t{0}) return;
-    const Ticket t = dirty_fifo_[idx];
-    dirty_fifo_.erase(dirty_fifo_.begin() + static_cast<std::ptrdiff_t>(idx));
-    const auto it = entries_.find(t.lpn);
-    if (it == entries_.end() || !it->second.dirty || it->second.seq != t.seq) continue;
-    issue_flush(t.lpn, t.seq, it->second.content);
+    const auto pick = pick_flush_candidate(pressured);
+    if (!pick.has_value()) return;
+    const auto ticket = dirty_fifo_.begin() + static_cast<std::ptrdiff_t>(pick->index);
+    const Ticket t = *ticket;
+    dirty_fifo_.erase(ticket);
+    issue_flush(t.lpn, t.seq, pick->content);
   }
 }
 

@@ -123,11 +123,16 @@ class WriteCache {
     ftl::Lpn lpn;
     std::uint64_t seq;
   };
+  /// A live, ripe ticket of the scramble window and the content to flush.
+  struct Candidate {
+    std::size_t index;  ///< into dirty_fifo_
+    std::uint64_t content;
+  };
 
   void pump();
-  /// Index into dirty_fifo_ of the ticket to flush next, or npos when the
-  /// ripe window is empty.
-  [[nodiscard]] std::size_t pick_flush_candidate(bool pressured);
+  /// The ticket to flush next, or nullopt when the head is not ripe yet (the
+  /// hold-time wake is then armed) or no dirty ticket is left.
+  [[nodiscard]] std::optional<Candidate> pick_flush_candidate(bool pressured);
   void issue_flush(ftl::Lpn lpn, std::uint64_t seq, std::uint64_t content);
   void became_clean(ftl::Lpn lpn);
   void evict_clean_if_needed();
@@ -145,6 +150,7 @@ class WriteCache {
   std::unordered_map<ftl::Lpn, Entry> entries_;
   std::deque<Ticket> dirty_fifo_;
   std::deque<Ticket> clean_fifo_;
+  std::vector<Candidate> ripe_;  ///< pick scratch, reused across picks
   std::size_t dirty_count_ = 0;
   std::uint32_t in_flight_ = 0;
   std::uint64_t next_seq_ = 1;

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+#include <vector>
+
+#include "sim/rng.hpp"
+
 namespace pofi::ftl {
 namespace {
 
@@ -107,6 +113,42 @@ TEST(MappingTable, RemoveRevertsToRestoredValue) {
   EXPECT_EQ(map.lookup(1), std::optional<Ppn>(11));  // TRIM was volatile
 }
 
+TEST(MappingTable, AbortedBatchIsRecutWhole) {
+  MappingTable map(MappingPolicy::kPageLevel);
+  for (Lpn lpn = 5; lpn < 9; ++lpn) map.update(lpn, 100 + lpn);
+  const auto batch = map.begin_persist_batch();
+  ASSERT_NE(batch, 0u);
+  const std::vector<Lpn> cut = map.batch_lpns(batch);
+  EXPECT_EQ(map.committable_count(), 0u);
+
+  map.abort_batch(batch);
+  EXPECT_EQ(map.committable_count(), 4u);
+  EXPECT_EQ(map.batch_size(batch), 0u);  // record dropped
+  EXPECT_EQ(map.volatile_count(), 4u);   // nothing became durable
+
+  const auto recut = map.begin_persist_batch();
+  ASSERT_NE(recut, 0u);
+  EXPECT_NE(recut, batch);
+  EXPECT_EQ(map.batch_lpns(recut), cut);
+  map.commit_batch(recut);
+  EXPECT_EQ(map.volatile_count(), 0u);
+}
+
+TEST(MappingTable, AbortRestoresPersistedValueOfRedirtiedMember) {
+  MappingTable map(MappingPolicy::kPageLevel);
+  map.update(1, 11);
+  map.commit_batch(map.begin_persist_batch());
+  map.update(1, 22);
+  const auto batch = map.begin_persist_batch();  // carries 22
+  map.update(1, 33);                              // re-dirtied in flight
+  map.abort_batch(batch);                         // 22 never became durable
+  EXPECT_EQ(map.committable_count(), 1u);
+  const auto reverted = map.on_power_lost();
+  ASSERT_EQ(reverted.size(), 1u);
+  EXPECT_EQ(reverted[0].restored_ppn, std::optional<Ppn>(11));
+  EXPECT_EQ(map.lookup(1), std::optional<Ppn>(11));
+}
+
 // ----------------------------------------------------------- extent frames
 
 constexpr std::uint32_t kFrame = 512;
@@ -186,6 +228,190 @@ TEST(MappingTableExtent, PageLevelPolicyIgnoresFrames) {
   for (Lpn lpn = 0; lpn < 600; ++lpn) map.update(lpn, 1000 + lpn);
   EXPECT_EQ(map.open_extents(), 0u);
   EXPECT_EQ(map.committable_count(), 600u);
+}
+
+// ------------------------------------------- committable_count differential
+// committable_count() is maintained incrementally. This reference model keeps
+// only the state the count depends on and recounts it by the definition: a
+// scan for dirty entries outside withheld extent frames.
+
+struct ReferenceModel {
+  struct Frame {
+    std::uint32_t touched = 0;
+    std::uint32_t dirty = 0;
+    std::uint32_t at_last_cut = 0;
+    bool closed = false;
+  };
+
+  MappingPolicy policy;
+  std::uint32_t extent_pages;
+  std::uint32_t min_fill;
+  std::map<Lpn, std::uint64_t> volatile_batch;  ///< volatile LPN -> batch (0 = dirty)
+  std::map<std::uint64_t, Frame> frames;
+  std::map<std::uint64_t, std::vector<Lpn>> batches;
+  std::uint64_t next_batch = 1;
+
+  [[nodiscard]] bool withheld(Lpn lpn) const {
+    if (policy != MappingPolicy::kHybridExtent) return false;
+    const auto it = frames.find(lpn / extent_pages);
+    return it != frames.end() && !it->second.closed && it->second.touched >= min_fill;
+  }
+
+  [[nodiscard]] std::size_t committable() const {
+    std::size_t n = 0;
+    for (const auto& [lpn, batch] : volatile_batch) {
+      if (batch == 0 && !withheld(lpn)) ++n;
+    }
+    return n;
+  }
+
+  void mark_dirty(Lpn lpn) {
+    const auto it = volatile_batch.find(lpn);
+    if (it != volatile_batch.end()) {
+      it->second = 0;
+      return;
+    }
+    volatile_batch.emplace(lpn, 0);
+    if (policy != MappingPolicy::kHybridExtent) return;
+    Frame& f = frames[lpn / extent_pages];
+    ++f.touched;
+    ++f.dirty;
+    f.closed = false;
+  }
+
+  std::uint64_t cut(bool include_withheld) {
+    if (policy == MappingPolicy::kHybridExtent) {
+      for (auto& [id, f] : frames) {
+        if (f.closed) continue;
+        if (f.touched >= min_fill && f.touched == f.at_last_cut) {
+          f.closed = true;
+        } else {
+          f.at_last_cut = f.touched;
+        }
+      }
+    }
+    std::vector<Lpn> members;
+    for (const auto& [lpn, batch] : volatile_batch) {
+      if (batch == 0 && (include_withheld || !withheld(lpn))) members.push_back(lpn);
+    }
+    if (members.empty()) return 0;
+    const std::uint64_t id = next_batch++;
+    for (const Lpn lpn : members) volatile_batch[lpn] = id;
+    batches.emplace(id, std::move(members));
+    return id;
+  }
+
+  void commit(std::uint64_t id) {
+    for (const Lpn lpn : batches[id]) {
+      const auto it = volatile_batch.find(lpn);
+      if (it == volatile_batch.end() || it->second != id) continue;
+      volatile_batch.erase(it);
+      if (policy != MappingPolicy::kHybridExtent) continue;
+      const auto fit = frames.find(lpn / extent_pages);
+      if (--fit->second.dirty == 0) frames.erase(fit);
+    }
+    batches.erase(id);
+  }
+
+  void abort(std::uint64_t id) {
+    for (const Lpn lpn : batches[id]) {
+      const auto it = volatile_batch.find(lpn);
+      if (it != volatile_batch.end() && it->second == id) it->second = 0;
+    }
+    batches.erase(id);
+  }
+
+  void clear() {
+    volatile_batch.clear();
+    frames.clear();
+    batches.clear();
+  }
+};
+
+void run_counter_differential(MappingPolicy policy, std::uint64_t seed) {
+  constexpr std::uint32_t kDiffFrame = 16;
+  constexpr std::uint32_t kDiffMinFill = 6;
+  constexpr Lpn kLpns = 160;
+  MappingTable map(policy, kDiffFrame, kDiffMinFill, kLpns);
+  ReferenceModel model{policy, kDiffFrame, kDiffMinFill, {}, {}, {}, 1};
+  sim::Rng rng(seed);
+  Ppn next_ppn = 1;
+  Lpn stream = 0;  // cursor of a sequential stream that fills extent frames
+
+  MappingTable::StateImage image;
+  ReferenceModel saved = model;
+  bool have_image = false;
+
+  const auto in_flight_batch = [&]() -> std::uint64_t {
+    if (model.batches.empty()) return 0;
+    auto it = model.batches.begin();
+    std::advance(it, static_cast<std::ptrdiff_t>(rng.below(model.batches.size())));
+    return it->first;
+  };
+
+  for (int step = 0; step < 6000; ++step) {
+    const std::uint64_t op = rng.below(100);
+    if (op < 35) {  // sequential stream
+      const Lpn lpn = stream;
+      stream = (stream + 1) % kLpns;
+      map.update(lpn, next_ppn++);
+      model.mark_dirty(lpn);
+    } else if (op < 60) {  // random overwrite (re-dirties in-flight members)
+      const Lpn lpn = rng.below(kLpns);
+      map.update(lpn, next_ppn++);
+      model.mark_dirty(lpn);
+    } else if (op < 68) {  // TRIM; a no-op on unmapped LPNs
+      const Lpn lpn = rng.below(kLpns);
+      if (map.lookup(lpn).has_value()) model.mark_dirty(lpn);
+      map.remove(lpn);
+    } else if (op < 78) {
+      const bool include_withheld = rng.below(4) == 0;
+      ASSERT_EQ(map.begin_persist_batch(include_withheld), model.cut(include_withheld));
+    } else if (op < 87) {
+      if (const auto id = in_flight_batch(); id != 0) {
+        map.commit_batch(id);
+        model.commit(id);
+      }
+    } else if (op < 93) {
+      if (const auto id = in_flight_batch(); id != 0) {
+        map.abort_batch(id);
+        model.abort(id);
+      }
+    } else if (op < 95) {
+      (void)map.on_power_lost();
+      model.clear();
+    } else if (op < 98) {
+      if (have_image && rng.below(2) == 0) {
+        map.restore(image);
+        model = saved;
+      } else {
+        map.snapshot(image);
+        saved = model;
+        have_image = true;
+      }
+    } else if (op < 99) {
+      map.reset();
+      model.clear();
+      model.next_batch = 1;
+      have_image = false;
+    }
+    ASSERT_EQ(map.committable_count(), model.committable()) << "step " << step << " op " << op;
+    ASSERT_EQ(map.volatile_count(), model.volatile_batch.size()) << "step " << step;
+  }
+}
+
+TEST(MappingTableCounter, MatchesRecountPageLevel) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    run_counter_differential(MappingPolicy::kPageLevel, seed);
+  }
+}
+
+TEST(MappingTableCounter, MatchesRecountHybridExtent) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    run_counter_differential(MappingPolicy::kHybridExtent, seed);
+  }
 }
 
 }  // namespace

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <utility>
+#include <vector>
 
 namespace pofi::ssd {
 namespace {
@@ -200,6 +203,76 @@ TEST(WriteCache, ScrambleWindowOneIsStrictFifo) {
   for (Lpn lpn = 0; lpn < 4; ++lpn) ASSERT_TRUE(h.cache.insert(lpn, lpn + 50));
   h.sim.run_for(Duration::sec(1));
   EXPECT_EQ(h.cache.stats().flushes_completed, 4u);
+}
+
+
+// --- Flush order pin --------------------------------------------------------
+// The flusher's pick (uniform among the ripe live tickets of the scramble
+// window) decides which pages a fault leaves partially applied, so it is part
+// of every golden. These hashes pin the exact LPN order reaching the FTL
+// under a mix that leaves stale tickets (overwrites and invalidations) inside
+// the window; an optimisation of the pick must leave them unchanged.
+
+/// FNV-1a over the LPNs of every host page programmed so far, in FTL write
+/// order (the OOB write-sequence stamp). Journal pages carry no OOB LPN.
+std::uint64_t flush_order_hash(const Harness& h) {
+  std::vector<std::pair<std::uint64_t, Lpn>> writes;
+  for (nand::Ppn ppn = 0; ppn < h.chip.geometry().total_pages(); ++ppn) {
+    const nand::Page* page = h.chip.peek(ppn);
+    if (page == nullptr || page->status == nand::PageStatus::kErased) continue;
+    if (page->oob.valid()) writes.emplace_back(page->oob.seq, page->oob.lpn);
+  }
+  std::sort(writes.begin(), writes.end());
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const auto& [seq, lpn] : writes) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (lpn >> (8 * byte)) & 0xFF;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  return hash;
+}
+
+struct FlushMix {
+  std::uint64_t order_hash = 0;
+  std::uint64_t flushed = 0;
+};
+
+FlushMix run_flush_mix(bool pressured) {
+  auto cfg = Harness::default_cache();
+  cfg.flush_scramble_window = 32;
+  cfg.hold_time = Duration::ms(2);
+  cfg.capacity_pages = pressured ? 64 : 4096;
+  cfg.high_watermark = pressured ? 0.125 : 2.0;  // 2.0: never pressured
+  Harness h(cfg);
+  sim::Rng rng(pressured ? 7 : 5);
+  for (int i = 0; i < 1500; ++i) {
+    const Lpn lpn = rng.below(192);
+    if (rng.below(5) == 0) {
+      h.cache.invalidate(lpn);  // its queued ticket goes stale
+    } else {
+      (void)h.cache.insert(lpn, 0x1000 + i);  // overwrite stales the old ticket
+    }
+    h.sim.run_for(Duration::us(20 + rng.below(200)));
+  }
+  bool drained = false;
+  h.cache.flush_all([&] { drained = true; });
+  h.sim.run_for(Duration::sec(1));
+  EXPECT_TRUE(drained);
+  EXPECT_EQ(h.ftl.stats().gc_erases, 0u);  // GC would re-stamp and erase pages
+  return FlushMix{flush_order_hash(h), h.cache.stats().flushes_completed};
+}
+
+TEST(WriteCache, FlushOrderPinnedUnpressured) {
+  const FlushMix mix = run_flush_mix(/*pressured=*/false);
+  EXPECT_EQ(mix.order_hash, 0x40200fe93dc48708ULL);
+  EXPECT_EQ(mix.flushed, 1038u);
+}
+
+TEST(WriteCache, FlushOrderPinnedPressured) {
+  const FlushMix mix = run_flush_mix(/*pressured=*/true);
+  EXPECT_EQ(mix.order_hash, 0xde30ebc21b4028caULL);
+  EXPECT_EQ(mix.flushed, 1049u);
 }
 
 }  // namespace
