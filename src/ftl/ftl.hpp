@@ -59,9 +59,9 @@ class Ftl {
     /// pointing at a partially-programmed page (the paper's garbage-read
     /// data failures). false = conservative map-on-completion (enterprise).
     bool map_update_on_issue = true;
-    /// LPN address-space size for the dense L2P array. 0 derives it from
-    /// the chip array's geometry at construction (the normal path; ssd::Ssd
-    /// threads its device geometry through here).
+    /// LPN address-space size; sizes the L2P translation-page directory.
+    /// 0 derives it from the chip array's geometry at construction (the
+    /// normal path; ssd::Ssd threads its device geometry through here).
     std::uint64_t lpn_capacity = 0;
     /// Power-on recovery: after a crash, scan recently-programmed blocks'
     /// spare areas (lpn + write-sequence stamps) and rebuild mapping entries

@@ -5,28 +5,31 @@
 namespace pofi::ftl {
 
 std::optional<Ppn> MappingTable::lookup(Lpn lpn) const {
-  if (lpn >= map_.size() || map_[lpn] == kUnmappedPpn) return std::nullopt;
-  return map_[lpn];
+  const std::size_t slot = slot_of(lpn);
+  if (slot == kNoSlot || chunks_[slot] == kUnmappedPpn) return std::nullopt;
+  return chunks_[slot];
 }
 
-void MappingTable::grow_to(Lpn lpn) {
-  // Doubling keeps amortised growth O(1); clamping to the geometry-derived
-  // capacity (when it covers lpn) avoids overshooting the address space.
-  std::uint64_t want = std::max<std::uint64_t>(map_.size() * 2, 1024);
-  want = std::max<std::uint64_t>(want, lpn + 1);
-  if (lpn_capacity_ > lpn) want = std::min(want, lpn_capacity_);
-  map_.resize(static_cast<std::size_t>(want), kUnmappedPpn);
+std::size_t MappingTable::slot_for_write(Lpn lpn) {
+  const std::uint64_t region = lpn / kTranslationPageLpns;
+  if (region >= dir_.size()) dir_.resize(static_cast<std::size_t>(region + 1), kNoChunk);
+  if (dir_[region] == kNoChunk) {
+    dir_[region] = static_cast<std::uint32_t>(translation_pages());
+    chunks_.resize(chunks_.size() + kTranslationPageLpns, kUnmappedPpn);
+  }
+  return slot_of(lpn);
 }
 
 void MappingTable::set_slot(Lpn lpn, Ppn ppn) {
-  if (lpn >= map_.size()) grow_to(lpn);
-  if (map_[lpn] == kUnmappedPpn) ++mapped_count_;
-  map_[lpn] = ppn;
+  Ppn& slot = chunks_[slot_for_write(lpn)];
+  if (slot == kUnmappedPpn) ++mapped_count_;
+  slot = ppn;
 }
 
 void MappingTable::clear_slot(Lpn lpn) {
-  if (lpn < map_.size() && map_[lpn] != kUnmappedPpn) {
-    map_[lpn] = kUnmappedPpn;
+  const std::size_t slot = slot_of(lpn);
+  if (slot != kNoSlot && chunks_[slot] != kUnmappedPpn) {
+    chunks_[slot] = kUnmappedPpn;
     --mapped_count_;
   }
 }
@@ -199,6 +202,22 @@ void MappingTable::abort_batch(std::uint64_t batch) {
 }
 
 std::vector<RevertedUpdate> MappingTable::on_power_lost() {
+  // Members re-dirtied while their batch was in flight took the batched
+  // value as their persisted one, but that batch never committed: fall back
+  // to the value it displaced, as abort_batch does. Oldest batch last, so
+  // the value from before the earliest uncommitted cut wins.
+  std::vector<std::pair<std::uint64_t, const Batch*>> in_flight;
+  in_flight.reserve(batches_.size());
+  for (const auto& [id, batch] : batches_) in_flight.emplace_back(id, &batch);
+  std::sort(in_flight.begin(), in_flight.end(),
+            [](const auto& a, const auto& b) { return a.first > b.first; });
+  for (const auto& [id, batch] : in_flight) {
+    for (const auto& [lpn, persisted] : batch->redirtied) {
+      const auto vit = volatile_.find(lpn);
+      if (vit != volatile_.end()) vit->second.persisted = persisted;
+    }
+  }
+
   std::vector<RevertedUpdate> reverted;
   reverted.reserve(volatile_.size());
   for (const auto& [lpn, st] : volatile_) {

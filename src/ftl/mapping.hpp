@@ -13,10 +13,13 @@
 // based: the DRAM cache scrambles flush order, but a sequential host stream
 // still lands dense in LPN space, which is what real stream detectors key on.
 //
-// The L2P array itself is a dense std::vector<Ppn> (LPN space is dense and
-// its bound is known from device geometry), with kUnmappedPpn as the "no
-// mapping" sentinel — lookup and update on the IO hot path are a bounds
-// check and an array index, no hashing. The sparse *bookkeeping*
+// The L2P itself is a two-level paged table, as a DFTL keeps it in
+// translation pages: a directory with one entry per 512-LPN region, and a
+// chunk store of 4 KiB translation pages (512 Ppn slots each, kUnmappedPpn =
+// "no mapping") appended on the first write into a region. Lookup and update
+// on the IO hot path are two array indexes, no hashing, and memory, snapshot
+// copies and the auditor's walk cost the regions a workload touched rather
+// than the device's whole LPN space. The sparse *bookkeeping*
 // (volatile/dirty state, journal batches, extent frames) lives in hash maps
 // and costs O(1) per IO: the FTL asks for the committable count after every
 // host write, so it is kept as counters updated on each state change (dirty
@@ -24,7 +27,6 @@
 // Only a batch cut walks the volatile set, once per journal cycle.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
@@ -56,7 +58,7 @@ struct RevertedUpdate {
   std::optional<Ppn> restored_ppn;  ///< persisted mapping, if any
 };
 
-/// Sentinel PPN meaning "LPN has no mapping" in the dense L2P array.
+/// Sentinel PPN meaning "LPN has no mapping" in an L2P translation page.
 inline constexpr Ppn kUnmappedPpn = ~Ppn{0};
 
 class MappingTable {
@@ -66,23 +68,21 @@ class MappingTable {
   /// once `min_extent_fill` of its pages are dirty. A full or stagnant frame
   /// closes and becomes journalable.
   ///
-  /// `lpn_capacity`: size of the LPN space (device geometry). Used to
-  /// pre-size the dense L2P array; 0 means unknown, and the array grows
-  /// geometrically as high LPNs are touched. Either way the table serves
-  /// any LPN — capacity is a sizing hint, not a limit.
+  /// `lpn_capacity`: size of the LPN space (device geometry). Sizes the
+  /// translation-page directory; 0 means unknown, and the directory grows as
+  /// high LPNs are touched. Either way the table serves any LPN — capacity
+  /// is a sizing hint, not a limit.
   explicit MappingTable(MappingPolicy policy, std::uint32_t extent_pages = 64,
                         std::uint32_t min_extent_fill = 16,
                         std::uint64_t lpn_capacity = 0)
       : policy_(policy),
         extent_pages_(extent_pages),
         min_extent_fill_(min_extent_fill),
-        lpn_capacity_(lpn_capacity) {
-    // Materialise small address spaces up front (tests, 1–4 GiB drives);
-    // cap the eager allocation so a 256 GiB fleet preset doesn't pay half a
-    // gigabyte per campaign for LPNs its workload never touches.
-    map_.assign(static_cast<std::size_t>(std::min(lpn_capacity, kEagerInitLpns)),
-                kUnmappedPpn);
-  }
+        lpn_capacity_(lpn_capacity),
+        dir_(regions_for(lpn_capacity), kNoChunk) {}
+
+  /// LPNs per translation page (4 KiB of Ppn slots).
+  static constexpr std::uint32_t kTranslationPageLpns = 512;
 
   [[nodiscard]] MappingPolicy policy() const { return policy_; }
 
@@ -124,14 +124,25 @@ class MappingTable {
   std::vector<RevertedUpdate> on_power_lost();
 
   [[nodiscard]] std::size_t entry_count() const { return mapped_count_; }
+  /// Translation pages allocated: the distinct 512-LPN regions written since
+  /// construction or reset(). Removing mappings does not free a page.
+  [[nodiscard]] std::size_t translation_pages() const {
+    return chunks_.size() / kTranslationPageLpns;
+  }
 
   // --- Audit interface (read-only; src/torture/) ----------------------------
-  /// Visit every installed mapping as fn(lpn, ppn). Iterates the dense array
-  /// in LPN order, so visitation order is deterministic.
+  /// Visit every installed mapping as fn(lpn, ppn), in ascending LPN order:
+  /// the directory is walked in region order and only allocated translation
+  /// pages are scanned, so the cost follows the regions written.
   template <class Fn>
   void for_each_mapping(Fn&& fn) const {
-    for (std::size_t lpn = 0; lpn < map_.size(); ++lpn) {
-      if (map_[lpn] != kUnmappedPpn) fn(static_cast<Lpn>(lpn), map_[lpn]);
+    for (std::size_t region = 0; region < dir_.size(); ++region) {
+      if (dir_[region] == kNoChunk) continue;
+      const Ppn* page = chunks_.data() + std::size_t{dir_[region]} * kTranslationPageLpns;
+      const Lpn base = static_cast<Lpn>(region) * kTranslationPageLpns;
+      for (std::uint32_t i = 0; i < kTranslationPageLpns; ++i) {
+        if (page[i] != kUnmappedPpn) fn(base + i, page[i]);
+      }
     }
   }
   /// True while a power loss right now would revert this LPN's mapping.
@@ -145,30 +156,26 @@ class MappingTable {
   }
 
   // --- Corruption hooks (tests + torture fault injection only) --------------
-  /// Overwrite the dense slot directly, bypassing dirty tracking and the
-  /// extent detector — deliberately desynchronising the map from the FTL's
-  /// physical accounting so the auditor has something to find.
+  /// Overwrite the slot directly, bypassing dirty tracking and the extent
+  /// detector — deliberately desynchronising the map from the FTL's physical
+  /// accounting so the auditor has something to find.
   void debug_set_slot(Lpn lpn, Ppn ppn) {
-    grow_to(lpn);
-    if (map_[lpn] == kUnmappedPpn && ppn != kUnmappedPpn) ++mapped_count_;
-    if (map_[lpn] != kUnmappedPpn && ppn == kUnmappedPpn) --mapped_count_;
-    map_[lpn] = ppn;
-  }
-  /// Silently drop a mapping, again bypassing all bookkeeping.
-  void debug_clear_slot(Lpn lpn) {
-    if (lpn < map_.size() && map_[lpn] != kUnmappedPpn) {
-      map_[lpn] = kUnmappedPpn;
-      --mapped_count_;
+    if (ppn == kUnmappedPpn) {
+      clear_slot(lpn);
+    } else {
+      set_slot(lpn, ppn);
     }
   }
+  /// Silently drop a mapping, again bypassing all bookkeeping.
+  void debug_clear_slot(Lpn lpn) { clear_slot(lpn); }
 
-  /// Session reset: back to the just-constructed (empty) state. The dense
-  /// array is re-assigned to its eager-init size — shrinking any lazy growth
-  /// back, without giving up capacity — and the bookkeeping maps are cleared
-  /// with their buckets retained.
+  /// Session reset: back to the just-constructed (empty) state. Every
+  /// translation page is dropped and the directory re-sized to the capacity
+  /// hint (shrinking any growth past it); both vectors and the bookkeeping
+  /// maps keep their capacity/buckets, so a warmed session allocates nothing.
   void reset() {
-    map_.assign(static_cast<std::size_t>(std::min(lpn_capacity_, kEagerInitLpns)),
-                kUnmappedPpn);
+    dir_.assign(regions_for(lpn_capacity_), kNoChunk);
+    chunks_.clear();
     mapped_count_ = 0;
     volatile_.clear();
     batches_.clear();
@@ -207,7 +214,23 @@ class MappingTable {
     bool closed = false;            ///< journalable
   };
 
-  static constexpr std::uint64_t kEagerInitLpns = 1ULL << 20;  ///< 8 MiB of slots
+  /// Directory entry of a region that has no translation page yet.
+  static constexpr std::uint32_t kNoChunk = ~std::uint32_t{0};
+  /// Returned by slot_of() for an LPN whose region has no translation page.
+  static constexpr std::size_t kNoSlot = ~std::size_t{0};
+
+  [[nodiscard]] static std::size_t regions_for(std::uint64_t lpns) {
+    return static_cast<std::size_t>((lpns + kTranslationPageLpns - 1) / kTranslationPageLpns);
+  }
+  /// Index of `lpn`'s slot in chunks_, or kNoSlot.
+  [[nodiscard]] std::size_t slot_of(Lpn lpn) const {
+    const std::uint64_t region = lpn / kTranslationPageLpns;
+    if (region >= dir_.size() || dir_[region] == kNoChunk) return kNoSlot;
+    return std::size_t{dir_[region]} * kTranslationPageLpns + lpn % kTranslationPageLpns;
+  }
+  /// Index of `lpn`'s slot, appending its region's translation page (and
+  /// growing the directory past the capacity hint) on first write.
+  [[nodiscard]] std::size_t slot_for_write(Lpn lpn);
 
   void mark_dirty(Lpn lpn, std::optional<Ppn> old_value);
   [[nodiscard]] std::uint64_t frame_of(Lpn lpn) const { return lpn / extent_pages_; }
@@ -222,9 +245,6 @@ class MappingTable {
   void drop_unbatched(Frame* f);
   void frame_entry_resolved(Lpn lpn);
 
-  /// Grow the dense array to cover `lpn` (geometric, clamped to capacity
-  /// when that suffices). Steady state never takes this path.
-  void grow_to(Lpn lpn);
   void set_slot(Lpn lpn, Ppn ppn);
   void clear_slot(Lpn lpn);
 
@@ -233,7 +253,8 @@ class MappingTable {
   std::uint32_t min_extent_fill_;
   std::uint64_t lpn_capacity_;
 
-  std::vector<Ppn> map_;  ///< dense L2P; kUnmappedPpn = no mapping
+  std::vector<std::uint32_t> dir_;  ///< region -> translation page index, or kNoChunk
+  std::vector<Ppn> chunks_;         ///< translation pages, kTranslationPageLpns slots each
   std::size_t mapped_count_ = 0;
   std::unordered_map<Lpn, DirtyState> volatile_;  ///< first-touch persisted values
   std::unordered_map<std::uint64_t, Batch> batches_;
@@ -247,11 +268,13 @@ class MappingTable {
   std::size_t withheld_unbatched_ = 0;  ///< sum of `unbatched` over withheld frames
 };
 
-/// Copyable mapping state: the dense L2P array plus all journal/extent
-/// bookkeeping. Container assignment reuses capacity/buckets across capture
-/// cycles.
+/// Copyable mapping state: the translation-page directory and chunk store
+/// plus all journal/extent bookkeeping. The chunk store holds only the
+/// regions touched and the directory 4 bytes per 512 LPNs; container
+/// assignment reuses capacity/buckets across capture cycles.
 struct MappingTable::StateImage {
-  std::vector<Ppn> map;
+  std::vector<std::uint32_t> dir;
+  std::vector<Ppn> chunks;
   std::size_t mapped_count = 0;
   std::unordered_map<Lpn, DirtyState> volatile_entries;
   std::unordered_map<std::uint64_t, Batch> batches;
@@ -263,7 +286,8 @@ struct MappingTable::StateImage {
 };
 
 inline void MappingTable::snapshot(StateImage& out) const {
-  out.map = map_;
+  out.dir = dir_;
+  out.chunks = chunks_;
   out.mapped_count = mapped_count_;
   out.volatile_entries = volatile_;
   out.batches = batches_;
@@ -275,7 +299,8 @@ inline void MappingTable::snapshot(StateImage& out) const {
 }
 
 inline void MappingTable::restore(const StateImage& image) {
-  map_ = image.map;
+  dir_ = image.dir;
+  chunks_ = image.chunks;
   mapped_count_ = image.mapped_count;
   volatile_ = image.volatile_entries;
   batches_ = image.batches;
