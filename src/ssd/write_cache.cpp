@@ -1,10 +1,18 @@
 #include "ssd/write_cache.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "obs/metrics.hpp"
 
 namespace pofi::ssd {
+
+namespace {
+
+/// Initial index slots: power of two, and what the first growth doubles.
+constexpr std::size_t kMinIndexSlots = 16;
+
+}  // namespace
 
 WriteCache::WriteCache(sim::Simulator& simulator, ftl::Ftl& ftl, Config config)
     : sim_(simulator), ftl_(ftl), config_(config), rng_(simulator.fork_rng("write-cache")) {
@@ -18,30 +26,95 @@ WriteCache::WriteCache(sim::Simulator& simulator, ftl::Ftl& ftl, Config config)
         {100, 500, 1'000, 5'000, 10'000, 50'000, 100'000, 500'000, 1'000'000, 5'000'000});
     obs_span_flush_all_ = m->trace().intern("ssd.cache.flush_all");
   }
+  grow_index();
+}
+
+std::size_t WriteCache::home_slot(ftl::Lpn lpn) const {
+  // Fibonacci hashing: the top bits of the product mix every LPN bit, so
+  // strided LPNs spread as well as sequential ones.
+  return static_cast<std::size_t>((lpn * 0x9E3779B97F4A7C15ULL) >> index_shift_);
+}
+
+std::size_t WriteCache::find_slot(ftl::Lpn lpn) const {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t slot = home_slot(lpn);
+  while (index_[slot] != kNoLine && lines_[index_[slot]].lpn != lpn) slot = (slot + 1) & mask;
+  return slot;
+}
+
+std::uint32_t WriteCache::add_line(ftl::Lpn lpn) {
+  if (2 * (resident_pages() + 1) > index_.size()) grow_index();
+  std::uint32_t line;
+  if (free_lines_.empty()) {
+    line = static_cast<std::uint32_t>(lines_.size());
+    lines_.emplace_back();
+  } else {
+    line = free_lines_.back();
+    free_lines_.pop_back();
+  }
+  lines_[line].lpn = lpn;
+  index_[find_slot(lpn)] = line;
+  return line;
+}
+
+void WriteCache::drop_line(std::uint32_t line) {
+  Line& l = lines_[line];
+  // Backward-shift deletion: pull each later member of the probe run into
+  // the hole unless its home slot lies cyclically after the hole.
+  const std::size_t mask = index_.size() - 1;
+  std::size_t hole = find_slot(l.lpn);
+  for (std::size_t i = (hole + 1) & mask; index_[i] != kNoLine; i = (i + 1) & mask) {
+    const std::size_t home = home_slot(lines_[index_[i]].lpn);
+    if (((i - home) & mask) >= ((i - hole) & mask)) {
+      index_[hole] = index_[i];
+      hole = i;
+    }
+  }
+  index_[hole] = kNoLine;
+  l.seq = 0;  // stales every ticket still naming this line
+  l.dirty = false;
+  free_lines_.push_back(line);
+}
+
+void WriteCache::grow_index() {
+  const std::size_t slots = index_.empty() ? kMinIndexSlots : 2 * index_.size();
+  index_.assign(slots, kNoLine);
+  index_shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
+  for (std::uint32_t line = 0; line < lines_.size(); ++line) {
+    if (lines_[line].seq != 0) index_[find_slot(lines_[line].lpn)] = line;
+  }
+}
+
+void WriteCache::clear_lines() {
+  lines_.clear();
+  free_lines_.clear();
+  std::fill(index_.begin(), index_.end(), kNoLine);
+  dirty_fifo_.clear();
+  clean_fifo_.clear();
 }
 
 bool WriteCache::insert(ftl::Lpn lpn, std::uint64_t content) {
   if (!powered_) return false;
-  auto it = entries_.find(lpn);
-  if (it == entries_.end()) {
-    if (entries_.size() >= config_.capacity_pages) {
+  std::uint32_t line = line_of(lpn);
+  if (line == kNoLine) {
+    if (resident_pages() >= config_.capacity_pages) {
       evict_clean_if_needed();
-      if (entries_.size() >= config_.capacity_pages) {
+      if (resident_pages() >= config_.capacity_pages) {
         ++stats_.backpressure_stalls;
         return false;  // full of dirty data
       }
     }
-    it = entries_.emplace(lpn, Entry{}).first;
-  } else if (it->second.dirty) {
+    line = add_line(lpn);
+  } else if (lines_[line].dirty) {
     --dirty_count_;  // will re-count below; overwrite coalesces
   }
-  Entry& e = it->second;
-  e.content = content;
-  e.seq = next_seq_++;
-  e.dirtied_at = sim_.now();
-  e.dirty = true;
+  Line& l = lines_[line];
+  l.content = content;
+  l.seq = next_seq_++;
+  l.dirtied_at = sim_.now();
+  l.dirty = true;
   ++dirty_count_;
-  dirty_fifo_.push_back(Ticket{lpn, e.seq});
+  dirty_fifo_.push_back(Ticket{line, l.seq});
   ++stats_.inserts;
   if (auto* m = sim_.metrics()) m->set(obs_dirty_gauge_, dirty_count_);
   pump();
@@ -49,61 +122,50 @@ bool WriteCache::insert(ftl::Lpn lpn, std::uint64_t content) {
 }
 
 std::optional<std::uint64_t> WriteCache::lookup(ftl::Lpn lpn) const {
-  const auto it = entries_.find(lpn);
-  if (it == entries_.end()) return std::nullopt;
-  return it->second.content;
+  const std::uint32_t line = line_of(lpn);
+  if (line == kNoLine) return std::nullopt;
+  return lines_[line].content;
 }
 
 void WriteCache::invalidate(ftl::Lpn lpn) {
-  const auto it = entries_.find(lpn);
-  if (it == entries_.end()) return;
-  if (it->second.dirty && dirty_count_ > 0) --dirty_count_;
-  entries_.erase(it);  // FIFO tickets for it become stale and are skipped
+  const std::uint32_t line = line_of(lpn);
+  if (line == kNoLine) return;
+  if (lines_[line].dirty && dirty_count_ > 0) --dirty_count_;
+  drop_line(line);  // its tickets become stale and are skipped
   if (auto* m = sim_.metrics()) m->set(obs_dirty_gauge_, dirty_count_);
   notify_space();
 }
 
-std::optional<sim::Duration> WriteCache::oldest_dirty_age() const {
-  for (const auto& t : dirty_fifo_) {
-    const auto it = entries_.find(t.lpn);
-    if (it == entries_.end() || !it->second.dirty || it->second.seq != t.seq) continue;
-    return sim_.now() - it->second.dirtied_at;
-  }
-  return std::nullopt;
-}
-
 std::optional<WriteCache::Candidate> WriteCache::pick_flush_candidate(bool pressured) {
-  // Drop stale tickets off the head first.
-  auto head_it = entries_.end();
-  while (!dirty_fifo_.empty()) {
-    const Ticket& t = dirty_fifo_.front();
-    head_it = entries_.find(t.lpn);
-    if (head_it != entries_.end() && head_it->second.dirty && head_it->second.seq == t.seq) break;
-    dirty_fifo_.pop_front();
-  }
+  // Drop stale tickets and tombstones off the head first.
+  while (!dirty_fifo_.empty() && !live_dirty(dirty_fifo_.front())) dirty_fifo_.pop_front();
   if (dirty_fifo_.empty()) return std::nullopt;
 
   // Head must be ripe (or the cache pressured) for anything to flush.
-  const sim::Duration head_age = sim_.now() - head_it->second.dirtied_at;
+  const Line& head = lines_[dirty_fifo_.front().line];
+  const sim::Duration head_age = sim_.now() - head.dirtied_at;
   if (!pressured && head_age < config_.hold_time) {
     sim_.cancel(wake_event_);
     wake_event_ = sim_.after(config_.hold_time - head_age, [this] { pump(); });
     return std::nullopt;
   }
 
-  // Pick uniformly among the ripe live tickets in the scramble window, each
-  // probed once; the head is live and ripe by the checks above.
+  // Pick uniformly among the ripe live tickets in the scramble window. The
+  // window spans unpicked tickets (stale ones included), skipping tombstones;
+  // the head is live and ripe by the checks above.
   const std::size_t window =
       std::min<std::size_t>(std::max<std::uint32_t>(1, config_.flush_scramble_window),
-                            dirty_fifo_.size());
+                            dirty_fifo_.unpicked());
   ripe_.clear();
-  ripe_.push_back(Candidate{0, head_it->second.content});
-  for (std::size_t i = 1; i < window; ++i) {
+  ripe_.push_back(Candidate{0, head.content});
+  for (std::size_t i = 1, seen = 1; seen < window; ++i) {
     const Ticket& t = dirty_fifo_[i];
-    const auto it = entries_.find(t.lpn);
-    if (it == entries_.end() || !it->second.dirty || it->second.seq != t.seq) continue;
-    if (!pressured && (sim_.now() - it->second.dirtied_at) < config_.hold_time) break;
-    ripe_.push_back(Candidate{i, it->second.content});
+    if (t.seq == kPicked) continue;
+    ++seen;
+    if (!live_dirty(t)) continue;
+    const Line& l = lines_[t.line];
+    if (!pressured && (sim_.now() - l.dirtied_at) < config_.hold_time) break;
+    ripe_.push_back(Candidate{i, l.content});
   }
   return ripe_[rng_.below(ripe_.size())];
 }
@@ -117,36 +179,34 @@ void WriteCache::pump() {
   while (in_flight_ < config_.flush_ways) {
     const auto pick = pick_flush_candidate(pressured);
     if (!pick.has_value()) return;
-    const auto ticket = dirty_fifo_.begin() + static_cast<std::ptrdiff_t>(pick->index);
-    const Ticket t = *ticket;
-    dirty_fifo_.erase(ticket);
-    issue_flush(t.lpn, t.seq, pick->content);
+    const Ticket t = dirty_fifo_.pick(pick->index);
+    issue_flush(t.line, t.seq, pick->content);
   }
 }
 
-void WriteCache::issue_flush(ftl::Lpn lpn, std::uint64_t seq, std::uint64_t content) {
+void WriteCache::issue_flush(std::uint32_t line, std::uint64_t seq, std::uint64_t content) {
   ++in_flight_;
-  ftl_.write(lpn, content, [this, lpn, seq](bool ok) {
+  ftl_.write(lines_[line].lpn, content, [this, line, seq](bool ok) {
     if (in_flight_ > 0) --in_flight_;
     if (!powered_) return;
-    if (ok) {
-      const auto it = entries_.find(lpn);
-      if (it != entries_.end() && it->second.dirty && it->second.seq == seq) {
+    // A power loss after the flush was issued may have emptied the pool;
+    // otherwise the line must still carry this dirtying's seq.
+    if (line < lines_.size() && live_dirty(Ticket{line, seq})) {
+      if (ok) {
+        Line& l = lines_[line];
         if (auto* m = sim_.metrics()) {
-          m->record(obs_flush_latency_, (sim_.now() - it->second.dirtied_at).count_ns() / 1000);
+          m->record(obs_flush_latency_, (sim_.now() - l.dirtied_at).count_ns() / 1000);
         }
-        it->second.dirty = false;
+        l.dirty = false;
         if (dirty_count_ > 0) --dirty_count_;
-        clean_fifo_.push_back(Ticket{lpn, seq});
+        clean_fifo_.push_back(Ticket{line, seq});
         ++stats_.flushes_completed;
         if (auto* m = sim_.metrics()) m->set(obs_dirty_gauge_, dirty_count_);
-        became_clean(lpn);
-      }
-    } else {
-      // Failed program: page stays dirty, retry via a fresh ticket.
-      const auto it = entries_.find(lpn);
-      if (it != entries_.end() && it->second.dirty && it->second.seq == seq) {
-        dirty_fifo_.push_back(Ticket{lpn, seq});
+        evict_clean_if_needed();
+        notify_space();
+      } else {
+        // Failed program: page stays dirty, retry via a fresh ticket.
+        dirty_fifo_.push_back(Ticket{line, seq});
       }
     }
     pump();
@@ -154,25 +214,20 @@ void WriteCache::issue_flush(ftl::Lpn lpn, std::uint64_t seq, std::uint64_t cont
   });
 }
 
-void WriteCache::became_clean(ftl::Lpn /*lpn*/) {
-  evict_clean_if_needed();
-  notify_space();
-}
-
 void WriteCache::evict_clean_if_needed() {
-  while (entries_.size() >= config_.capacity_pages && !clean_fifo_.empty()) {
+  while (resident_pages() >= config_.capacity_pages && !clean_fifo_.empty()) {
     const Ticket t = clean_fifo_.front();
     clean_fifo_.pop_front();
-    const auto it = entries_.find(t.lpn);
-    if (it == entries_.end() || it->second.dirty || it->second.seq != t.seq) continue;
-    entries_.erase(it);
+    const Line& l = lines_[t.line];
+    if (l.dirty || l.seq != t.seq) continue;
+    drop_line(t.line);
     ++stats_.clean_evictions;
   }
 }
 
 void WriteCache::notify_space() {
   if (space_waiters_.empty()) return;
-  if (entries_.size() >= config_.capacity_pages) return;
+  if (resident_pages() >= config_.capacity_pages) return;
   auto waiters = std::move(space_waiters_);
   space_waiters_.clear();
   for (auto& w : waiters) w();
@@ -206,14 +261,15 @@ std::size_t WriteCache::on_power_lost() {
     m->set(obs_dirty_gauge_, 0);
     m->trace().end(obs_span_flush_all_, sim_.now());  // fault mid-drain
   }
+  // Walk the pool, not the dirty tickets: a page whose flush is in flight
+  // is still dirty but its ticket is already picked. Pool order follows
+  // free-list history, so sort into the canonical order.
   last_dropped_lpns_.clear();
-  for (const auto& [lpn, e] : entries_) {
-    if (e.dirty) last_dropped_lpns_.push_back(lpn);
+  for (const Line& l : lines_) {
+    if (l.dirty) last_dropped_lpns_.push_back(l.lpn);
   }
   std::sort(last_dropped_lpns_.begin(), last_dropped_lpns_.end());
-  entries_.clear();
-  dirty_fifo_.clear();
-  clean_fifo_.clear();
+  clear_lines();
   dirty_count_ = 0;
   in_flight_ = 0;
   emergency_ = false;
@@ -232,9 +288,7 @@ void WriteCache::reset() {
   powered_ = false;
   emergency_ = false;
   emergency_done_ = nullptr;
-  entries_.clear();
-  dirty_fifo_.clear();
-  clean_fifo_.clear();
+  clear_lines();
   dirty_count_ = 0;
   in_flight_ = 0;
   next_seq_ = 1;

@@ -7,13 +7,32 @@
 // power fault up to ~700 ms after completion still kills the data (§IV-A),
 // and small requests that fit entirely in DRAM produce the FWA failures that
 // dominate Fig. 7.
+//
+// State layout (flat, no node allocation on the IO path):
+//   * Line pool: every resident page is a Line in `lines_`; freed lines go on
+//     a free list and are reused. A free line has seq 0 and is never dirty.
+//   * Index: a power-of-two open-addressing table of u32 line numbers keyed
+//     by LPN (Fibonacci hash, linear probing, backward-shift deletion, so no
+//     tombstones). It doubles whenever resident pages would exceed half its
+//     slots; it is sized by what is resident, never by `capacity_pages`.
+//   * Tickets: the dirty and clean FIFOs are power-of-two rings of
+//     (line, seq) tickets. Every dirtying draws a fresh seq that is never
+//     reused within a session, so a ticket is live exactly when
+//     `lines_[line]` still carries its seq: an overwrite, TRIM, eviction or
+//     line reuse stales it, and the check is one array read, no index probe.
+//     Flush completions validate the same way.
+//   * A flush pick marks its ticket picked in place (a tombstone) instead of
+//     erasing it mid-ring; the scramble window counts only unpicked tickets,
+//     so window positions match a FIFO the pick had erased from.
+// Pool order reflects free-list history, not anything canonical: the one
+// walk over the pool (on_power_lost) sorts what it collects.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "ftl/ftl.hpp"
@@ -70,11 +89,8 @@ class WriteCache {
   void invalidate(ftl::Lpn lpn);
 
   [[nodiscard]] std::size_t dirty_pages() const { return dirty_count_; }
-  [[nodiscard]] std::size_t resident_pages() const { return entries_.size(); }
+  [[nodiscard]] std::size_t resident_pages() const { return lines_.size() - free_lines_.size(); }
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
-
-  /// Age of the oldest still-dirty page (vulnerability window probe).
-  [[nodiscard]] std::optional<sim::Duration> oldest_dirty_age() const;
 
   /// Drain every dirty page as fast as possible, ignoring hold time. Used
   /// by the PLP emergency path and by host FLUSH commands. `done` fires when
@@ -113,28 +129,96 @@ class WriteCache {
   void restore(const StateImage& image, sim::TimerRearmer& rearm);
 
  private:
-  struct Entry {
+  struct Line {
+    ftl::Lpn lpn = 0;
     std::uint64_t content = 0;
-    std::uint64_t seq = 0;  ///< bumped on each dirtying; stales FIFO tickets
+    std::uint64_t seq = 0;  ///< bumped on each dirtying; 0 = free line
     sim::TimePoint dirtied_at;
     bool dirty = false;
   };
   struct Ticket {
-    ftl::Lpn lpn;
-    std::uint64_t seq;
+    std::uint32_t line;
+    std::uint64_t seq;  ///< kPicked once the flusher took the ticket
   };
+  static constexpr std::uint32_t kNoLine = ~std::uint32_t{0};
+  static constexpr std::uint64_t kPicked = 0;
+
+  /// FIFO of tickets over a power-of-two ring. pick() leaves a tombstone in
+  /// place; tombstones are dropped when they reach the front and are not
+  /// counted by unpicked(). Growth and clear() keep the buffer's capacity.
+  class TicketRing {
+   public:
+    [[nodiscard]] bool empty() const { return size_ == 0; }
+    [[nodiscard]] std::size_t unpicked() const { return size_ - picked_; }
+    [[nodiscard]] const Ticket& operator[](std::size_t i) const {
+      return buf_[(head_ + i) & (buf_.size() - 1)];
+    }
+    [[nodiscard]] const Ticket& front() const { return (*this)[0]; }
+    void push_back(Ticket t) {
+      if (size_ == buf_.size()) grow();
+      buf_[(head_ + size_) & (buf_.size() - 1)] = t;
+      ++size_;
+    }
+    void pop_front() {
+      if (front().seq == kPicked) --picked_;
+      head_ = (head_ + 1) & (buf_.size() - 1);
+      --size_;
+    }
+    /// Take the ticket at position i, leaving a tombstone.
+    Ticket pick(std::size_t i) {
+      Ticket& slot = buf_[(head_ + i) & (buf_.size() - 1)];
+      const Ticket t = slot;
+      slot.seq = kPicked;
+      ++picked_;
+      return t;
+    }
+    void clear() { head_ = size_ = picked_ = 0; }
+
+   private:
+    /// Doubles in place: the wrapped prefix [0, head_) moves past the old end,
+    /// so the ring stays contiguous from head_ under the new mask.
+    void grow() {
+      const std::size_t old = buf_.size();
+      buf_.resize(old == 0 ? 16 : 2 * old);
+      std::copy(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(head_),
+                buf_.begin() + static_cast<std::ptrdiff_t>(old));
+    }
+
+    std::vector<Ticket> buf_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+    std::size_t picked_ = 0;
+  };
+
   /// A live, ripe ticket of the scramble window and the content to flush.
   struct Candidate {
-    std::size_t index;  ///< into dirty_fifo_
+    std::size_t index;  ///< ring position in dirty_fifo_
     std::uint64_t content;
   };
+
+  [[nodiscard]] bool live_dirty(const Ticket& t) const {
+    const Line& l = lines_[t.line];
+    return l.dirty && l.seq == t.seq;
+  }
+  /// Where `lpn`'s probe run starts in the index.
+  [[nodiscard]] std::size_t home_slot(ftl::Lpn lpn) const;
+  /// Index slot holding `lpn`'s line, or the empty slot where it would go.
+  [[nodiscard]] std::size_t find_slot(ftl::Lpn lpn) const;
+  /// Line of a resident `lpn`, or kNoLine.
+  [[nodiscard]] std::uint32_t line_of(ftl::Lpn lpn) const { return index_[find_slot(lpn)]; }
+  /// Allocate and index a line for a non-resident `lpn`.
+  std::uint32_t add_line(ftl::Lpn lpn);
+  /// Unindex and free a resident line.
+  void drop_line(std::uint32_t line);
+  void grow_index();
+  /// Empty pool, index and rings, keeping every capacity.
+  void clear_lines();
 
   void pump();
   /// The ticket to flush next, or nullopt when the head is not ripe yet (the
   /// hold-time wake is then armed) or no dirty ticket is left.
   [[nodiscard]] std::optional<Candidate> pick_flush_candidate(bool pressured);
-  void issue_flush(ftl::Lpn lpn, std::uint64_t seq, std::uint64_t content);
-  void became_clean(ftl::Lpn lpn);
+  void issue_flush(std::uint32_t line, std::uint64_t seq, std::uint64_t content);
   void evict_clean_if_needed();
   void notify_space();
   void check_emergency_done();
@@ -147,9 +231,12 @@ class WriteCache {
   bool emergency_ = false;
   std::function<void()> emergency_done_;
 
-  std::unordered_map<ftl::Lpn, Entry> entries_;
-  std::deque<Ticket> dirty_fifo_;
-  std::deque<Ticket> clean_fifo_;
+  std::vector<Line> lines_;
+  std::vector<std::uint32_t> free_lines_;
+  std::vector<std::uint32_t> index_;  ///< LPN -> line; kNoLine = empty slot
+  unsigned index_shift_ = 0;          ///< 64 - log2(index_.size())
+  TicketRing dirty_fifo_;
+  TicketRing clean_fifo_;
   std::vector<Candidate> ripe_;  ///< pick scratch, reused across picks
   std::size_t dirty_count_ = 0;
   std::uint32_t in_flight_ = 0;
@@ -170,9 +257,12 @@ class WriteCache {
 struct WriteCache::StateImage {
   std::array<std::uint64_t, 4> rng_state{};
   bool powered = false;
-  std::unordered_map<ftl::Lpn, Entry> entries;
-  std::deque<Ticket> dirty_fifo;
-  std::deque<Ticket> clean_fifo;
+  std::vector<Line> lines;
+  std::vector<std::uint32_t> free_lines;
+  std::vector<std::uint32_t> index;
+  unsigned index_shift = 0;
+  TicketRing dirty_fifo;
+  TicketRing clean_fifo;
   std::size_t dirty_count = 0;
   std::uint64_t next_seq = 1;
   std::vector<ftl::Lpn> last_dropped_lpns;
@@ -183,7 +273,10 @@ struct WriteCache::StateImage {
 inline void WriteCache::snapshot(StateImage& out) const {
   out.rng_state = rng_.state();
   out.powered = powered_;
-  out.entries = entries_;
+  out.lines = lines_;
+  out.free_lines = free_lines_;
+  out.index = index_;
+  out.index_shift = index_shift_;
   out.dirty_fifo = dirty_fifo_;
   out.clean_fifo = clean_fifo_;
   out.dirty_count = dirty_count_;
@@ -200,7 +293,10 @@ inline void WriteCache::restore(const StateImage& image, sim::TimerRearmer& rear
   powered_ = image.powered;
   emergency_ = false;
   emergency_done_ = nullptr;
-  entries_ = image.entries;
+  lines_ = image.lines;
+  free_lines_ = image.free_lines;
+  index_ = image.index;
+  index_shift_ = image.index_shift;
   dirty_fifo_ = image.dirty_fifo;
   clean_fifo_ = image.clean_fifo;
   dirty_count_ = image.dirty_count;

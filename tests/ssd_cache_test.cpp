@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <map>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -94,16 +96,6 @@ TEST(WriteCache, HoldTimeDelaysFlush) {
   EXPECT_EQ(seen, std::optional<std::uint64_t>(0xAA));
 }
 
-TEST(WriteCache, OldestDirtyAgeTracksHead) {
-  Harness h;
-  EXPECT_FALSE(h.cache.oldest_dirty_age().has_value());
-  EXPECT_TRUE(h.cache.insert(10, 0xAA));
-  h.sim.run_for(Duration::ms(10));
-  const auto age = h.cache.oldest_dirty_age();
-  ASSERT_TRUE(age.has_value());
-  EXPECT_NEAR(age->to_ms(), 10.0, 0.1);
-}
-
 TEST(WriteCache, WatermarkForcesEagerFlush) {
   auto cfg = Harness::default_cache();
   cfg.hold_time = Duration::sec(100);  // hold would block flushing forever
@@ -164,6 +156,37 @@ TEST(WriteCache, PowerLossDropsDirtyData) {
   EXPECT_FALSE(h.cache.lookup(0).has_value());
 }
 
+TEST(WriteCache, PowerLossDeclaresInFlightFlushes) {
+  // The declared loss list must include pages whose flush is in flight at
+  // the FTL: they are still dirty, but the flusher already took their
+  // tickets, so only a walk over every resident page finds them.
+  auto cfg = Harness::default_cache();
+  cfg.hold_time = Duration::ms(1);
+  cfg.flush_ways = 4;
+  Harness h(cfg);
+  std::vector<Lpn> dirty;
+  for (Lpn lpn = 900; lpn > 800; lpn -= 10) {  // descending: sort is observable
+    ASSERT_TRUE(h.cache.insert(lpn, lpn));
+    dirty.push_back(lpn);
+  }
+  // Step to the first moment flushes are in flight at the FTL.
+  for (int i = 0; i < 100 && h.cache.quiescent(); ++i) h.sim.run_for(Duration::us(50));
+  ASSERT_FALSE(h.cache.quiescent());
+  ASSERT_EQ(h.cache.stats().flushes_completed, 0u);
+  // More dirty pages, still queued behind the hold time.
+  for (Lpn lpn = 7; lpn < 12; ++lpn) {
+    ASSERT_TRUE(h.cache.insert(lpn, lpn));
+    dirty.push_back(lpn);
+  }
+  ASSERT_FALSE(h.cache.quiescent());
+  ASSERT_EQ(h.cache.stats().flushes_completed, 0u);
+
+  const std::size_t lost = h.cache.on_power_lost();
+  std::sort(dirty.begin(), dirty.end());
+  EXPECT_EQ(h.cache.last_dropped_lpns(), dirty);
+  EXPECT_EQ(lost, dirty.size());
+}
+
 TEST(WriteCache, RedirtyDuringFlushKeepsNewValue) {
   auto cfg = Harness::default_cache();
   cfg.hold_time = Duration::ms(1);
@@ -205,6 +228,208 @@ TEST(WriteCache, ScrambleWindowOneIsStrictFifo) {
   EXPECT_EQ(h.cache.stats().flushes_completed, 4u);
 }
 
+
+// --- Differential model -----------------------------------------------------
+// The cache checked step by step against a std::map + std::deque reference.
+// Flushing is made predictable: the hold time is never reached and the cache
+// never pressured, so pages flush only in explicit drains, and one flush way
+// with a scramble window of 1 completes them in strict FIFO order. A small
+// capacity with LPNs spread sparsely over a wide range drives index probe
+// collisions, index growth and backward-shift deletes; the mix covers
+// inserts, overwrites, TRIM, clean eviction, full and partial drains, power
+// loss (in-flight pages included) and session reset.
+
+class MapModel {
+ public:
+  explicit MapModel(std::size_t capacity) : capacity_(capacity) {}
+
+  bool insert(Lpn lpn, std::uint64_t content) {
+    auto it = pages_.find(lpn);
+    if (it == pages_.end()) {
+      if (pages_.size() >= capacity_) {
+        evict_clean();
+        if (pages_.size() >= capacity_) return false;
+      }
+      it = pages_.emplace(lpn, Page{}).first;
+    } else if (it->second.dirty) {
+      --dirty_;
+    }
+    it->second = Page{content, next_seq_++, true};
+    ++dirty_;
+    dirty_fifo_.emplace_back(lpn, it->second.seq);
+    return true;
+  }
+
+  void invalidate(Lpn lpn) {
+    const auto it = pages_.find(lpn);
+    if (it == pages_.end()) return;
+    if (it->second.dirty) --dirty_;
+    pages_.erase(it);
+  }
+
+  /// One flush completion: the oldest live dirty ticket turns clean.
+  void flush_one() {
+    while (!dirty_fifo_.empty()) {
+      const auto [lpn, seq] = dirty_fifo_.front();
+      dirty_fifo_.pop_front();
+      const auto it = pages_.find(lpn);
+      if (it == pages_.end() || !it->second.dirty || it->second.seq != seq) continue;
+      it->second.dirty = false;
+      --dirty_;
+      clean_fifo_.emplace_back(lpn, seq);
+      evict_clean();
+      return;
+    }
+    FAIL() << "model has no dirty page to flush";
+  }
+
+  /// Power loss: the sorted dirty LPNs; everything is dropped.
+  std::vector<Lpn> power_lost() {
+    std::vector<Lpn> dropped;
+    for (const auto& [lpn, page] : pages_) {
+      if (page.dirty) dropped.push_back(lpn);
+    }
+    clear();
+    return dropped;
+  }
+
+  void clear() {
+    pages_.clear();
+    dirty_fifo_.clear();
+    clean_fifo_.clear();
+    dirty_ = 0;
+  }
+
+  [[nodiscard]] std::optional<std::uint64_t> lookup(Lpn lpn) const {
+    const auto it = pages_.find(lpn);
+    if (it == pages_.end()) return std::nullopt;
+    return it->second.content;
+  }
+  [[nodiscard]] std::size_t resident() const { return pages_.size(); }
+  [[nodiscard]] std::size_t dirty() const { return dirty_; }
+
+ private:
+  struct Page {
+    std::uint64_t content = 0;
+    std::uint64_t seq = 0;
+    bool dirty = false;
+  };
+
+  void evict_clean() {
+    while (pages_.size() >= capacity_ && !clean_fifo_.empty()) {
+      const auto [lpn, seq] = clean_fifo_.front();
+      clean_fifo_.pop_front();
+      const auto it = pages_.find(lpn);
+      if (it == pages_.end() || it->second.dirty || it->second.seq != seq) continue;
+      pages_.erase(it);
+    }
+  }
+
+  std::size_t capacity_;
+  std::map<Lpn, Page> pages_;
+  std::deque<std::pair<Lpn, std::uint64_t>> dirty_fifo_;
+  std::deque<std::pair<Lpn, std::uint64_t>> clean_fifo_;
+  std::uint64_t next_seq_ = 1;
+  std::size_t dirty_ = 0;
+};
+
+void run_differential(std::uint64_t seed, std::size_t capacity) {
+  auto cfg = Harness::default_cache();
+  cfg.capacity_pages = capacity;
+  cfg.hold_time = Duration::sec(100'000);  // never ripe: flushes only in drains
+  cfg.high_watermark = 2.0;                // never pressured
+  cfg.flush_ways = 1;
+  cfg.flush_scramble_window = 1;
+  Harness h(cfg);
+  MapModel model(capacity);
+  sim::Rng rng(seed);
+  std::uint64_t evictions = 0;  // stats summed across session resets
+  std::uint64_t stalls = 0;
+
+  // 3x capacity distinct LPNs spread over half the drive's pages (the FTL
+  // sizes its L2P by geometry, so LPNs stay inside it).
+  const std::uint64_t span = h.chip.geometry().total_pages() / 2;
+  std::vector<Lpn> lpns;
+  while (lpns.size() < 3 * capacity) {
+    const Lpn lpn = rng.below(span);
+    if (std::find(lpns.begin(), lpns.end(), lpn) == lpns.end()) lpns.push_back(lpn);
+  }
+
+  // Starts an emergency drain and mirrors every completion it makes within
+  // `budget` (whole drain when nullopt). Returns whether the drain finished.
+  const auto drain = [&](std::optional<Duration> budget) {
+    bool done = false;
+    const std::uint64_t flushed = h.cache.stats().flushes_completed;
+    h.cache.flush_all([&] { done = true; });
+    if (budget.has_value()) {
+      h.sim.run_for(*budget);
+    } else {
+      for (int i = 0; i < 10'000 && !done; ++i) h.sim.run_for(Duration::ms(1));
+      EXPECT_TRUE(done);
+    }
+    for (auto n = h.cache.stats().flushes_completed - flushed; n > 0; --n) model.flush_one();
+    return done;
+  };
+  // A power loss, with the FTL's in-flight program left to settle before
+  // power returns (a late completion must not race a new flush).
+  const auto power_cycle = [&](int step) {
+    const std::vector<Lpn> expected = model.power_lost();
+    EXPECT_EQ(h.cache.on_power_lost(), expected.size()) << "step " << step;
+    EXPECT_EQ(h.cache.last_dropped_lpns(), expected) << "step " << step;
+    h.sim.run_for(Duration::ms(50));
+  };
+
+  for (int step = 0; step < 4000; ++step) {
+    const Lpn lpn = lpns[rng.below(lpns.size())];
+    // Drains come about every capacity steps and power events every
+    // 4 * capacity, so the cache fills (eviction, backpressure) between them.
+    const std::uint64_t power_event = rng.below(4 * capacity);
+    const bool drain_now = rng.below(capacity) == 0;
+    const std::uint64_t op = rng.below(100);
+    if (power_event == 0 && op < 50) {
+      // Power loss mid-drain: the page whose flush is in flight is still
+      // dirty and must be declared lost.
+      if (!drain(Duration::us(rng.below(3000)))) {
+        power_cycle(step);
+        h.cache.on_power_good();
+      }
+    } else if (power_event == 0 && op < 80) {
+      power_cycle(step);
+      h.cache.on_power_good();
+    } else if (power_event == 0) {
+      power_cycle(step);
+      evictions += h.cache.stats().clean_evictions;
+      stalls += h.cache.stats().backpressure_stalls;
+      h.cache.reset();
+      model.clear();
+      h.cache.on_power_good();
+    } else if (drain_now) {
+      drain(std::nullopt);
+    } else if (op < 85) {
+      const auto content = static_cast<std::uint64_t>(step) + 1;
+      ASSERT_EQ(h.cache.insert(lpn, content), model.insert(lpn, content)) << "step " << step;
+    } else {
+      h.cache.invalidate(lpn);
+      model.invalidate(lpn);
+    }
+    for (const Lpn probe : lpns) {
+      ASSERT_EQ(h.cache.lookup(probe), model.lookup(probe)) << "step " << step << " lpn " << probe;
+    }
+    ASSERT_EQ(h.cache.resident_pages(), model.resident()) << "step " << step;
+    ASSERT_EQ(h.cache.dirty_pages(), model.dirty()) << "step " << step;
+  }
+  // Eviction and backpressure both ran.
+  EXPECT_GT(evictions + h.cache.stats().clean_evictions, 0u);
+  EXPECT_GT(stalls + h.cache.stats().backpressure_stalls, 0u);
+}
+
+TEST(WriteCache, DifferentialAgainstMapModel) {
+  for (const std::size_t capacity : {16u, 32u, 64u}) {
+    SCOPED_TRACE(capacity);
+    run_differential(100 + capacity, capacity);
+    if (HasFatalFailure()) return;
+  }
+}
 
 // --- Flush order pin --------------------------------------------------------
 // The flusher's pick (uniform among the ripe live tickets of the scramble
