@@ -181,7 +181,6 @@ Options parse(int argc, char** argv) {
 #if defined(__VERSION__)
       std::printf("compiler: %s\n", __VERSION__);
 #endif
-      std::printf("observability: %s\n", POFI_OBS_ENABLED ? "compiled in" : "compiled out");
       std::exit(0);
     }
     else if (a == "--spec") o.spec_path = next_arg(argc, argv, i);
@@ -545,11 +544,6 @@ int main(int argc, char** argv) {
     run_options.resume_stats = &resume_stats;
     obs::MetricRegistry runner_registry;
     if (!o.metrics_dir.empty()) {
-      if (!POFI_OBS_ENABLED) {
-        std::fprintf(stderr,
-                     "pofi_run: warning: observability compiled out (POFI_OBS=OFF); "
-                     "--metrics will export empty per-entry snapshots\n");
-      }
       run_options.collect_metrics = true;
       run_options.runner_metrics = &runner_registry;
     }

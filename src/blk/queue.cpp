@@ -11,7 +11,7 @@ BlockQueue::BlockQueue(sim::Simulator& simulator, ssd::Ssd& device, Config confi
     : sim_(simulator), device_(device), config_(config) {
   if (auto* m = sim_.metrics()) {
     obs_outstanding_ = m->gauge("blk.queue.outstanding");
-    obs_timeouts_ = m->counter("blk.timeouts");
+    m->counter_source("blk.timeouts", &stats_.timeouts);
     // Sub-requests per host request; >1 means the splitter kicked in.
     obs_split_fanout_ = m->histogram("blk.split.fanout", {1, 2, 4, 8, 16, 32});
   }
@@ -202,7 +202,6 @@ void BlockQueue::fire_timeout(std::uint64_t id) {
   LiveRequest& req = it->second;
   trace_.record(TraceEvent{sim_.now(), Action::kTimeout, id, 0, req.lpn, req.pages, req.is_write});
   ++stats_.timeouts;
-  if (auto* m = sim_.metrics()) m->add(obs_timeouts_);
 
   RequestOutcome out;
   out.request_id = id;

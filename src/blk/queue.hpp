@@ -156,7 +156,6 @@ class BlockQueue {
 
   // Observability handles (no-ops unless a registry is attached to sim_).
   obs::MetricId obs_outstanding_ = obs::kNoMetric;
-  obs::MetricId obs_timeouts_ = obs::kNoMetric;
   obs::MetricId obs_split_fanout_ = obs::kNoMetric;
 };
 

@@ -24,14 +24,14 @@ Ftl::Ftl(sim::Simulator& simulator, nand::ChipArray& chips, Config config)
                                     : chips.geometry().total_pages()),
       alloc_(chips.geometry()) {
   if (auto* m = sim_.metrics()) {
-    obs_gc_invocations_ = m->counter("ftl.gc.invocations");
-    obs_journal_flushes_ = m->counter("ftl.journal.flushes");
-    obs_journal_entries_ = m->counter("ftl.journal.entries_persisted");
-    obs_por_pages_scanned_ = m->counter("ftl.por.pages_scanned");
-    obs_por_recovered_ = m->counter("ftl.por.entries_recovered");
-    obs_map_reverted_ = m->counter("ftl.map.updates_reverted");
-    obs_failed_writes_ = m->counter("ftl.write.failed");
-    obs_badblock_retired_ = m->counter("ftl.badblock.retired");
+    m->counter_source("ftl.gc.invocations", &stats_.gc_invocations);
+    m->counter_source("ftl.journal.flushes", &stats_.journal_flushes);
+    m->counter_source("ftl.journal.entries_persisted", &stats_.journal_entries_persisted);
+    m->counter_source("ftl.por.pages_scanned", &stats_.por_pages_scanned);
+    m->counter_source("ftl.por.entries_recovered", &stats_.por_entries_recovered);
+    m->counter_source("ftl.map.updates_reverted", &stats_.map_updates_reverted);
+    m->counter_source("ftl.write.failed", &stats_.failed_writes);
+    m->counter_source("ftl.badblock.retired", &stats_.badblocks_retired);
     obs_span_gc_ = m->trace().intern("ftl.gc");
     obs_span_journal_ = m->trace().intern("ftl.journal.flush");
     obs_span_por_ = m->trace().intern("ftl.por.scan");
@@ -119,14 +119,12 @@ void Ftl::obs_gc_span_end() {
 void Ftl::write(Lpn lpn, std::uint64_t content, WriteCallback cb) {
   if (!powered_) {
     ++stats_.failed_writes;
-    if (auto* m = sim_.metrics()) m->add(obs_failed_writes_);
     cb(false);
     return;
   }
   const auto ppn = alloc_.alloc_page(Stream::kHost);
   if (!ppn.has_value()) {
     ++stats_.failed_writes;
-    if (auto* m = sim_.metrics()) m->add(obs_failed_writes_);
     cb(false);
     return;
   }
@@ -137,10 +135,7 @@ void Ftl::write(Lpn lpn, std::uint64_t content, WriteCallback cb) {
     // the flash program races the next power fault.
     finish_host_write(lpn, *ppn, content);
     chip_.program(*ppn, content, oob, [this, cb = std::move(cb)](nand::OpResult r) {
-      if (!r.ok()) {
-        ++stats_.failed_writes;
-        if (auto* m = sim_.metrics()) m->add(obs_failed_writes_);
-      }
+      if (!r.ok()) ++stats_.failed_writes;
       cb(r.ok());
     });
     return;
@@ -149,7 +144,6 @@ void Ftl::write(Lpn lpn, std::uint64_t content, WriteCallback cb) {
                 [this, lpn, ppn = *ppn, content, cb = std::move(cb)](nand::OpResult r) {
                   if (!r.ok()) {
                     ++stats_.failed_writes;
-                    if (auto* m = sim_.metrics()) m->add(obs_failed_writes_);
                     cb(false);
                     return;
                   }
@@ -269,10 +263,6 @@ void Ftl::persist_batch(std::uint64_t batch) {
     journal_horizon_ = cut_seq;
     ++stats_.journal_flushes;
     stats_.journal_entries_persisted += entries;
-    if (auto* m = sim_.metrics()) {
-      m->add(obs_journal_flushes_);
-      m->add(obs_journal_entries_, entries);
-    }
     if (map_.volatile_count() == 0) {
       // Full checkpoint: everything stamped up to cut_seq is durable.
       checkpoint_seq_ = cut_seq;
@@ -309,10 +299,8 @@ void Ftl::maybe_start_gc() {
     }
   }
   gc_running_ = true;
-  if (auto* m = sim_.metrics()) {
-    m->add(obs_gc_invocations_);
-    m->trace().begin(obs_span_gc_, sim_.now());
-  }
+  ++stats_.gc_invocations;
+  if (auto* m = sim_.metrics()) m->trace().begin(obs_span_gc_, sim_.now());
   alloc_.unseal(victim);
   gc_relocate_next(victim, 0);
 }
@@ -385,7 +373,7 @@ void Ftl::gc_erase_victim(BlockId victim) {
     } else if (r.status == nand::OpResult::Status::kBadBlock) {
       // The victim wore out under us: it never returns to the free pool —
       // the array-level equivalent of a bad-block remap.
-      if (auto* m = sim_.metrics()) m->add(obs_badblock_retired_);
+      ++stats_.badblocks_retired;
     }
     maybe_start_gc();
   });
@@ -410,7 +398,6 @@ void Ftl::on_power_lost() {
 
   const auto reverted = map_.on_power_lost();
   stats_.map_updates_reverted += reverted.size();
-  if (auto* m = sim_.metrics()) m->add(obs_map_reverted_, reverted.size());
   last_reverted_lpns_.clear();
   for (const auto& r : reverted) {
     if (r.dropped_ppn.has_value()) invalidate(*r.dropped_ppn);
@@ -473,7 +460,6 @@ void Ftl::por_scan_next(std::shared_ptr<std::vector<Ppn>> pages, std::size_t ind
   chip_.read_oob(ppn, [this, pages = std::move(pages), index, hits = std::move(hits),
                        done = std::move(done), ppn](nand::NandChip::OobResult r) mutable {
     ++stats_.por_pages_scanned;
-    if (auto* m = sim_.metrics()) m->add(obs_por_pages_scanned_);
     if (r.ok && r.oob.valid() && r.oob.seq > checkpoint_seq_) {
       auto& hit = (*hits)[r.oob.lpn];
       if (r.oob.seq > hit.seq) hit = PorHit{ppn, r.oob.seq};
@@ -536,7 +522,6 @@ void Ftl::install_por_hit(Lpn lpn, const PorHit& hit, std::optional<Ppn> current
   map_.update(lpn, hit.ppn);
   make_valid(lpn, hit.ppn);
   ++stats_.por_entries_recovered;
-  if (auto* m = sim_.metrics()) m->add(obs_por_recovered_);
 }
 
 }  // namespace pofi::ftl

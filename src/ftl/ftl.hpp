@@ -19,7 +19,6 @@
 #include "ftl/mapping.hpp"
 #include "ftl/types.hpp"
 #include "nand/chip_array.hpp"
-#include "obs/fwd.hpp"
 #include "sim/simulator.hpp"
 
 namespace pofi::ftl {
@@ -36,6 +35,8 @@ struct FtlStats {
   std::uint64_t journal_entries_persisted = 0;
   std::uint64_t map_updates_reverted = 0;  ///< across all power losses
   std::uint64_t extents_coalesced = 0;
+  std::uint64_t gc_invocations = 0;
+  std::uint64_t badblocks_retired = 0;  ///< GC victims that wore out
 };
 
 class Ftl {
@@ -261,14 +262,6 @@ class Ftl {
   void obs_gc_span_end();
 
   // Observability handles (no-ops unless a registry is attached to sim_).
-  obs::MetricId obs_gc_invocations_ = obs::kNoMetric;
-  obs::MetricId obs_journal_flushes_ = obs::kNoMetric;
-  obs::MetricId obs_journal_entries_ = obs::kNoMetric;
-  obs::MetricId obs_por_pages_scanned_ = obs::kNoMetric;
-  obs::MetricId obs_por_recovered_ = obs::kNoMetric;
-  obs::MetricId obs_map_reverted_ = obs::kNoMetric;
-  obs::MetricId obs_failed_writes_ = obs::kNoMetric;
-  obs::MetricId obs_badblock_retired_ = obs::kNoMetric;
   std::uint32_t obs_span_gc_ = 0;
   std::uint32_t obs_span_journal_ = 0;
   std::uint32_t obs_span_por_ = 0;

@@ -20,15 +20,16 @@ NandChip::NandChip(sim::Simulator& simulator, Config config, std::string_view rn
       rng_(simulator.fork_rng(rng_label)),
       planes_(config.geometry.planes),
       arena_(config.geometry, config.initial_pe_cycles) {
+  // Every die registers its own fields; the registry sums them by name.
   if (auto* m = sim_.metrics()) {
-    obs_ispp_started_ = m->counter("nand.ispp.started");
-    obs_ispp_interrupted_ = m->counter("nand.ispp.interrupted");
-    obs_erase_interrupted_ = m->counter("nand.erase.interrupted");
-    obs_bit_errors_ = m->counter("nand.read.bit_errors");
-    obs_ecc_corrected_ = m->counter("nand.ecc.corrected");
-    obs_ecc_uncorrectable_ = m->counter("nand.ecc.uncorrectable");
-    obs_paired_upsets_ = m->counter("nand.paired_page.upsets");
-    obs_blocks_retired_ = m->counter("nand.block.retired");
+    m->counter_source("nand.ispp.started", &stats_.ispp_started);
+    m->counter_source("nand.ispp.interrupted", &stats_.interrupted_programs);
+    m->counter_source("nand.erase.interrupted", &stats_.interrupted_erases);
+    m->counter_source("nand.read.bit_errors", &stats_.read_bit_errors);
+    m->counter_source("nand.ecc.corrected", &stats_.ecc_corrected_bits);
+    m->counter_source("nand.ecc.uncorrectable", &stats_.uncorrectable_reads);
+    m->counter_source("nand.paired_page.upsets", &stats_.paired_page_upsets);
+    m->counter_source("nand.block.retired", &stats_.blocks_retired);
   }
 }
 
@@ -101,7 +102,7 @@ void NandChip::program(Ppn ppn, std::uint64_t content, Oob oob, OpCallback cb) {
   const PageRole role = page_role(config_.tech, config_.geometry.page_in_block(ppn));
   op.duration = timing_.program_time(role);
   op.op_cb = std::move(cb);
-  if (auto* m = sim_.metrics()) m->add(obs_ispp_started_);
+  ++stats_.ispp_started;
   enqueue(config_.geometry.plane_of(ppn), std::move(op));
 }
 
@@ -213,14 +214,8 @@ ReadResult NandChip::read_through_ecc(Ppn ppn) {
     result.content = content ^ (0x9e3779b97f4a7c15ULL * (result.raw_errors | 1ULL));
     ++stats_.uncorrectable_reads;
   }
-  if (auto* m = sim_.metrics()) {
-    m->add(obs_bit_errors_, result.raw_errors);
-    if (out.correctable && result.raw_errors > 0) {
-      m->add(obs_ecc_corrected_, result.raw_errors);
-    } else if (!out.correctable) {
-      m->add(obs_ecc_uncorrectable_);
-    }
-  }
+  stats_.read_bit_errors += result.raw_errors;
+  if (out.correctable) stats_.ecc_corrected_bits += result.raw_errors;
   return result;
 }
 
@@ -277,7 +272,7 @@ void NandChip::finish_erase(InFlight& op) {
   const BlockArena::Slot slot = arena_.touch(op.block);
   if (arena_.erase_count(slot) >= config_.endurance_pe_cycles) {
     arena_.set_bad(slot);
-    if (auto* m = sim_.metrics()) m->add(obs_blocks_retired_);
+    ++stats_.blocks_retired;
     if (op.op_cb) op.op_cb(OpResult{OpResult::Status::kBadBlock});
     return;
   }
@@ -318,7 +313,6 @@ void NandChip::on_power_good() { powered_ = true; }
 
 void NandChip::interrupt_program(InFlight& op) {
   ++stats_.interrupted_programs;
-  if (auto* m = sim_.metrics()) m->add(obs_ispp_interrupted_);
   const BlockArena::Slot slot = arena_.touch(op.block);
   const std::uint32_t pib = config_.geometry.page_in_block(op.ppn);
   const PageRole role = page_role(config_.tech, pib);
@@ -369,13 +363,11 @@ void NandChip::apply_paired_page_damage(BlockId block_id, std::uint32_t page_in_
         current + static_cast<std::uint32_t>(std::min<std::uint64_t>(
                       upset, std::numeric_limits<std::uint32_t>::max() - current)));
     ++stats_.paired_page_upsets;
-    if (auto* m = sim_.metrics()) m->add(obs_paired_upsets_);
   }
 }
 
 void NandChip::interrupt_erase(InFlight& op) {
   ++stats_.interrupted_erases;
-  if (auto* m = sim_.metrics()) m->add(obs_erase_interrupted_);
   const BlockArena::Slot slot = arena_.touch(op.block);
   const double frac = std::clamp(
       (sim_.now() - op.start).to_sec() / std::max(1e-12, op.duration.to_sec()), 0.0, 1.0);

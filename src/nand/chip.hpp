@@ -20,7 +20,6 @@
 #include "nand/geometry.hpp"
 #include "nand/page.hpp"
 #include "nand/timing.hpp"
-#include "obs/fwd.hpp"
 #include "sim/inplace_function.hpp"
 #include "sim/ring_queue.hpp"
 #include "sim/simulator.hpp"
@@ -53,6 +52,28 @@ struct ChipStats {
   std::uint64_t paired_page_upsets = 0;
   std::uint64_t dropped_queued_ops = 0;
   std::uint64_t order_violations = 0;
+  std::uint64_t ispp_started = 0;        ///< programs issued to a powered die
+  std::uint64_t read_bit_errors = 0;     ///< raw bit errors seen by ECC
+  std::uint64_t ecc_corrected_bits = 0;  ///< raw bit errors ECC corrected
+  std::uint64_t blocks_retired = 0;      ///< erases refused on a worn-out block
+
+  /// Field-wise sum (ChipArray aggregates its dies with it).
+  ChipStats& operator+=(const ChipStats& o) {
+    reads += o.reads;
+    programs += o.programs;
+    erases += o.erases;
+    uncorrectable_reads += o.uncorrectable_reads;
+    interrupted_programs += o.interrupted_programs;
+    interrupted_erases += o.interrupted_erases;
+    paired_page_upsets += o.paired_page_upsets;
+    dropped_queued_ops += o.dropped_queued_ops;
+    order_violations += o.order_violations;
+    ispp_started += o.ispp_started;
+    read_bit_errors += o.read_bit_errors;
+    ecc_corrected_bits += o.ecc_corrected_bits;
+    blocks_retired += o.blocks_retired;
+    return *this;
+  }
 };
 
 class NandChip {
@@ -225,17 +246,6 @@ class NandChip {
   BlockArena arena_;
   mutable Page peek_scratch_;  ///< snapshot slot backing peek()
   ChipStats stats_;
-
-  // Observability handles (no-ops unless a registry is attached to sim_).
-  // Registration is name-deduped, so the dies of a ChipArray aggregate.
-  obs::MetricId obs_ispp_started_ = obs::kNoMetric;
-  obs::MetricId obs_ispp_interrupted_ = obs::kNoMetric;
-  obs::MetricId obs_erase_interrupted_ = obs::kNoMetric;
-  obs::MetricId obs_bit_errors_ = obs::kNoMetric;
-  obs::MetricId obs_ecc_corrected_ = obs::kNoMetric;
-  obs::MetricId obs_ecc_uncorrectable_ = obs::kNoMetric;
-  obs::MetricId obs_paired_upsets_ = obs::kNoMetric;
-  obs::MetricId obs_blocks_retired_ = obs::kNoMetric;
 };
 
 }  // namespace pofi::nand

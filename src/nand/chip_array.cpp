@@ -74,18 +74,7 @@ std::size_t ChipArray::touched_blocks() const {
 
 ChipStats ChipArray::stats() const {
   ChipStats total;
-  for (const auto& c : chips_) {
-    const ChipStats& s = c->stats();
-    total.reads += s.reads;
-    total.programs += s.programs;
-    total.erases += s.erases;
-    total.uncorrectable_reads += s.uncorrectable_reads;
-    total.interrupted_programs += s.interrupted_programs;
-    total.interrupted_erases += s.interrupted_erases;
-    total.paired_page_upsets += s.paired_page_upsets;
-    total.dropped_queued_ops += s.dropped_queued_ops;
-    total.order_violations += s.order_violations;
-  }
+  for (const auto& c : chips_) total += c->stats();
   return total;
 }
 

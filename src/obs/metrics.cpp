@@ -110,6 +110,11 @@ MetricId MetricRegistry::counter(std::string_view name) {
   return register_slot(name, Kind::kCounter, {});
 }
 
+void MetricRegistry::counter_source(std::string_view name, const std::uint64_t* source) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  sources_.push_back(Source{std::string(name), source});
+}
+
 MetricId MetricRegistry::gauge(std::string_view name) {
   return register_slot(name, Kind::kGauge, {});
 }
@@ -181,6 +186,9 @@ Snapshot MetricRegistry::snapshot() const {
       }
     }
   }
+  for (const Source& src : sources_) {
+    snap.counters.push_back(Snapshot::Counter{src.name, *src.value});
+  }
   for (const auto& s : series_) {
     Snapshot::Series out;
     out.name = s->name;
@@ -190,6 +198,18 @@ Snapshot MetricRegistry::snapshot() const {
   }
   const auto by_name = [](const auto& a, const auto& b) { return a.name < b.name; };
   std::sort(snap.counters.begin(), snap.counters.end(), by_name);
+  // One entry per name: the sources of several dies, and a source with a
+  // pushed slot of its name, sum into it.
+  std::vector<Snapshot::Counter> merged;
+  merged.reserve(snap.counters.size());
+  for (Snapshot::Counter& c : snap.counters) {
+    if (!merged.empty() && merged.back().name == c.name) {
+      merged.back().value += c.value;
+    } else {
+      merged.push_back(std::move(c));
+    }
+  }
+  snap.counters = std::move(merged);
   std::sort(snap.gauges.begin(), snap.gauges.end(), by_name);
   std::sort(snap.histograms.begin(), snap.histograms.end(), by_name);
   std::sort(snap.series.begin(), snap.series.end(), by_name);
@@ -214,17 +234,20 @@ void MetricRegistry::reset_values() {
 
 std::uint64_t MetricRegistry::value_of(std::string_view name) const {
   const std::lock_guard<std::mutex> lock(mutex_);
+  std::uint64_t total = 0;
+  for (const Source& src : sources_) {
+    if (src.name == name) total += *src.value;
+  }
   for (std::uint32_t i = 0; i < count_; ++i) {
     const Slot& s = slots_[i];
     if (s.name != name) continue;
-    if (s.kind != Kind::kHistogram) return s.value.load(std::memory_order_relaxed);
-    std::uint64_t total = 0;
+    if (s.kind != Kind::kHistogram) return total + s.value.load(std::memory_order_relaxed);
     for (std::uint32_t b = 0; b <= s.bucket_count; ++b) {
       total += s.buckets[b].load(std::memory_order_relaxed);
     }
     return total;
   }
-  return 0;
+  return total;
 }
 
 void TraceLog::snapshot(StateImage& out) const {

@@ -5,20 +5,24 @@
 // Invariants the whole subsystem rests on:
 //   * Instrumentation only READS simulation state and mutates obs-private
 //     storage. No RNG draws, no event scheduling, no sim mutation — the
-//     DeterminismGolden hashes must be identical with obs on and off.
+//     DeterminismGolden hashes must be identical with and without a registry.
+//   * Each event is counted once. A layer counter lives in the layer's Stats
+//     struct (reset by the layer's reset(), carried in its StateImage) and is
+//     registered as a counter source; snapshot() reads it. Pushed slots are
+//     for what a struct field cannot hold: gauges (the high-water mark needs
+//     every update), histograms, series, spans, and counters several threads
+//     write (the runner's).
 //   * The hot path (add/set/record) is allocation-free and lock-free:
 //     relaxed atomics into a fixed slot arena sized at construction.
 //     Registration (rare) takes a mutex and is idempotent by name, so the
-//     N chips of a ChipArray or the workers of a CampaignRunner can all
-//     register the same metric concurrently and aggregate into one slot.
+//     workers of a CampaignRunner can all register the same metric
+//     concurrently and aggregate into one slot; the counter sources of the
+//     N dies of a ChipArray sum into one snapshot entry.
 //   * Memory is bounded: kMaxMetrics slots, kMaxBuckets histogram buckets,
 //     per-series sample capacity with drop-counting, ring-buffer spans.
 //
-// The compile-time gate: building with -DPOFI_OBS_ENABLED=0 turns
-// sim::Simulator::metrics() into a constant nullptr, so every
-//   if (auto* m = sim.metrics()) m->add(id);
-// site folds away. The runtime gate is simply whether a registry was
-// attached to the simulator (platform config `metrics: true`).
+// The only gate is whether a registry was attached to the simulator
+// (platform config `metrics: true`).
 #pragma once
 
 #include <array>
@@ -34,10 +38,6 @@
 #include "obs/fwd.hpp"
 #include "obs/snapshot.hpp"
 #include "sim/time.hpp"
-
-#ifndef POFI_OBS_ENABLED
-#define POFI_OBS_ENABLED 1
-#endif
 
 namespace pofi::obs {
 
@@ -122,6 +122,15 @@ class MetricRegistry {
 
   // --- Registration (mutex-guarded, idempotent by name) ---------------------
   [[nodiscard]] MetricId counter(std::string_view name);
+  /// Pulled counter: `source` is a field its owner already counts in (a
+  /// layer's Stats struct). The registry never writes it. snapshot() and
+  /// value_of() read every source on the calling thread — the thread that
+  /// drives the simulation, or one that joined it — and sum the sources and
+  /// any pushed counter slot that share a name (the dies of a ChipArray).
+  /// Sources carry no value state: reset_values() and the value images
+  /// leave them alone, because the owner resets and restores its Stats.
+  /// `source` must outlive every snapshot() and value_of() of this registry.
+  void counter_source(std::string_view name, const std::uint64_t* source);
   [[nodiscard]] MetricId gauge(std::string_view name);
   /// `upper_bounds` are inclusive and must be ascending; at most kMaxBuckets.
   /// Values above the last bound land in an implicit overflow bucket.
@@ -167,20 +176,21 @@ class MetricRegistry {
   // --- Read-out -------------------------------------------------------------
   /// Freeze everything into a name-sorted, plain-data snapshot.
   [[nodiscard]] Snapshot snapshot() const;
-  /// Session reset: zero every counter/gauge/histogram/series value but keep
-  /// all registrations (names, kinds, bounds, capacities), so MetricId
-  /// handles cached by components survive. A reset registry snapshots
-  /// identically to a freshly-built one once the same components re-register
-  /// (idempotent, by name) and re-run.
+  /// Session reset: zero every pushed counter/gauge/histogram/series value
+  /// but keep all registrations (names, kinds, bounds, capacities, sources),
+  /// so MetricId handles cached by components survive. A reset registry
+  /// snapshots identically to a freshly-built one once the components reset
+  /// their Stats and re-run.
   void reset_values();
-  /// Test/assertion convenience: current value of a counter/gauge/histogram
-  /// total by name; 0 when the name is unknown.
+  /// Test/assertion convenience: current value of a counter (pushed slot
+  /// plus sources), gauge or histogram total by name; 0 when unknown.
   [[nodiscard]] std::uint64_t value_of(std::string_view name) const;
 
-  /// Value-level capture: every counter/gauge/histogram/series value plus
-  /// the trace log, excluding registrations (names, kinds, bounds) exactly
-  /// as reset_values() leaves them alone. Restoring rewinds the registry to
-  /// the captured instant; slots registered after the capture are zeroed.
+  /// Value-level capture: every pushed counter/gauge/histogram/series value
+  /// plus the trace log, excluding registrations (names, kinds, bounds,
+  /// sources) exactly as reset_values() leaves them alone. Restoring rewinds
+  /// the registry to the captured instant; slots registered after the
+  /// capture are zeroed.
   struct ValueImage;
   void snapshot_values(ValueImage& out) const;
   void restore_values(const ValueImage& image);
@@ -195,6 +205,10 @@ class MetricRegistry {
     std::uint32_t bucket_count = 0;
     Kind kind = Kind::kCounter;
     std::string name;
+  };
+  struct Source {
+    std::string name;
+    const std::uint64_t* value = nullptr;
   };
   struct SeriesSlot {
     std::string name;
@@ -215,6 +229,7 @@ class MetricRegistry {
   std::atomic<std::uint32_t> count_hint_{0};
   std::uint32_t count_ = 0;
   std::vector<std::unique_ptr<SeriesSlot>> series_;
+  std::vector<Source> sources_;
   mutable std::mutex mutex_;
   TraceLog trace_;
 };

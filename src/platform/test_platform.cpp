@@ -23,7 +23,7 @@ TestPlatform::TestPlatform(ssd::SsdConfig ssd_config, PlatformConfig platform_co
   sim_.set_cancel_token(config_.cancel);
   if (config_.metrics) {
     // Attach before any component constructs so every layer registers its
-    // metrics; with POFI_OBS=OFF sim_.metrics() stays nullptr regardless.
+    // metrics.
     metrics_ = std::make_unique<obs::MetricRegistry>();
     sim_.set_metrics(metrics_.get());
   }

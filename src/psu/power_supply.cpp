@@ -14,7 +14,7 @@ PowerSupply::PowerSupply(sim::Simulator& simulator, std::unique_ptr<DischargeMod
     // Rail timeline sampled at phase transitions and threshold crossings
     // (~6 samples per power cycle): enough for hundreds of faults.
     obs_rail_series_ = m->series("psu.rail.volts", 4096);
-    obs_below_cutoff_ns_ = m->counter("psu.rail.below_cutoff_ns");
+    m->counter_source("psu.rail.below_cutoff_ns", &below_cutoff_ns_);
   }
 }
 
@@ -69,12 +69,7 @@ void PowerSupply::power_on() {
     pending_.clear();
     obs_sample_rail(params_.nominal_volts);
     if (obs_below_active_) {
-      // Time the rail spent below the (lowest) sink cutoff, ended by this
-      // power-good: the paper's unavailability window.
-      if (auto* m = sim_.metrics()) {
-        m->add(obs_below_cutoff_ns_,
-               static_cast<std::uint64_t>((sim_.now() - obs_below_since_).count_ns()));
-      }
+      below_cutoff_ns_ += static_cast<std::uint64_t>((sim_.now() - obs_below_since_).count_ns());
       obs_below_active_ = false;
     }
     for (auto* s : sinks_) s->on_power_good(sim_.now());

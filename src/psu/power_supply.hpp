@@ -108,6 +108,7 @@ class PowerSupply {
     sim::TimePoint last_off_at = sim::TimePoint::zero();
     bool obs_below_active = false;
     sim::TimePoint obs_below_since = sim::TimePoint::zero();
+    std::uint64_t below_cutoff_ns = 0;
   };
 
   void snapshot(StateImage& out) const {
@@ -118,6 +119,7 @@ class PowerSupply {
     out.last_off_at = last_off_at_;
     out.obs_below_active = obs_below_active_;
     out.obs_below_since = obs_below_since_;
+    out.below_cutoff_ns = below_cutoff_ns_;
   }
 
   void restore(const StateImage& image) {
@@ -129,6 +131,7 @@ class PowerSupply {
     last_off_at_ = image.last_off_at;
     obs_below_active_ = image.obs_below_active;
     obs_below_since_ = image.obs_below_since;
+    below_cutoff_ns_ = image.below_cutoff_ns;
   }
 
   /// Session reset: back to the just-constructed kOff state. Attached sinks
@@ -144,6 +147,7 @@ class PowerSupply {
     last_off_at_ = sim::TimePoint::zero();
     obs_below_active_ = false;
     obs_below_since_ = sim::TimePoint::zero();
+    below_cutoff_ns_ = 0;
   }
 
  private:
@@ -164,12 +168,14 @@ class PowerSupply {
   std::uint64_t cycles_ = 0;
   sim::TimePoint last_off_at_ = sim::TimePoint::zero();
 
-  // Observability handles and bookkeeping (obs-private; never read by the
-  // simulation itself, so behaviour is identical with metrics off).
+  // Observability handle and bookkeeping (never read by the simulation
+  // itself, so behaviour is identical with metrics off).
   obs::MetricId obs_rail_series_ = obs::kNoMetric;
-  obs::MetricId obs_below_cutoff_ns_ = obs::kNoMetric;
   bool obs_below_active_ = false;
   sim::TimePoint obs_below_since_ = sim::TimePoint::zero();
+  /// Time the rail spent below the lowest sink cutoff, summed over the
+  /// power cycles that a power-good ended (the paper's unavailability).
+  std::uint64_t below_cutoff_ns_ = 0;
 };
 
 }  // namespace pofi::psu

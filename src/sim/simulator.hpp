@@ -31,11 +31,6 @@
 #include "sim/state_image.hpp"
 #include "sim/time.hpp"
 
-// Observability compile gate (normally injected by CMake's POFI_OBS option).
-#ifndef POFI_OBS_ENABLED
-#define POFI_OBS_ENABLED 1
-#endif
-
 namespace pofi::obs {
 class MetricRegistry;
 }  // namespace pofi::obs
@@ -177,12 +172,13 @@ class Simulator {
   [[nodiscard]] Rng& rng() { return master_rng_; }
   [[nodiscard]] Rng fork_rng(std::string_view label) const { return master_rng_.fork(label); }
 
-  /// Observability attachment point. Components instrument themselves with
-  ///   if (auto* m = sim.metrics()) m->add(id);
-  /// Attaching a registry is the runtime enable; compiling with
-  /// POFI_OBS_ENABLED=0 pins metrics() to nullptr so every such branch is
-  /// dead code. Instrumentation must only read sim state — never schedule
-  /// events or draw randomness — so behaviour is identical either way.
+  /// Observability attachment point. Components register their Stats
+  /// counters with it at construction and push gauges, histograms, series
+  /// and spans through
+  ///   if (auto* m = sim.metrics()) m->set(id, value);
+  /// Attaching a registry is the enable. Instrumentation must only read sim
+  /// state — never schedule events or draw randomness — so behaviour is
+  /// identical with and without one.
   void set_metrics(obs::MetricRegistry* registry) { metrics_ = registry; }
 
   /// Crash-point attachment (see BoundaryProbe). reset() leaves it alone,
@@ -190,13 +186,7 @@ class Simulator {
   void set_boundary_probe(BoundaryProbe* probe) { probe_ = probe; }
   [[nodiscard]] BoundaryProbe* boundary_probe() const { return probe_; }
 
-  [[nodiscard]] obs::MetricRegistry* metrics() const {
-#if POFI_OBS_ENABLED
-    return metrics_;
-#else
-    return nullptr;
-#endif
-  }
+  [[nodiscard]] obs::MetricRegistry* metrics() const { return metrics_; }
 
  private:
   /// Throws AbortError when the step budget is spent or the cancel token is

@@ -23,8 +23,8 @@ Ssd::Ssd(sim::Simulator& simulator, SsdConfig config)
   if (auto* m = sim_.metrics()) {
     obs_ncq_inflight_ = m->gauge("ssd.ncq.inflight");
     obs_ncq_pending_ = m->gauge("ssd.ncq.pending");
-    obs_unavailable_ = m->counter("ssd.cmds.failed_unavailable");
-    obs_power_losses_ = m->counter("ssd.power.losses");
+    m->counter_source("ssd.cmds.failed_unavailable", &stats_.commands_failed_unavailable);
+    m->counter_source("ssd.power.losses", &stats_.power_losses);
     obs_span_mount_ = m->trace().intern("ssd.mount");
   }
 }
@@ -62,7 +62,6 @@ sim::Duration Ssd::transfer_time(std::uint32_t pages) const {
 void Ssd::submit(Command cmd) {
   if (!ready_) {
     ++stats_.commands_failed_unavailable;
-    if (auto* m = sim_.metrics()) m->add(obs_unavailable_);
     if (cmd.done) cmd.done(DeviceStatus::kDeviceUnavailable, {});
     return;
   }
@@ -270,10 +269,7 @@ void Ssd::on_power_lost(sim::TimePoint now) {
 
 void Ssd::die() {
   ++stats_.power_losses;
-  if (auto* m = sim_.metrics()) {
-    m->add(obs_power_losses_);
-    m->trace().end(obs_span_mount_, sim_.now());  // fault mid-mount
-  }
+  if (auto* m = sim_.metrics()) m->trace().end(obs_span_mount_, sim_.now());  // fault mid-mount
   ++epoch_;
   ready_ = false;
   dying_ = false;
@@ -290,12 +286,10 @@ void Ssd::die() {
   inflight_cmds_.clear();
   for (const auto& c : inflight) {
     ++stats_.commands_failed_unavailable;
-    if (auto* m = sim_.metrics()) m->add(obs_unavailable_);
     if (c->done) c->done(DeviceStatus::kDeviceUnavailable, {});
   }
   for (auto& c : pending_) {
     ++stats_.commands_failed_unavailable;
-    if (auto* m = sim_.metrics()) m->add(obs_unavailable_);
     if (c.done) c.done(DeviceStatus::kDeviceUnavailable, {});
   }
   pending_.clear();

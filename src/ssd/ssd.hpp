@@ -228,8 +228,6 @@ class Ssd final : public psu::PowerSink {
   // Observability handles (no-ops unless a registry is attached to sim_).
   obs::MetricId obs_ncq_inflight_ = obs::kNoMetric;
   obs::MetricId obs_ncq_pending_ = obs::kNoMetric;
-  obs::MetricId obs_unavailable_ = obs::kNoMetric;
-  obs::MetricId obs_power_losses_ = obs::kNoMetric;
   std::uint32_t obs_span_mount_ = 0;
 };
 

@@ -18,7 +18,7 @@ WriteCache::WriteCache(sim::Simulator& simulator, ftl::Ftl& ftl, Config config)
     : sim_(simulator), ftl_(ftl), config_(config), rng_(simulator.fork_rng("write-cache")) {
   if (auto* m = sim_.metrics()) {
     obs_dirty_gauge_ = m->gauge("ssd.cache.dirty_pages");
-    obs_dirty_lost_ = m->counter("ssd.cache.dirty_lost");
+    m->counter_source("ssd.cache.dirty_lost", &stats_.dirty_lost_on_power_failure);
     // Dirtied-to-durable latency; the hold time dominates, so buckets span
     // sub-millisecond flusher turnaround up to multi-second starvation.
     obs_flush_latency_ = m->histogram(
@@ -257,7 +257,6 @@ std::size_t WriteCache::on_power_lost() {
   const std::size_t lost = dirty_count_;
   stats_.dirty_lost_on_power_failure += lost;
   if (auto* m = sim_.metrics()) {
-    m->add(obs_dirty_lost_, lost);
     m->set(obs_dirty_gauge_, 0);
     m->trace().end(obs_span_flush_all_, sim_.now());  // fault mid-drain
   }

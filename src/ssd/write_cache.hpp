@@ -248,7 +248,6 @@ class WriteCache {
 
   // Observability handles (no-ops unless a registry is attached to sim_).
   obs::MetricId obs_dirty_gauge_ = obs::kNoMetric;
-  obs::MetricId obs_dirty_lost_ = obs::kNoMetric;
   obs::MetricId obs_flush_latency_ = obs::kNoMetric;
   std::uint32_t obs_span_flush_all_ = 0;
 };

@@ -71,6 +71,35 @@ std::string canonical(const ExperimentResult& r) {
   return out;
 }
 
+/// Canonical serialisation of an obs snapshot, hexfloat doubles like
+/// canonical() above. Empty (and so fingerprint-neutral) when metrics are
+/// off.
+std::string canonical_metrics(const obs::Snapshot& s) {
+  std::string out;
+  for (const auto& c : s.counters) appendf(out, "c %s=%" PRIu64 "\n", c.name.c_str(), c.value);
+  for (const auto& g : s.gauges) {
+    appendf(out, "g %s=%" PRIu64 "/%" PRIu64 "\n", g.name.c_str(), g.last, g.high_water);
+  }
+  for (const auto& h : s.histograms) {
+    appendf(out, "h %s total=%" PRIu64, h.name.c_str(), h.total);
+    for (const std::uint64_t n : h.counts) appendf(out, " %" PRIu64, n);
+    out += '\n';
+  }
+  for (const auto& sr : s.series) {
+    appendf(out, "s %s dropped=%" PRIu64, sr.name.c_str(), sr.dropped);
+    for (const auto& sample : sr.samples) {
+      appendf(out, " %" PRId64 ":%a", sample.t_ns, sample.value);
+    }
+    out += '\n';
+  }
+  for (const auto& sp : s.spans) {
+    appendf(out, "span %s<%s %" PRId64 "-%" PRId64 "\n", sp.name.c_str(),
+            sp.parent.c_str(), sp.begin_ns, sp.end_ns);
+  }
+  appendf(out, "spans_dropped=%" PRIu64 "\n", s.spans_dropped);
+  return out;
+}
+
 struct CampaignHashes {
   std::uint64_t result;
   std::uint64_t trace;
@@ -116,9 +145,9 @@ std::uint64_t trace_hash(std::uint64_t seed) {
   return hash_str(blk::to_text(queue.trace()));
 }
 
-CampaignHashes run_hashed(ssd::VendorModel model, ftl::MappingPolicy policy,
-                          std::uint64_t seed, bool metrics = false,
-                          sim::BoundaryProbe* probe = nullptr) {
+ExperimentResult run_golden_campaign(ssd::VendorModel model, ftl::MappingPolicy policy,
+                                     std::uint64_t seed, bool metrics,
+                                     sim::BoundaryProbe* probe) {
   ssd::PresetOptions opts;
   opts.capacity_override_gb = 1;
   opts.mapping_policy = policy;
@@ -142,7 +171,13 @@ CampaignHashes run_hashed(ssd::VendorModel model, ftl::MappingPolicy policy,
 
   TestPlatform tp(drive, pc, seed);
   tp.simulator().set_boundary_probe(probe);
-  const auto result = tp.run(spec);
+  return tp.run(spec);
+}
+
+CampaignHashes run_hashed(ssd::VendorModel model, ftl::MappingPolicy policy,
+                          std::uint64_t seed, bool metrics = false,
+                          sim::BoundaryProbe* probe = nullptr) {
+  const auto result = run_golden_campaign(model, policy, seed, metrics, probe);
   return CampaignHashes{hash_str(canonical(result)), trace_hash(seed)};
 }
 
@@ -151,16 +186,19 @@ struct GoldenCase {
   ftl::MappingPolicy policy;
   std::uint64_t seed;
   CampaignHashes expect;
+  std::uint64_t metrics;  ///< canonical_metrics() of the run with metrics on
 };
 
-// Captured against the pre-rework kernel (see file header).
+// Result and trace hashes were captured against the pre-rework kernel (see
+// file header); the metrics hashes against the push-counter registry, before
+// layer counters became snapshot-time reads of their Stats structs.
 const GoldenCase kGolden[] = {
     {ssd::VendorModel::kA, ftl::MappingPolicy::kHybridExtent, 42,
-     {0x66785AE8EECBA82AULL, 0x770E7179CFE25617ULL}},
+     {0x66785AE8EECBA82AULL, 0x770E7179CFE25617ULL}, 0xCFB664017AE3185CULL},
     {ssd::VendorModel::kA, ftl::MappingPolicy::kPageLevel, 7,
-     {0xB5FA478E0F1FA5B6ULL, 0x0D34049E4413F8F2ULL}},
+     {0xB5FA478E0F1FA5B6ULL, 0x0D34049E4413F8F2ULL}, 0x4705012E0FD28202ULL},
     {ssd::VendorModel::kB, ftl::MappingPolicy::kHybridExtent, 1234,
-     {0x1DD7BF134C36FDF3ULL, 0xDAD29F043F34BDA7ULL}},
+     {0x1DD7BF134C36FDF3ULL, 0xDAD29F043F34BDA7ULL}, 0x85E8041D4604B02CULL},
 };
 
 TEST(DeterminismGolden, CampaignRowsAndTracesMatchPreReworkKernel) {
@@ -245,6 +283,26 @@ TEST(DeterminismGolden, MetricsCollectionDoesNotPerturbSimulation) {
   }
 }
 
+// The metrics export golden: the whole registry snapshot of each golden
+// campaign (every counter, gauge, histogram, series and span) pinned by
+// hash. Where and how a layer counts an event may change; the numbers the
+// --metrics export and perfbench read from the snapshot may not.
+TEST(DeterminismGolden, MetricsSnapshotGolden) {
+  const bool print = std::getenv("POFI_PRINT_GOLDEN") != nullptr;
+  for (const auto& g : kGolden) {
+    const auto r = run_golden_campaign(g.model, g.policy, g.seed, /*metrics=*/true, nullptr);
+    ASSERT_FALSE(r.metrics.counters.empty());
+    const std::uint64_t got = hash_str(canonical_metrics(r.metrics));
+    if (print) {
+      std::printf("golden model=%d policy=%d seed=%" PRIu64 " metrics=0x%016" PRIX64 "ULL\n",
+                  static_cast<int>(g.model), static_cast<int>(g.policy), g.seed, got);
+      continue;
+    }
+    EXPECT_EQ(got, g.metrics) << "metrics snapshot drifted (model=" << static_cast<int>(g.model)
+                              << " seed=" << g.seed << "); rerun with POFI_PRINT_GOLDEN=1";
+  }
+}
+
 // The torture determinism gate: a boundary probe that never trips must be
 // pure observation. The golden hashes were captured with no probe attached;
 // a run with a passive CountdownProbe consulted at every event boundary has
@@ -266,35 +324,6 @@ TEST(DeterminismGolden, PassiveBoundaryProbeIsIdentity) {
   }
 }
 
-/// Canonical serialisation of an obs snapshot, hexfloat doubles like
-/// canonical() above. Empty (and so fingerprint-neutral) when obs is
-/// compiled out or metrics are off.
-std::string canonical_metrics(const obs::Snapshot& s) {
-  std::string out;
-  for (const auto& c : s.counters) appendf(out, "c %s=%" PRIu64 "\n", c.name.c_str(), c.value);
-  for (const auto& g : s.gauges) {
-    appendf(out, "g %s=%" PRIu64 "/%" PRIu64 "\n", g.name.c_str(), g.last, g.high_water);
-  }
-  for (const auto& h : s.histograms) {
-    appendf(out, "h %s total=%" PRIu64, h.name.c_str(), h.total);
-    for (const std::uint64_t n : h.counts) appendf(out, " %" PRIu64, n);
-    out += '\n';
-  }
-  for (const auto& sr : s.series) {
-    appendf(out, "s %s dropped=%" PRIu64, sr.name.c_str(), sr.dropped);
-    for (const auto& sample : sr.samples) {
-      appendf(out, " %" PRId64 ":%a", sample.t_ns, sample.value);
-    }
-    out += '\n';
-  }
-  for (const auto& sp : s.spans) {
-    appendf(out, "span %s<%s %" PRId64 "-%" PRId64 "\n", sp.name.c_str(),
-            sp.parent.c_str(), sp.begin_ns, sp.end_ns);
-  }
-  appendf(out, "spans_dropped=%" PRIu64 "\n", s.spans_dropped);
-  return out;
-}
-
 /// Whole observable machine state after a torture run: the blktrace stream
 /// plus the metric registry (when one is attached).
 std::uint64_t device_fingerprint(TestPlatform& tp) {
@@ -307,9 +336,7 @@ std::uint64_t device_fingerprint(TestPlatform& tp) {
 // boundary and replaying only the residual window must land on the exact
 // same machine state as replaying the whole schedule — audit verdict,
 // blktrace stream and metric snapshot alike, even onto a dirty platform
-// built with a different seed. Runs in the obs-on and obs-off (POFI_OBS=OFF,
-// UBSan stage and obs-determinism CI job) builds; with metrics compiled out
-// the fingerprint degrades to the trace stream alone.
+// built with a different seed.
 TEST(DeterminismGolden, SnapshotRestoreIsIdentity) {
   torture::TortureConfig cfg;
   cfg.name = "snapshot-identity";

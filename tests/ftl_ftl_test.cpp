@@ -1,10 +1,12 @@
 #include "ftl/ftl.hpp"
 
 #include "nand/chip_array.hpp"
+#include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 
 namespace pofi::ftl {
 namespace {
@@ -12,10 +14,19 @@ namespace {
 using sim::Duration;
 using sim::Simulator;
 
+/// Attaches `metrics` before any component is built on `sim`, so every
+/// layer registers its counters with it.
+Simulator& with_metrics(Simulator& sim, obs::MetricRegistry& metrics) {
+  sim.set_metrics(&metrics);
+  return sim;
+}
+
 struct Harness {
   explicit Harness(Ftl::Config cfg = {}, std::uint32_t channels = 2,
                    nand::NandChip::Config chip_cfg = small_chip())
-      : sim(7), chip(sim, nand::ChipArray::Config{channels, chip_cfg}), ftl(sim, chip, cfg) {
+      : sim(7),
+        chip(with_metrics(sim, metrics), nand::ChipArray::Config{channels, chip_cfg}),
+        ftl(sim, chip, cfg) {
     chip.on_power_good();
     ftl.on_power_good();
   }
@@ -64,6 +75,12 @@ struct Harness {
     ftl.on_power_good();
   }
 
+  /// Snapshot value of a registry counter.
+  std::uint64_t counter(const std::string& name) const {
+    return metrics.snapshot().counter_value(name);
+  }
+
+  obs::MetricRegistry metrics;
   Simulator sim;
   nand::ChipArray chip;
   Ftl ftl;
@@ -105,6 +122,7 @@ TEST(Ftl, WritesFailWhenUnpowered) {
   ASSERT_TRUE(ok.has_value());
   EXPECT_FALSE(*ok);
   EXPECT_EQ(h.ftl.stats().failed_writes, 1u);
+  EXPECT_EQ(h.counter("ftl.write.failed"), 1u);
 }
 
 TEST(Ftl, UnjournaledWriteRevertsOnPowerLoss) {
@@ -165,6 +183,9 @@ TEST(Ftl, GcReclaimsInvalidatedBlocks) {
   }
   h.sim.run_for(Duration::sec(1));
   EXPECT_GT(h.ftl.stats().gc_erases, 0u);
+  // No fault and no worn block: every GC pass ran to its victim's erase.
+  EXPECT_EQ(h.counter("ftl.gc.invocations"), h.ftl.stats().gc_erases);
+  EXPECT_EQ(h.counter("ftl.badblock.retired"), 0u);
   // Data integrity: latest values all readable.
   for (Lpn lpn = 0; lpn < 8; ++lpn) {
     EXPECT_EQ(h.read_sync(lpn), std::optional<std::uint64_t>(0x1000 + 29 * 10 + lpn));
@@ -186,6 +207,28 @@ TEST(Ftl, GcRelocatesValidPages) {
   h.sim.run_for(Duration::sec(1));
   EXPECT_GT(h.ftl.stats().gc_relocations, 0u);
   EXPECT_EQ(h.read_sync(100), std::optional<std::uint64_t>(0xC01D));
+}
+
+TEST(Ftl, GcRetiresWornOutVictims) {
+  Ftl::Config cfg;
+  cfg.journal_interval = Duration::ms(5);
+  cfg.gc_low_watermark = 14;
+  auto chip_cfg = Harness::small_chip();
+  chip_cfg.endurance_pe_cycles = 2;  // a block retires at its third erase
+  Harness h(cfg, /*channels=*/1, chip_cfg);
+  for (int round = 0; round < 60; ++round) {
+    for (Lpn lpn = 0; lpn < 8; ++lpn) {
+      if (!h.write_sync(lpn, static_cast<std::uint64_t>(round) * 10 + lpn)) break;
+    }
+  }
+  h.sim.run_for(Duration::sec(1));
+  // Only GC erases blocks, so every worn-out block is a retired GC victim,
+  // counted once by the die and once by the FTL.
+  std::uint64_t bad = 0;
+  for (BlockId b = 0; b < h.chip.geometry().total_blocks(); ++b) bad += h.chip.is_bad(b);
+  EXPECT_GT(bad, 0u);
+  EXPECT_EQ(h.counter("nand.block.retired"), bad);
+  EXPECT_EQ(h.counter("ftl.badblock.retired"), bad);
 }
 
 TEST(Ftl, EmergencyModePersistsEverything) {

@@ -154,5 +154,20 @@ TEST(Campaign, BlkTraceAgreesWithAnalyzer) {
   EXPECT_EQ(bq.completed_ok + bq.io_errors + bq.timeouts, bq.submitted);
 }
 
+TEST(Campaign, BlockLayerTimeoutsAreCountedOnce) {
+  PlatformConfig pc;
+  pc.metrics = true;
+  // A watchdog far below a multi-page write's service time: requests time
+  // out while the drive is still working on them.
+  pc.block_queue.request_timeout = sim::Duration::us(200);
+  TestPlatform tp(small_drive(), pc, 14);
+  auto spec = small_spec("timeouts", 2);
+  spec.total_requests = 80;
+  const auto r = tp.run(spec);
+  const auto& bq = tp.block_queue().stats();
+  EXPECT_GT(bq.timeouts, 0u);
+  EXPECT_EQ(r.metrics.counter_value("blk.timeouts"), bq.timeouts);
+}
+
 }  // namespace
 }  // namespace pofi::platform

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
 #include <optional>
 #include <set>
 #include <vector>
@@ -20,6 +22,17 @@ NandChip::Config die_config() {
   cfg.geometry.planes = 2;
   cfg.tech = CellTech::kMlc;
   return cfg;
+}
+
+/// ChipStats as its array of counters, so a check covers every field,
+/// including fields added later.
+constexpr std::size_t kChipStatsFields = sizeof(ChipStats) / sizeof(std::uint64_t);
+static_assert(sizeof(ChipStats) == kChipStatsFields * sizeof(std::uint64_t));
+
+std::array<std::uint64_t, kChipStatsFields> fields(const ChipStats& s) {
+  std::array<std::uint64_t, kChipStatsFields> out{};
+  std::memcpy(out.data(), &s, sizeof s);
+  return out;
 }
 
 TEST(ChipArray, EffectiveGeometryMultipliesPlanes) {
@@ -100,11 +113,24 @@ TEST(ChipArray, PowerEventsFanOut) {
 
   // Interrupt one program on each die simultaneously.
   const auto& g = array.geometry();
-  for (BlockId b = 0; b < 3; ++b) array.program(g.first_page(b), 9, [](OpResult) {});
+  for (BlockId b = 0; b < 3; ++b) {
+    EXPECT_TRUE(array.read_now(g.first_page(b)).ok());
+    array.program(g.first_page(b), 9, [](OpResult) {});
+  }
   sim.run_for(Duration::us(100));
   array.on_power_lost();
   EXPECT_FALSE(array.powered());
   EXPECT_EQ(array.stats().interrupted_programs, 3u);
+
+  // The aggregate is the per-die sum in every field.
+  std::array<std::uint64_t, kChipStatsFields> sum{};
+  for (std::uint32_t c = 0; c < 3; ++c) {
+    const auto die = fields(array.die(c).stats());
+    for (std::size_t i = 0; i < kChipStatsFields; ++i) sum[i] += die[i];
+  }
+  EXPECT_EQ(fields(array.stats()), sum);
+  EXPECT_EQ(array.stats().reads, 3u);
+  EXPECT_EQ(array.stats().ispp_started, 3u);
 }
 
 TEST(ChipArray, EraseAndWearTrackingPerGlobalBlock) {

@@ -5,6 +5,8 @@
 #include <optional>
 #include <vector>
 
+#include "obs/metrics.hpp"
+
 namespace pofi::nand {
 namespace {
 
@@ -242,7 +244,9 @@ TEST(NandChip, InterruptedUpperPageDamagesLowerPartner) {
 }
 
 TEST(NandChip, InterruptedEraseCorruptsBlock) {
+  obs::MetricRegistry metrics;
   Simulator sim;
+  sim.set_metrics(&metrics);
   NandChip chip(sim, small_config());
   chip.on_power_good();
   chip.program(0, 0x31, [](OpResult) {});
@@ -252,6 +256,7 @@ TEST(NandChip, InterruptedEraseCorruptsBlock) {
   sim.run_for(Duration::ms(1));  // erase takes 3 ms
   chip.on_power_lost();
   EXPECT_EQ(chip.stats().interrupted_erases, 1u);
+  EXPECT_EQ(metrics.snapshot().counter_value("nand.erase.interrupted"), 1u);
   const Page* p0 = chip.peek(0);
   ASSERT_NE(p0, nullptr);
   EXPECT_EQ(p0->status, PageStatus::kCorrupt);
@@ -260,7 +265,9 @@ TEST(NandChip, InterruptedEraseCorruptsBlock) {
 }
 
 TEST(NandChip, WornBlockGoesBad) {
+  obs::MetricRegistry metrics;
   Simulator sim;
+  sim.set_metrics(&metrics);
   auto cfg = small_config();
   cfg.endurance_pe_cycles = 3;
   NandChip chip(sim, cfg);
@@ -275,6 +282,7 @@ TEST(NandChip, WornBlockGoesBad) {
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->status, OpResult::Status::kBadBlock);
   EXPECT_TRUE(chip.is_bad(0));
+  EXPECT_EQ(metrics.snapshot().counter_value("nand.block.retired"), 1u);
 }
 
 TEST(NandChip, SparseBlockMaterialisation) {

@@ -53,12 +53,10 @@ TEST(ObsAttribution, FwaFailuresEqualDirtyCacheLinesLost) {
   ASSERT_GT(r.fwa_failures, 0u);
   // The campaign's two independent tallies of the same physical event...
   EXPECT_EQ(r.fwa_failures, r.cache_dirty_lost);
-#if POFI_OBS_ENABLED
   // ...and the obs counter instrumenting the write cache must agree with both.
   EXPECT_EQ(r.metrics.counter_value("ssd.cache.dirty_lost"), r.cache_dirty_lost);
   EXPECT_EQ(r.metrics.counter_value("ssd.power.losses"), r.faults_injected);
   EXPECT_FALSE(r.metrics.empty());
-#endif
 }
 
 TEST(ObsAttribution, MetricsOffLeavesSnapshotEmpty) {

@@ -37,15 +37,89 @@ TEST(ObsMetrics, CounterAccumulatesAndSnapshotsByName) {
 
 TEST(ObsMetrics, RegistrationDedupesByName) {
   MetricRegistry reg;
-  // Per-die components register the same metric name; they must share a slot
-  // (the ChipArray aggregate) instead of burning arena entries.
-  const MetricId a = reg.counter("nand.ispp.started");
-  const MetricId b = reg.counter("nand.ispp.started");
+  // Workers that register the same metric name must share a slot instead of
+  // burning arena entries.
+  const MetricId a = reg.counter("runner.jobs.completed");
+  const MetricId b = reg.counter("runner.jobs.completed");
   EXPECT_EQ(a, b);
   reg.add(a);
   reg.add(b);
-  EXPECT_EQ(reg.value_of("nand.ispp.started"), 2u);
+  EXPECT_EQ(reg.value_of("runner.jobs.completed"), 2u);
   EXPECT_EQ(reg.snapshot().counters.size(), 1u);
+}
+
+TEST(ObsMetrics, SourcesWithOneNameAreSummed) {
+  MetricRegistry reg;
+  // Each die of a ChipArray registers its own Stats field under one name.
+  std::uint64_t die0 = 3;
+  std::uint64_t die1 = 4;
+  reg.counter_source("nand.ispp.started", &die0);
+  reg.counter_source("nand.ispp.started", &die1);
+  const Snapshot snap = reg.snapshot();
+  ASSERT_EQ(snap.counters.size(), 1u);
+  EXPECT_EQ(snap.counter_value("nand.ispp.started"), 7u);
+  // Read when the snapshot is taken, not when registered.
+  die1 = 10;
+  EXPECT_EQ(reg.snapshot().counter_value("nand.ispp.started"), 13u);
+}
+
+TEST(ObsMetrics, SourceAndPushedSlotMergeIntoOneEntry) {
+  MetricRegistry reg;
+  std::uint64_t field = 5;
+  reg.counter_source("ssd.power.losses", &field);
+  reg.add(reg.counter("ssd.power.losses"), 2);
+  const Snapshot snap = reg.snapshot();
+  ASSERT_EQ(snap.counters.size(), 1u);
+  EXPECT_EQ(snap.counters[0].name, "ssd.power.losses");
+  EXPECT_EQ(snap.counters[0].value, 7u);
+}
+
+TEST(ObsMetrics, ValueOfReadsSources) {
+  MetricRegistry reg;
+  std::uint64_t field = 9;
+  reg.counter_source("blk.timeouts", &field);
+  EXPECT_EQ(reg.value_of("blk.timeouts"), 9u);
+  reg.add(reg.counter("blk.timeouts"));
+  EXPECT_EQ(reg.value_of("blk.timeouts"), 10u);
+  EXPECT_EQ(reg.value_of("missing"), 0u);
+}
+
+TEST(ObsMetrics, ValueResetAndRestoreLeaveSourcesAlone) {
+  MetricRegistry reg;
+  std::uint64_t field = 6;
+  reg.counter_source("ftl.journal.flushes", &field);
+  const MetricId pushed = reg.counter("runner.jobs.completed");
+  reg.add(pushed, 2);
+
+  MetricRegistry::ValueImage image;
+  reg.snapshot_values(image);
+  reg.add(pushed, 5);
+  field = 8;
+  reg.restore_values(image);
+  // The pushed slot rewinds; the field is its owner's state and stays put.
+  EXPECT_EQ(reg.value_of("runner.jobs.completed"), 2u);
+  EXPECT_EQ(reg.value_of("ftl.journal.flushes"), 8u);
+
+  reg.reset_values();
+  EXPECT_EQ(reg.value_of("runner.jobs.completed"), 0u);
+  EXPECT_EQ(reg.value_of("ftl.journal.flushes"), 8u);
+}
+
+TEST(ObsMetrics, PulledCountersSortAmongPushedOnes) {
+  MetricRegistry reg;
+  std::uint64_t b = 2;
+  std::uint64_t d = 4;
+  reg.counter_source("d.pulled", &d);
+  reg.add(reg.counter("c.pushed"), 3);
+  reg.counter_source("b.pulled", &b);
+  reg.add(reg.counter("a.pushed"), 1);
+  const Snapshot snap = reg.snapshot();
+  ASSERT_EQ(snap.counters.size(), 4u);
+  const char* names[] = {"a.pushed", "b.pulled", "c.pushed", "d.pulled"};
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(snap.counters[i].name, names[i]);
+    EXPECT_EQ(snap.counters[i].value, i + 1);
+  }
 }
 
 TEST(ObsMetrics, KindClashYieldsNoMetric) {

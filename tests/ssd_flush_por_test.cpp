@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 
 #include "blk/queue.hpp"
+#include "obs/metrics.hpp"
 #include "psu/power_supply.hpp"
 #include "ssd/presets.hpp"
 
@@ -14,10 +16,17 @@ namespace {
 using sim::Duration;
 using sim::Simulator;
 
+/// Attaches `metrics` before any component is built on `sim`, so every
+/// layer registers its counters with it.
+Simulator& with_metrics(Simulator& sim, obs::MetricRegistry& metrics) {
+  sim.set_metrics(&metrics);
+  return sim;
+}
+
 struct Harness {
   explicit Harness(PresetOptions opts = {})
       : sim(29),
-        psu(sim, std::make_unique<psu::PowerLawDischarge>()),
+        psu(with_metrics(sim, metrics), std::make_unique<psu::PowerLawDischarge>()),
         ssd(sim, drive(opts)),
         queue(sim, ssd) {
     psu.attach(ssd);
@@ -71,6 +80,12 @@ struct Harness {
     run_until([&] { return ssd.ready(); });
   }
 
+  /// Snapshot value of a registry counter.
+  std::uint64_t counter(const std::string& name) const {
+    return metrics.snapshot().counter_value(name);
+  }
+
+  obs::MetricRegistry metrics;
   Simulator sim;
   psu::PowerSupply psu;
   Ssd ssd;
@@ -142,6 +157,10 @@ TEST(Por, RecoversFlushedButUnjournaledData) {
   h.run_until([&] { return h.ssd.cache().dirty_pages() == 0; });
   h.power_cycle();
   EXPECT_GT(h.ssd.ftl().stats().por_pages_scanned, 0u);
+  EXPECT_EQ(h.counter("ftl.por.pages_scanned"), h.ssd.ftl().stats().por_pages_scanned);
+  EXPECT_GT(h.ssd.ftl().stats().por_entries_recovered, 0u);
+  EXPECT_EQ(h.counter("ftl.por.entries_recovered"),
+            h.ssd.ftl().stats().por_entries_recovered);
   const auto data = h.read(10, 1);
   ASSERT_EQ(data.size(), 1u);
   EXPECT_EQ(data[0], 0xABu);
