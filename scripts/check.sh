@@ -2,8 +2,8 @@
 # Mechanical gate for the repo: tier-1 build + full ctest, then a
 # ThreadSanitizer build of the concurrent runner code and its tests, then a
 # UBSan build of the resilience layer (retry/checkpoint/resume) and the NAND
-# arena (bit-packing/narrowing), the L2P map and the write cache with their
-# tests.
+# arena (bit-packing/narrowing), the L2P map, the write cache and the event
+# queue with their tests.
 #
 #   scripts/check.sh          # tier-1 + TSan runner tests + UBSan resilience tests
 #   scripts/check.sh --fast   # tier-1 only
@@ -65,12 +65,14 @@ TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
 # plus the arena unit tests, the arena-vs-legacy differential fuzz, the
 # mapping-table tests and the cache tests (with their map-model
 # differential) under -fsanitize=undefined and run them with the golden
-# resume gate.
-echo "==> UBSan: configure + build resilience + NAND arena + L2P map + write cache + session tests (build-ubsan/, -DPOFI_SANITIZE=undefined)"
+# resume gate. The event queue's heap keeps a u32 position per slot that
+# doubles as the free-list link beside a kNil sentinel, so its unit tests,
+# its reference-model fuzz and its zero-alloc proofs run here too.
+echo "==> UBSan: configure + build resilience + NAND arena + L2P map + write cache + session + event queue tests (build-ubsan/, -DPOFI_SANITIZE=undefined)"
 cmake -B build-ubsan -S . -DPOFI_SANITIZE=undefined >/dev/null
-cmake --build build-ubsan -j "${JOBS}" --target runner_resilience_test spec_checkpoint_test determinism_golden_test obs_metrics_test obs_attribution_test nand_block_arena_test nand_chip_fuzz_test nand_alloc_test ftl_mapping_test ssd_cache_test session_fuzz_test session_alloc_test snapshot_alloc_test torture_auditor_test torture_explorer_test
+cmake --build build-ubsan -j "${JOBS}" --target runner_resilience_test spec_checkpoint_test determinism_golden_test obs_metrics_test obs_attribution_test nand_block_arena_test nand_chip_fuzz_test nand_alloc_test ftl_mapping_test ssd_cache_test session_fuzz_test session_alloc_test snapshot_alloc_test torture_auditor_test torture_explorer_test sim_event_queue_test sim_property_test sim_alloc_test
 
-echo "==> UBSan: ctest (retry + checkpoint + resume determinism + obs codec + NAND arena + L2P map + write cache + session reset)"
+echo "==> UBSan: ctest (retry + checkpoint + resume determinism + obs codec + NAND arena + L2P map + write cache + session reset + event queue)"
 # The session reset path is downcast + reseed + snapshot-restore arithmetic
 # — dynamic_cast recovery in acquire(), RNG re-fork label hashing, heap
 # container restores — so the differential fuzz and the zero-alloc reset
@@ -80,6 +82,6 @@ echo "==> UBSan: ctest (retry + checkpoint + resume determinism + obs codec + NA
 # restore-identity golden (DeterminismGolden).
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \
   ctest --test-dir build-ubsan --output-on-failure -j "${JOBS}" \
-        -R 'RunnerResilience|CampaignStatusTaxonomy|JsonlProgressSink|Checkpoint|DeterminismGolden|ObsMetrics|ObsTrace|ObsAttribution|BlockArena|NandChipFuzz|NandChipTouchedBlocks|NandAllocFree|MappingTable|WriteCache|SessionFuzz|SessionAlloc|SnapshotAlloc|TortureAuditor|TortureExplorer'
+        -R 'RunnerResilience|CampaignStatusTaxonomy|JsonlProgressSink|Checkpoint|DeterminismGolden|ObsMetrics|ObsTrace|ObsAttribution|BlockArena|NandChipFuzz|NandChipTouchedBlocks|NandAllocFree|MappingTable|WriteCache|SessionFuzz|SessionAlloc|SnapshotAlloc|TortureAuditor|TortureExplorer|EventQueue|AllocFree'
 
 echo "==> all checks passed"

@@ -5,13 +5,13 @@
 // same instant always fire in the order they were scheduled.
 //
 // Implementation: an indexed binary min-heap over a slot arena. Each event
-// lives in one slot; the heap orders slot indices by (time, seq). Slots are
-// recycled through an intrusive free list, so steady-state scheduling
-// allocates nothing, and the callback's inline storage (InplaceFunction)
-// keeps captures off the heap too. Cancellation flips the slot dead in O(1)
-// — no hash lookups anywhere on the schedule/pop/cancel path — and drops the
-// callback's captured state immediately; the heap entry becomes a tombstone
-// swept lazily when it reaches the top.
+// lives in one slot; the heap orders slot indices by (time, seq), and every
+// slot knows its heap position. Cancellation removes the event from the heap
+// in O(log n) and frees its slot and captured state at once, so the heap and
+// the arena hold only pending events. Slots are recycled through an
+// intrusive free list, so steady-state scheduling allocates nothing, and the
+// callback's inline storage (InplaceFunction) keeps captures off the heap
+// too. No hash lookups anywhere on the schedule/pop/cancel path.
 #pragma once
 
 #include <cassert>
@@ -56,27 +56,28 @@ class EventQueue {
   /// Schedule `cb` to run at absolute time `at`. Returns a cancellable id.
   EventId schedule_at(TimePoint at, Callback cb);
 
-  /// Cancel a pending event. Cancelling an already-fired or unknown id is a
-  /// harmless no-op (returns false). The callback and everything it captured
-  /// are destroyed immediately, not when the tombstone surfaces.
+  /// Cancel a pending event: it leaves the heap, and the callback and
+  /// everything it captured are destroyed, before this returns. Cancelling an
+  /// already-fired or unknown id is a harmless no-op (returns false).
   bool cancel(EventId id);
 
-  [[nodiscard]] bool empty() const { return live_ == 0; }
-  [[nodiscard]] std::size_t size() const { return live_; }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
   /// Time of the earliest pending event; TimePoint::max() when empty.
-  [[nodiscard]] TimePoint next_time() const;
+  [[nodiscard]] TimePoint next_time() const {
+    return heap_.empty() ? TimePoint::max() : heap_[0].time;
+  }
 
   /// True while `id` names a scheduled, not-yet-fired, not-cancelled event.
   /// Stale ids (recycled slot, different seq) read false, like cancel().
   [[nodiscard]] bool pending(EventId id) const {
-    return id.valid() && id.slot_ < slots_.size() && slots_[id.slot_].live &&
-           slots_[id.slot_].seq == id.raw();
+    return id.valid() && id.slot_ < slots_.size() && slots_[id.slot_].seq == id.raw();
   }
 
   /// Scheduled firing time of a pending event; TimePoint::max() otherwise.
   [[nodiscard]] TimePoint time_of(EventId id) const {
-    return pending(id) ? slots_[id.slot_].time : TimePoint::max();
+    return pending(id) ? heap_[pos_[id.slot_]].time : TimePoint::max();
   }
 
   /// Pop and return the earliest event. Precondition: !empty().
@@ -86,22 +87,19 @@ class EventQueue {
   };
   Fired pop();
 
-  /// Drop everything (used when tearing an experiment down). All retained
-  /// callback state is freed here, tombstones included.
+  /// Drop everything (used when tearing an experiment down). All callback
+  /// state is freed here.
   void clear();
 
  private:
   static constexpr std::uint32_t kNil = ~0u;
 
   struct Slot {
-    TimePoint time;
     std::uint64_t seq = 0;  ///< 0 while on the free list
     Callback cb;
-    bool live = false;            ///< scheduled and not cancelled
-    std::uint32_t next_free = kNil;
   };
 
-  /// Heap entry: the (time, seq) sort key is duplicated out of the slot so
+  /// Heap entry: the (time, seq) sort key is held here, not in the slot, so
   /// sift comparisons walk contiguous memory instead of dereferencing two
   /// random slots per level (the heap array is hot; the arena is not).
   struct HeapEntry {
@@ -116,17 +114,24 @@ class EventQueue {
     return a.seq < b.seq;
   }
 
+  /// Store `e` at heap position `pos` and record the position in pos_.
+  void place(std::size_t pos, const HeapEntry& e) {
+    heap_[pos] = e;
+    pos_[e.slot] = static_cast<std::uint32_t>(pos);
+  }
   void sift_up(std::size_t pos);
   void sift_down(std::size_t pos);
-  void pop_heap_top();
+  /// Remove heap_[pos]: the last entry refills the hole and sifts either way.
+  void remove_at(std::size_t pos);
+  /// Destroy the slot's callback and push the slot onto the free list.
   void release_slot(std::uint32_t idx);
-  /// Drop tombstones off the heap top so heap_[0] is live (or heap empty).
-  void sweep_top();
 
-  std::vector<Slot> slots_;      ///< arena; index = slot id
-  std::vector<HeapEntry> heap_;  ///< binary min-heap keyed by (time, seq)
-  std::uint32_t free_head_ = kNil;  ///< intrusive free list through slots_
-  std::size_t live_ = 0;            ///< scheduled minus fired minus cancelled
+  std::vector<Slot> slots_;  ///< arena; index = slot id
+  /// Parallel to slots_: the heap position of a pending slot, the next free
+  /// slot (or kNil) of a free one.
+  std::vector<std::uint32_t> pos_;
+  std::vector<HeapEntry> heap_;     ///< binary min-heap keyed by (time, seq)
+  std::uint32_t free_head_ = kNil;  ///< intrusive free list through pos_
   std::uint64_t next_seq_ = 1;
 };
 

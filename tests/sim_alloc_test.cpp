@@ -8,6 +8,7 @@
 // "allocation-free event kernel" rework, checked rather than asserted.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -74,8 +75,8 @@ TEST(AllocFree, EventKernelSteadyStateAllocatesNothing) {
     std::uint64_t a, b, c, d;
   };
   // High-water the arena and heap above anything the steady loop reaches
-  // (2048 live + ≤512 unswept tombstones), then drain back down so the free
-  // list is stocked and no vector ever needs to grow again.
+  // (2048 pending), then drain back down so the free list is stocked and no
+  // vector ever needs to grow again.
   std::int64_t t = 0;
   for (int i = 0; i < 3072; ++i) {
     const Capture cap{&fired, 1, 2, 3, 4};
@@ -107,6 +108,46 @@ TEST(AllocFree, EventKernelSteadyStateAllocatesNothing) {
       << "event schedule/fire/cancel must not touch the heap in steady state";
   EXPECT_GT(fired, 0u);
   while (!q.empty()) q.pop();
+}
+
+TEST(AllocFree, CancelledWatchdogChurnAllocatesNothing) {
+  // Block-layer traffic: every request arms a 30 s watchdog, its completion
+  // fires microseconds later and cancels the watchdog. A cancelled event
+  // must leave the queue at once; if it lingered until its deadline, the
+  // heap and slot arena would grow with every request.
+  sim::EventQueue q;
+  std::uint64_t completed = 0;
+  std::uint64_t timeouts = 0;
+  struct Capture {
+    std::uint64_t* counter;
+    std::uint64_t id;
+  };
+  constexpr std::int64_t kWatchdogNs = 30'000'000'000;
+  std::int64_t t = 0;
+  std::size_t max_size = 0;
+  const auto step = [&](std::uint64_t i) {
+    q.schedule_at(sim::TimePoint::from_ns(t + 1000),
+                  [cap = Capture{&completed, i}] { *cap.counter += 1; });
+    const auto watchdog = q.schedule_at(sim::TimePoint::from_ns(t + kWatchdogNs),
+                                        [cap = Capture{&timeouts, i}] { *cap.counter += 1; });
+    max_size = std::max(max_size, q.size());
+    auto ev = q.pop();
+    t = ev.time.count_ns();
+    ev.cb();
+    return q.cancel(watchdog);
+  };
+
+  for (std::uint64_t i = 0; i < 16; ++i) ASSERT_TRUE(step(i));  // warmup
+
+  const std::uint64_t before = allocs_now();
+  for (std::uint64_t i = 0; i < 100000; ++i) ASSERT_TRUE(step(i));
+  const std::uint64_t after = allocs_now();
+  EXPECT_EQ(after - before, 0u)
+      << "cancelled watchdogs must not accumulate in the queue";
+  EXPECT_LE(max_size, 2u);
+  EXPECT_EQ(completed, 100016u);
+  EXPECT_EQ(timeouts, 0u);
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(AllocFree, MappingHotPathsAllocateNothing) {

@@ -68,6 +68,28 @@ TEST(EventQueue, SizeTracksLiveEvents) {
   EXPECT_EQ(q.size(), 1u);
 }
 
+TEST(EventQueue, CancelRefillSiftsUp) {
+  // Scheduled in this order the binary heap is [1, 10, 2, 11, 12, 3, 4].
+  // Cancelling 11 moves the last entry (4) into its hole under 10, so the
+  // refill must sift up, not down. 20 and 21 land after the cancel so that 4
+  // is no longer the last entry; otherwise a heap that failed to lift it
+  // would repair itself on the next pops and drain in order anyway.
+  EventQueue q;
+  std::vector<int> order;
+  EventId eleven;
+  for (const int t : {1, 10, 2, 11, 12, 3, 4}) {
+    const EventId id =
+        q.schedule_at(TimePoint::from_ns(t), [&order, t] { order.push_back(t); });
+    if (t == 11) eleven = id;
+  }
+  ASSERT_TRUE(q.cancel(eleven));
+  for (const int t : {20, 21}) {
+    q.schedule_at(TimePoint::from_ns(t), [&order, t] { order.push_back(t); });
+  }
+  while (!q.empty()) q.pop().cb();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 10, 12, 20, 21}));
+}
+
 TEST(Simulator, RunUntilAdvancesClock) {
   Simulator sim;
   int fired = 0;

@@ -64,8 +64,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueTorture, ::testing::Values(7, 77, 777)
 // ---------------------------------------------------------------------------
 // Large-scale fuzz against a naive reference: ≥10k interleaved schedule /
 // cancel / pop operations per seed, with pops checked *during* the run (not
-// just at drain time) so heap-invariant breakage surfaces at the op that
-// caused it. The reference is an unsorted vector scanned linearly for the
+// just at drain time) and next_time(), pending() and time_of() checked after
+// every op, so heap-invariant breakage surfaces at the op that caused it.
+// The reference is an unsorted vector scanned linearly for the
 // (time, insertion-order) minimum — slow but obviously correct.
 // ---------------------------------------------------------------------------
 class EventQueueFuzz : public ::testing::TestWithParam<std::uint64_t> {};
@@ -79,6 +80,7 @@ TEST_P(EventQueueFuzz, TenThousandOpsMatchNaiveReference) {
   };
 
   Rng rng(GetParam());
+  Rng probe_rng(GetParam() + 1);  // own stream: the op sequence stays seed-fixed
   EventQueue queue;
   std::vector<RefEvent> reference;  // index == payload value
   std::vector<EventId> ids;
@@ -136,6 +138,18 @@ TEST_P(EventQueueFuzz, TenThousandOpsMatchNaiveReference) {
     }
     ASSERT_EQ(queue.size(), live) << "op " << op;
     ASSERT_EQ(queue.empty(), live == 0) << "op " << op;
+    const std::size_t min = ref_min();
+    ASSERT_EQ(queue.next_time(), min == reference.size()
+                                     ? TimePoint::max()
+                                     : TimePoint::from_ns(reference[min].t))
+        << "op " << op;
+    // One random handle, fired, cancelled or pending, against its reference.
+    const auto probe = static_cast<std::size_t>(probe_rng.below(ids.size()));
+    ASSERT_EQ(queue.pending(ids[probe]), reference[probe].alive) << "op " << op;
+    ASSERT_EQ(queue.time_of(ids[probe]), reference[probe].alive
+                                             ? TimePoint::from_ns(reference[probe].t)
+                                             : TimePoint::max())
+        << "op " << op;
   }
 
   // Drain: the survivors must come out in exact (time, insertion) order.
@@ -154,9 +168,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueFuzz,
                          ::testing::Values(101, 202, 303, 404, 505));
 
 // ---------------------------------------------------------------------------
-// clear() invariants: a cleared queue retains nothing — no live events, no
-// tombstones, no callback state (captures are destroyed immediately) — and
-// stays fully usable afterwards.
+// clear() invariants: a cleared queue retains nothing — no pending events,
+// no callback state (captures are destroyed immediately) — and stays fully
+// usable afterwards.
 // ---------------------------------------------------------------------------
 TEST(EventQueueClear, FreesAllStateAndStaysUsable) {
   auto alive = std::make_shared<int>(42);  // captured by every callback
@@ -168,7 +182,7 @@ TEST(EventQueueClear, FreesAllStateAndStaysUsable) {
     ids.push_back(
         queue.schedule_at(TimePoint::from_ns(i), [alive] { (void)*alive; }));
   }
-  for (std::size_t i = 0; i < ids.size(); i += 3) queue.cancel(ids[i]);  // tombstones
+  for (std::size_t i = 0; i < ids.size(); i += 3) queue.cancel(ids[i]);
   alive.reset();
   EXPECT_FALSE(watch.expired()) << "queue must be keeping the captures alive";
 
