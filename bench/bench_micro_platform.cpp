@@ -52,14 +52,6 @@ void BM_Fnv1a(benchmark::State& state) {
 }
 BENCHMARK(BM_Fnv1a)->Arg(4096);
 
-void BM_CombineTags(benchmark::State& state) {
-  std::vector<std::uint64_t> tags(static_cast<std::size_t>(state.range(0)), 42);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(workload::combine_tags(tags));
-  }
-}
-BENCHMARK(BM_CombineTags)->Arg(1)->Arg(256);
-
 void BM_BchDecode(benchmark::State& state) {
   const nand::BchEcc ecc(40, 1024);
   sim::Rng rng(1);

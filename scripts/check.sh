@@ -67,12 +67,15 @@ TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
 # differential) under -fsanitize=undefined and run them with the golden
 # resume gate. The event queue's heap keeps a u32 position per slot that
 # doubles as the free-list link beside a kNil sentinel, so its unit tests,
-# its reference-model fuzz and its zero-alloc proofs run here too.
-echo "==> UBSan: configure + build resilience + NAND arena + L2P map + write cache + session + event queue tests (build-ubsan/, -DPOFI_SANITIZE=undefined)"
+# its reference-model fuzz and its zero-alloc proofs run here too. The shadow
+# store's open-addressing tables hash with a wrapping multiply and a shift by
+# 64 - log2(slots) beside an in-band all-ones empty key, so its unit tests
+# and its map-model differential join them.
+echo "==> UBSan: configure + build resilience + NAND arena + L2P map + write cache + session + event queue + shadow store tests (build-ubsan/, -DPOFI_SANITIZE=undefined)"
 cmake -B build-ubsan -S . -DPOFI_SANITIZE=undefined >/dev/null
-cmake --build build-ubsan -j "${JOBS}" --target runner_resilience_test spec_checkpoint_test determinism_golden_test obs_metrics_test obs_attribution_test nand_block_arena_test nand_chip_fuzz_test nand_alloc_test ftl_mapping_test ssd_cache_test session_fuzz_test session_alloc_test snapshot_alloc_test torture_auditor_test torture_explorer_test sim_event_queue_test sim_property_test sim_alloc_test
+cmake --build build-ubsan -j "${JOBS}" --target runner_resilience_test spec_checkpoint_test determinism_golden_test obs_metrics_test obs_attribution_test nand_block_arena_test nand_chip_fuzz_test nand_alloc_test ftl_mapping_test ssd_cache_test session_fuzz_test session_alloc_test snapshot_alloc_test torture_auditor_test torture_explorer_test sim_event_queue_test sim_property_test sim_alloc_test platform_shadow_test
 
-echo "==> UBSan: ctest (retry + checkpoint + resume determinism + obs codec + NAND arena + L2P map + write cache + session reset + event queue)"
+echo "==> UBSan: ctest (retry + checkpoint + resume determinism + obs codec + NAND arena + L2P map + write cache + session reset + event queue + shadow store)"
 # The session reset path is downcast + reseed + snapshot-restore arithmetic
 # — dynamic_cast recovery in acquire(), RNG re-fork label hashing, heap
 # container restores — so the differential fuzz and the zero-alloc reset
@@ -82,6 +85,6 @@ echo "==> UBSan: ctest (retry + checkpoint + resume determinism + obs codec + NA
 # restore-identity golden (DeterminismGolden).
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \
   ctest --test-dir build-ubsan --output-on-failure -j "${JOBS}" \
-        -R 'RunnerResilience|CampaignStatusTaxonomy|JsonlProgressSink|Checkpoint|DeterminismGolden|ObsMetrics|ObsTrace|ObsAttribution|BlockArena|NandChipFuzz|NandChipTouchedBlocks|NandAllocFree|MappingTable|WriteCache|SessionFuzz|SessionAlloc|SnapshotAlloc|TortureAuditor|TortureExplorer|EventQueue|AllocFree'
+        -R 'RunnerResilience|CampaignStatusTaxonomy|JsonlProgressSink|Checkpoint|DeterminismGolden|ObsMetrics|ObsTrace|ObsAttribution|BlockArena|NandChipFuzz|NandChipTouchedBlocks|NandAllocFree|MappingTable|WriteCache|SessionFuzz|SessionAlloc|SnapshotAlloc|TortureAuditor|TortureExplorer|EventQueue|AllocFree|ShadowStore'
 
 echo "==> all checks passed"

@@ -4,7 +4,6 @@
 
 #include "obs/metrics.hpp"
 #include "sim/log.hpp"
-#include "workload/checksum.hpp"
 
 namespace pofi::platform {
 
@@ -203,8 +202,6 @@ void TestPlatform::submit_one(RequestSpec spec) {
     for (std::uint32_t i = 0; i < spec.pages; ++i) {
       p.initial_page_tags.push_back(shadow_.expected(spec.lpn + i));
     }
-    p.data_checksum = workload::combine_tags(p.page_tags);
-    p.initial_checksum = workload::combine_tags(p.initial_page_tags);
     auto tags_copy = p.page_tags;
     queue_->submit_write(spec.lpn, std::move(tags_copy),
                          [this, p = std::move(p)](blk::RequestOutcome out) mutable {
@@ -229,7 +226,6 @@ void TestPlatform::handle_outcome(DataPacket packet, blk::RequestOutcome out) {
       analyzer_->note_acked_write(std::move(packet));
     } else {
       ++reads_completed_;
-      packet.final_checksum = workload::combine_tags(out.read_contents);
       analyzer_->note_read_result(packet, out.read_contents);
     }
     if (closed_loop) {

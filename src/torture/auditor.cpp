@@ -143,7 +143,8 @@ AuditReport InvariantAuditor::audit(const ssd::Ssd& ssd,
   if (shadow != nullptr) {
     const std::vector<ftl::Lpn>& reverted = ftl.last_reverted_lpns();
     const std::vector<ftl::Lpn>& dropped = ssd.cache().last_dropped_lpns();
-    // Deterministic visit order: collect and sort (the shadow map is hashed).
+    // Deterministic visit order: collect and sort (the shadow store visits
+    // its slots in hash order).
     std::vector<std::pair<ftl::Lpn, std::uint64_t>> acked;
     shadow->for_each([&](ftl::Lpn lpn, std::uint64_t expected, bool indeterminate) {
       if (indeterminate) return;  // device may hold either version: no claim

@@ -41,18 +41,4 @@ std::uint64_t fnv1a64(std::span<const std::uint8_t> data) {
   return h;
 }
 
-std::uint64_t combine_tags(std::span<const std::uint64_t> tags) {
-  // FNV-1a over the tag bytes, mixing in the position so reorderings differ.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  std::uint64_t pos = 1;
-  for (const std::uint64_t t : tags) {
-    std::uint64_t v = t * 0x9e3779b97f4a7c15ULL + pos++;
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xffULL;
-      h *= 0x100000001b3ULL;
-    }
-  }
-  return h;
-}
-
 }  // namespace pofi::workload

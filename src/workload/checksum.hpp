@@ -20,8 +20,4 @@ namespace pofi::workload {
 /// FNV-1a 64-bit.
 [[nodiscard]] std::uint64_t fnv1a64(std::span<const std::uint8_t> data);
 
-/// Combine a sequence of page tags into one request-level checksum. Order
-/// sensitive (a permuted payload must not collide).
-[[nodiscard]] std::uint64_t combine_tags(std::span<const std::uint64_t> tags);
-
 }  // namespace pofi::workload

@@ -1,11 +1,12 @@
 // Fig. 2 of the paper: the data packet.
 //
 // Every generated request is a packet of header + randomly generated data.
-// The header carries size, destination address, queue/complete times and the
-// three checksums used for failure detection: the checksum of the payload,
-// the checksum of whatever lived at the address *before* the request (for
-// FWA detection), and the checksum read back after completion. The trailing
-// flags are filled by the Analyzer.
+// The header carries size, destination address and queue/complete times; the
+// trailing flags are filled by the Analyzer. The paper's three checksums
+// (payload, contents before the request, read-back) are carried per page:
+// content tags are collision-free, so `page_tags` is the payload checksum,
+// `initial_page_tags` what lived at the address before the request (for FWA
+// detection), and the read-back is compared page by page by the Analyzer.
 #pragma once
 
 #include <cstdint>
@@ -31,21 +32,16 @@ struct DataPacket {
   sim::TimePoint queue_time;     ///< when the request was queued to the device
   sim::TimePoint complete_time;  ///< when the ACK arrived (if it did)
 
-  std::uint64_t initial_checksum = 0;  ///< contents at address before issuing
-  std::uint64_t data_checksum = 0;     ///< checksum of this packet's payload
-  std::uint64_t final_checksum = 0;    ///< read-back checksum after completion
-
   // ----- flags (filled by the Analyzer) --------------------------------------
   bool modified = false;      ///< ACK seen (request reported complete)
   bool data_failure = false;  ///< read-back mismatched the payload
   bool not_issued = false;    ///< never reached the device / IO error
 
   // ----- payload --------------------------------------------------------------
-  /// One collision-free content tag per page (hot path). The request-level
-  /// data_checksum is combine_tags() over these.
+  /// One collision-free content tag per page: the payload's checksum.
   std::vector<std::uint64_t> page_tags;
-  /// Per-page contents at the destination when the request was issued (the
-  /// expansion of initial_checksum; what an FWA leaves behind).
+  /// Per-page contents at the destination when the request was issued (what
+  /// an FWA leaves behind).
   std::vector<std::uint64_t> initial_page_tags;
 
   [[nodiscard]] std::uint64_t bytes(std::uint32_t page_size) const {

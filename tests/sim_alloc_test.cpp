@@ -12,9 +12,12 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <span>
+#include <vector>
 
 #include "blk/queue.hpp"
 #include "ftl/mapping.hpp"
+#include "platform/shadow_store.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/inplace_function.hpp"
 #include "ssd/ssd.hpp"
@@ -168,6 +171,41 @@ TEST(AllocFree, MappingHotPathsAllocateNothing) {
   const std::uint64_t after = allocs_now();
   EXPECT_EQ(after - before, 0u)
       << "lookup and re-dirty update must not touch the heap";
+  EXPECT_GT(acc, 0u);
+}
+
+TEST(AllocFree, ShadowStoreTrackedPagesAllocateNothing) {
+  constexpr ftl::Lpn kPages = 4096;
+  platform::ShadowStore shadow;
+  const std::vector<std::uint64_t> tags = shadow.allocate_tags(kPages);
+  const std::span<const std::uint64_t> all(tags);
+
+  // The footprint: every page committed, every 8th also left indeterminate
+  // by a failed write, so both tables hold pages. The first replay grows
+  // them to their high-water size.
+  std::uint64_t acc = 0;
+  const auto replay = [&] {
+    shadow.commit_write(0, all);
+    for (ftl::Lpn lpn = 0; lpn < kPages; lpn += 8) shadow.mark_indeterminate(lpn, all.subspan(lpn, 1));
+    for (ftl::Lpn lpn = 0; lpn < kPages; ++lpn) {
+      acc += shadow.expected(lpn);
+      acc += shadow.acceptable(lpn, tags[lpn]) ? 1 : 0;
+      shadow.observe(lpn, tags[lpn]);
+    }
+  };
+  replay();
+
+  const std::uint64_t before = allocs_now();
+  for (int round = 0; round < 4; ++round) replay();
+  EXPECT_EQ(allocs_now() - before, 0u)
+      << "commit, lookup, mark and observe on tracked pages must not touch the heap";
+
+  shadow.reset();
+  EXPECT_EQ(shadow.tracked_pages(), 0u);
+  replay();
+  EXPECT_EQ(allocs_now() - before, 0u)
+      << "reset keeps both slot arrays: replaying the same footprint must not grow them";
+  EXPECT_EQ(shadow.tracked_pages(), kPages);
   EXPECT_GT(acc, 0u);
 }
 

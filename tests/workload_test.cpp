@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <set>
 
 namespace pofi::workload {
 namespace {
@@ -46,20 +45,6 @@ TEST(Fnv1a64, KnownVectors) {
   const char* s = "a";
   std::vector<std::uint8_t> data(s, s + 1);
   EXPECT_EQ(fnv1a64(data), 0xaf63dc4c8601ec8cULL);
-}
-
-TEST(CombineTags, OrderSensitive) {
-  const std::vector<std::uint64_t> a{1, 2, 3};
-  const std::vector<std::uint64_t> b{3, 2, 1};
-  EXPECT_NE(combine_tags(a), combine_tags(b));
-}
-
-TEST(CombineTags, DistinctForDistinctContents) {
-  std::set<std::uint64_t> seen;
-  for (std::uint64_t t = 0; t < 1000; ++t) {
-    const std::vector<std::uint64_t> tags{t, t + 1};
-    EXPECT_TRUE(seen.insert(combine_tags(tags)).second);
-  }
 }
 
 // ------------------------------------------------------------- generator
