@@ -1,4 +1,5 @@
-// Shared helpers for the figure/table reproduction benches.
+// Shared helpers for the ablation and fleet benches. The paper's figures
+// and tables are committed specs run by `pofi_run --spec` (EXPERIMENTS.md).
 //
 // Scale note: the paper's campaigns (hundreds of faults, tens of thousands
 // of requests per experiment) run for days on physical hardware. The
@@ -9,23 +10,16 @@
 
 #include <chrono>
 #include <cstdio>
-#include <string>
-#include <vector>
-
 #include <cstdlib>
+#include <string>
+#include <thread>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
 
 #include "platform/test_platform.hpp"
-#include "runner/progress.hpp"
-#include "runner/runner_config.hpp"
-#include "spec/campaign.hpp"
-#include "spec/version.hpp"
-#include "stats/csv.hpp"
 #include "ssd/presets.hpp"
-#include "stats/summary.hpp"
 #include "stats/table.hpp"
 
 namespace pofi::bench {
@@ -52,83 +46,6 @@ inline unsigned bench_threads() {
     if (v > 0) return static_cast<unsigned>(v);
   }
   return 0;
-}
-
-/// Path of a committed campaign spec: $POFI_SPEC_DIR (runtime) overrides
-/// the compiled-in source-tree `specs/` directory.
-inline std::string spec_path(const char* file) {
-  const char* dir = std::getenv("POFI_SPEC_DIR");
-  return std::string(dir == nullptr ? POFI_SPEC_DIR : dir) + "/" + file;
-}
-
-/// Load a figure bench's committed spec; POFI_THREADS (when set) overrides
-/// the spec's runner thread count, matching the pre-spec bench behaviour.
-inline spec::CampaignSpec load_spec(const char* file) {
-  spec::CampaignSpec campaign = spec::load_campaign_file(spec_path(file));
-  if (std::getenv("POFI_THREADS") != nullptr) {
-    campaign.runner.threads = bench_threads();
-  }
-  return campaign;
-}
-
-/// Result of a spec-driven bench campaign: summary rows plus the outcome
-/// taxonomy of the run that produced them (for CSV provenance comments).
-struct SpecRun {
-  std::vector<spec::CampaignRow> rows;
-  std::size_t ok = 0;
-  std::size_t retried = 0;
-  std::size_t timed_out = 0;
-  std::size_t restored = 0;  ///< spliced in from the checkpoint (--resume)
-  std::string checkpoint_path;  ///< empty when checkpointing is off
-};
-
-/// Run a figure bench's campaign through the resilient spec runner. When
-/// POFI_CHECKPOINT_DIR is set, the bench checkpoints every finished entry to
-/// <dir>/<name>.checkpoint.jsonl and resumes from it — a killed multi-hour
-/// figure sweep restarts where it stopped, with bit-identical series. A
-/// failed or quarantined entry throws: a figure with silently missing points
-/// is worse than no figure.
-inline SpecRun run_spec_campaign(const spec::CampaignSpec& campaign, const char* name,
-                                 runner::ProgressSink* sink = nullptr) {
-  spec::RunCampaignOptions options;
-  options.sink = sink;
-  if (const char* dir = std::getenv("POFI_CHECKPOINT_DIR")) {
-    options.checkpoint_path = std::string(dir) + "/" + name + ".checkpoint.jsonl";
-    options.resume = true;
-  }
-  SpecRun run;
-  run.checkpoint_path = options.checkpoint_path;
-  auto outcomes = spec::run_campaign(campaign, options);
-  for (const auto& out : outcomes) {
-    run.ok += out.status == runner::CampaignStatus::kOk;
-    run.retried += out.status == runner::CampaignStatus::kRetriedOk;
-    run.timed_out += out.status == runner::CampaignStatus::kTimedOut;
-    run.restored += out.status == runner::CampaignStatus::kSkippedCached;
-  }
-  run.rows = spec::campaign_rows(std::move(outcomes));
-  return run;
-}
-
-/// Provenance comments for exported CSV: the campaign's canonical content
-/// hash plus the build that produced the series.
-inline void stamp_provenance(stats::CsvWriter& csv, const spec::CampaignSpec& campaign) {
-  csv.add_comment("spec: " + spec::hash_string(campaign.hash));
-  csv.add_comment(std::string("build: ") + spec::pofi_version());
-}
-
-/// Provenance + outcome taxonomy: how each series point was obtained (fresh,
-/// retried, over budget, restored from a checkpoint), so a CSV consumer can
-/// tell a clean sweep from a degraded or resumed one.
-inline void stamp_provenance(stats::CsvWriter& csv, const spec::CampaignSpec& campaign,
-                             const SpecRun& run) {
-  stamp_provenance(csv, campaign);
-  csv.add_comment("entries: ok=" + std::to_string(run.ok) +
-                  " retried-ok=" + std::to_string(run.retried) +
-                  " timed-out=" + std::to_string(run.timed_out) +
-                  " restored=" + std::to_string(run.restored));
-  if (!run.checkpoint_path.empty()) {
-    csv.add_comment("checkpoint: " + run.checkpoint_path);
-  }
 }
 
 /// Wall-clock seconds spent in `fn`.
@@ -238,28 +155,6 @@ inline void paper_size_range(workload::WorkloadConfig& wl, const ssd::SsdConfig&
   wl.min_pages = (4u * 1024) / page;
   wl.max_pages = (1024u * 1024) / page;
   if (wl.min_pages == 0) wl.min_pages = 1;
-}
-
-/// When POFI_CSV_DIR is set, export the bench's series for plotting.
-inline void maybe_export_csv(const char* name, const stats::CsvWriter& csv) {
-  const char* dir = std::getenv("POFI_CSV_DIR");
-  if (dir == nullptr) return;
-  const std::string path = std::string(dir) + "/" + name + ".csv";
-  if (csv.write_file(path)) {
-    std::printf("csv written: %s\n", path.c_str());
-  } else {
-    std::fprintf(stderr, "csv write FAILED: %s\n", path.c_str());
-  }
-}
-
-inline void print_result_row(const platform::ExperimentResult& r, const char* label) {
-  std::printf(
-      "  %-14s faults=%-4u reqs=%-6llu dataFail=%-5llu FWA=%-5llu ioErr=%-4llu "
-      "perFault=%.2f\n",
-      label, r.faults_injected, static_cast<unsigned long long>(r.requests_submitted),
-      static_cast<unsigned long long>(r.data_failures),
-      static_cast<unsigned long long>(r.fwa_failures),
-      static_cast<unsigned long long>(r.io_errors), r.data_failures_per_fault());
 }
 
 }  // namespace pofi::bench

@@ -25,6 +25,7 @@
 #include "bench_common.hpp"
 #include "runner/experiment_session.hpp"
 #include "sim/rng.hpp"
+#include "spec/campaign.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};

@@ -6,6 +6,7 @@
 //   pofi_run --spec specs/quickstart.json
 //   pofi_run --spec specs/fig7_request_size.json --set runner.threads=2
 //   pofi_run --spec specs/quickstart.json --dump-spec
+//   pofi_run --spec specs/fig8_iops.json --csv fig8.csv
 //   pofi_run --model A --faults 50 --requests 4000 --read-pct 20
 //            --pattern random --wss-gb 8 --seed 42
 //   pofi_run --model B --cache off --faults 30
@@ -17,13 +18,16 @@
 // --dump-spec prints it, and the document's canonical content hash is
 // stamped into the report for provenance.
 #include <atomic>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -93,6 +97,7 @@ struct Options {
   std::string repro_out;
   std::string checkpoint_path;
   std::string metrics_dir;
+  std::string csv_path;
   bool resume = false;
   bool dump_spec = false;
   std::vector<std::string> sets;  ///< --set key=value overrides, in order
@@ -142,6 +147,9 @@ struct Options {
       "                       export one JSON file per entry into DIR, plus a\n"
       "                       runner.json worker-utilization sidecar; each file\n"
       "                       is stamped with the spec content hash\n"
+      "  --csv FILE           write the summary columns to FILE as CSV, one row\n"
+      "                       per campaign at full precision, stamped with the\n"
+      "                       spec content hash, build and entry outcome counts\n"
       "  --version            print the build-provenance stamp and exit\n"
       "  --help               this text\n"
       "\n"
@@ -169,10 +177,50 @@ const char* next_arg(int argc, char** argv, int& i) {
   return argv[++i];
 }
 
+/// A malformed flag value exits 2 naming the flag, before any campaign or
+/// thread starts.
+[[noreturn]] void bad_value(const std::string& flag, const char* text,
+                            const std::string& expected) {
+  std::fprintf(stderr, "pofi_run: %s expects %s, got \"%s\"\n", flag.c_str(),
+               expected.c_str(), text);
+  std::exit(kExitUsage);
+}
+
+/// Parse the whole token `text` as a T in [lo, hi]: trailing junk, an
+/// overflow, a value out of range (a negative count included) or NaN is
+/// a bad value.
+template <typename T>
+T number(const std::string& flag, const char* text, T lo, T hi) {
+  T v{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc{} || ptr != end || !(v >= lo && v <= hi)) {
+    bad_value(flag, text,
+              "a number in [" + spec::canonical(spec::Value(lo)) + ", " +
+                  spec::canonical(spec::Value(hi)) + "]");
+  }
+  return v;
+}
+
+/// The index of `text` among `choices`; anything else is a bad value.
+std::size_t choice(const std::string& flag, const char* text,
+                   std::initializer_list<const char*> choices) {
+  std::string expected = "one of";
+  std::size_t i = 0;
+  for (const char* c : choices) {
+    if (std::strcmp(c, text) == 0) return i;
+    expected += (i++ == 0 ? " " : "|") + std::string(c);
+  }
+  bad_value(flag, text, expected);
+}
+
 Options parse(int argc, char** argv) {
+  constexpr auto kU32 = std::numeric_limits<std::uint32_t>::max();
+  constexpr auto kU64 = std::numeric_limits<std::uint64_t>::max();
   Options o;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
+    const auto value = [&] { return next_arg(argc, argv, i); };
     if (a == "--help" || a == "-h") usage(0);
     else if (a == "--version") {
       // The provenance stamp written into reports/CSV/metrics artifacts,
@@ -183,66 +231,68 @@ Options parse(int argc, char** argv) {
 #endif
       std::exit(0);
     }
-    else if (a == "--spec") o.spec_path = next_arg(argc, argv, i);
-    else if (a == "--torture") o.torture_path = next_arg(argc, argv, i);
-    else if (a == "--repro-out") o.repro_out = next_arg(argc, argv, i);
-    else if (a == "--metrics") o.metrics_dir = next_arg(argc, argv, i);
-    else if (a == "--checkpoint") o.checkpoint_path = next_arg(argc, argv, i);
+    else if (a == "--spec") o.spec_path = value();
+    else if (a == "--torture") o.torture_path = value();
+    else if (a == "--repro-out") o.repro_out = value();
+    else if (a == "--metrics") o.metrics_dir = value();
+    else if (a == "--csv") o.csv_path = value();
+    else if (a == "--checkpoint") o.checkpoint_path = value();
     else if (a == "--resume") o.resume = true;
     else if (a == "--dump-spec") o.dump_spec = true;
-    else if (a == "--set") o.sets.emplace_back(next_arg(argc, argv, i));
+    else if (a == "--set") o.sets.emplace_back(value());
     else if (a == "--model") {
-      const std::string v = next_arg(argc, argv, i);
-      if (v == "A") o.model = ssd::VendorModel::kA;
-      else if (v == "B") o.model = ssd::VendorModel::kB;
-      else if (v == "C") o.model = ssd::VendorModel::kC;
-      else usage(2);
-    } else if (a == "--faults") o.faults = static_cast<std::uint32_t>(std::atoi(next_arg(argc, argv, i)));
-    else if (a == "--requests") o.requests = static_cast<std::uint64_t>(std::atoll(next_arg(argc, argv, i)));
-    else if (a == "--read-pct") o.read_pct = std::atoi(next_arg(argc, argv, i));
-    else if (a == "--wss-gb") o.wss_gb = std::atof(next_arg(argc, argv, i));
-    else if (a == "--size-min-kb") o.size_min_kb = std::atoi(next_arg(argc, argv, i));
-    else if (a == "--size-max-kb") o.size_max_kb = std::atoi(next_arg(argc, argv, i));
-    else if (a == "--pattern") o.sequential = std::string(next_arg(argc, argv, i)) == "sequential";
+      constexpr ssd::VendorModel kModels[] = {ssd::VendorModel::kA, ssd::VendorModel::kB,
+                                              ssd::VendorModel::kC};
+      o.model = kModels[choice(a, value(), {"A", "B", "C"})];
+    }
+    // Ranges match the spec codec's for the key each flag sets.
+    else if (a == "--faults") o.faults = number<std::uint32_t>(a, value(), 1, kU32);
+    else if (a == "--requests") o.requests = number<std::uint64_t>(a, value(), 1, kU64);
+    else if (a == "--read-pct") o.read_pct = number(a, value(), 0, 100);
+    // 1 MiB .. 1 PiB: the page count stays a well-defined uint64.
+    else if (a == "--wss-gb") o.wss_gb = number(a, value(), 1.0 / 1024, 1048576.0);
+    // 4 KiB .. 1 GiB: the byte size stays a well-defined uint32.
+    else if (a == "--size-min-kb") o.size_min_kb = number(a, value(), 4, 1 << 20);
+    else if (a == "--size-max-kb") o.size_max_kb = number(a, value(), 4, 1 << 20);
+    else if (a == "--pattern") o.sequential = choice(a, value(), {"random", "sequential"}) == 1;
     else if (a == "--sequence") {
-      const std::string v = next_arg(argc, argv, i);
-      if (v == "none") o.sequence = workload::SequenceMode::kNone;
-      else if (v == "rar") o.sequence = workload::SequenceMode::kRAR;
-      else if (v == "raw") o.sequence = workload::SequenceMode::kRAW;
-      else if (v == "war") o.sequence = workload::SequenceMode::kWAR;
-      else if (v == "waw") o.sequence = workload::SequenceMode::kWAW;
-      else usage(2);
-    } else if (a == "--pace") o.pace_iops = std::atof(next_arg(argc, argv, i));
-    else if (a == "--iops") o.target_iops = std::atof(next_arg(argc, argv, i));
-    else if (a == "--cache") o.cache = std::string(next_arg(argc, argv, i)) != "off";
+      constexpr workload::SequenceMode kModes[] = {
+          workload::SequenceMode::kNone, workload::SequenceMode::kRAR,
+          workload::SequenceMode::kRAW, workload::SequenceMode::kWAR,
+          workload::SequenceMode::kWAW};
+      o.sequence = kModes[choice(a, value(), {"none", "rar", "raw", "war", "waw"})];
+    }
+    else if (a == "--pace") o.pace_iops = number(a, value(), 0.0, 1e9);
+    else if (a == "--iops") o.target_iops = number(a, value(), 0.0, 1e9);
+    else if (a == "--cache") o.cache = choice(a, value(), {"off", "on"}) == 1;
     else if (a == "--plp") o.plp = true;
     else if (a == "--por") o.por = true;
-    else if (a == "--preage") o.preage = static_cast<std::uint32_t>(std::atoi(next_arg(argc, argv, i)));
-    else if (a == "--capacity-gb") o.capacity_gb = static_cast<std::uint32_t>(std::atoi(next_arg(argc, argv, i)));
+    else if (a == "--preage") o.preage = number<std::uint32_t>(a, value(), 0, kU32);
+    else if (a == "--capacity-gb") o.capacity_gb = number<std::uint32_t>(a, value(), 1, kU32);
     else if (a == "--cutoff") {
-      const std::string v = next_arg(argc, argv, i);
-      if (v == "power-law") o.cutoff = psu::DischargeKind::kPowerLaw;
-      else if (v == "exponential") o.cutoff = psu::DischargeKind::kExponential;
-      else if (v == "instant") o.cutoff = psu::DischargeKind::kInstant;
-      else usage(2);
-    } else if (a == "--seed") o.seed = static_cast<std::uint64_t>(std::atoll(next_arg(argc, argv, i)));
+      constexpr psu::DischargeKind kKinds[] = {psu::DischargeKind::kPowerLaw,
+                                               psu::DischargeKind::kExponential,
+                                               psu::DischargeKind::kInstant};
+      o.cutoff = kKinds[choice(a, value(), {"power-law", "exponential", "instant"})];
+    }
+    else if (a == "--seed") o.seed = number<std::uint64_t>(a, value(), 0, kU64);
     else if (a == "--units") {
-      o.units = static_cast<std::uint32_t>(std::atoi(next_arg(argc, argv, i)));
+      o.units = number<std::uint32_t>(a, value(), 1, 100'000);
       o.units_set = true;
     }
     else if (a == "--threads") {
-      o.threads = static_cast<unsigned>(std::atoi(next_arg(argc, argv, i)));
+      o.threads = number<unsigned>(a, value(), 0, 1024);
       o.threads_set = true;
     } else if (a == "--progress") {
-      o.progress = next_arg(argc, argv, i);
-      if (o.progress != "console" && o.progress != "jsonl" && o.progress != "off") usage(2);
+      o.progress = value();
+      (void)choice(a, o.progress.c_str(), {"console", "jsonl", "off"});
     } else {
       std::fprintf(stderr, "unknown option %s\n", a.c_str());
       usage(2);
     }
   }
-  if (o.read_pct < 0 || o.read_pct > 100 || o.size_min_kb < 4 ||
-      o.size_max_kb < o.size_min_kb || o.faults == 0 || o.units == 0) {
+  if (o.size_max_kb < o.size_min_kb) {
+    std::fprintf(stderr, "--size-max-kb must be at least --size-min-kb\n");
     usage(2);
   }
   if (o.resume && o.checkpoint_path.empty()) {
@@ -251,6 +301,10 @@ Options parse(int argc, char** argv) {
   }
   if (!o.torture_path.empty() && !o.spec_path.empty()) {
     std::fprintf(stderr, "--torture and --spec are mutually exclusive\n");
+    usage(2);
+  }
+  if (!o.csv_path.empty() && !o.torture_path.empty()) {
+    std::fprintf(stderr, "--csv applies to campaigns, not --torture\n");
     usage(2);
   }
   if (!o.repro_out.empty() && o.torture_path.empty()) {
@@ -588,16 +642,19 @@ int main(int argc, char** argv) {
           break;
       }
       if (runner::is_success(out.status)) {
-        rows.push_back({out.label, out.result});
+        rows.push_back({out.label, out.result, out.status});
       }
     }
+    const bool csv_failed =
+        !o.csv_path.empty() && !spec::summary_csv(rows, campaign).write_file(o.csv_path);
+    if (csv_failed) std::fprintf(stderr, "pofi_run: failed writing %s\n", o.csv_path.c_str());
 
     if (rows.size() == 1 && outcomes.size() == 1 && degraded.empty() && !cancelled) {
       platform::ReportOptions ro;
       ro.spec_hash = hash;
       ro.version = spec::pofi_version();
       std::fputs(platform::format_report(rows.front().result, ro).c_str(), stdout);
-      return kExitOk;
+      return csv_failed ? kExitRuntime : kExitOk;
     }
 
     std::printf("%zu/%zu campaigns completed, %u worker threads%s\n\n", rows.size(),
@@ -633,7 +690,7 @@ int main(int argc, char** argv) {
     std::printf("provenance: %s | %s\n", hash.c_str(), spec::pofi_version());
 
     if (cancelled) return kExitCancelled;
-    if (any_failed) return kExitRuntime;
+    if (any_failed || csv_failed) return kExitRuntime;
     if (any_audit_failed) return kExitAuditFailed;
     if (any_quarantined || any_timed_out) return kExitDegraded;
     return kExitOk;

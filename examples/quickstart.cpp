@@ -33,8 +33,8 @@ int main() try {
   ro.version = spec::pofi_version();
   std::fputs(platform::format_report(rows.front().result, ro).c_str(), stdout);
   std::printf(
-      "\nnext steps: run the figure benches (build/bench/*) or the other examples\n"
-      "(datacenter_outage, acid_torture, vendor_qualification).\n");
+      "\nnext steps: render a paper figure (pofi_run --spec specs/fig7_request_size.json)\n"
+      "or run the other examples (datacenter_outage, acid_torture, vendor_qualification).\n");
   return 0;
 } catch (const std::exception& e) {
   std::fprintf(stderr, "error: %s\n", e.what());

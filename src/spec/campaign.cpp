@@ -10,6 +10,7 @@
 #include "sim/rng.hpp"
 #include "spec/checkpoint.hpp"
 #include "spec/codec.hpp"
+#include "spec/version.hpp"
 #include "stats/table.hpp"
 
 namespace pofi::spec {
@@ -337,7 +338,7 @@ std::vector<CampaignRow> campaign_rows(std::vector<runner::CampaignRunner::Outco
       case runner::CampaignStatus::kRetriedOk:
       case runner::CampaignStatus::kTimedOut:
       case runner::CampaignStatus::kSkippedCached:
-        rows.push_back({std::move(out.label), std::move(out.result)});
+        rows.push_back({std::move(out.label), std::move(out.result), out.status});
         break;
       case runner::CampaignStatus::kFailed:
       case runner::CampaignStatus::kAuditFailed:
@@ -360,18 +361,56 @@ std::vector<CampaignRow> run_campaign_rows(const CampaignSpec& spec,
   return campaign_rows(run_campaign(spec, sink));
 }
 
+namespace {
+
+/// The summary columns, shared by the table and its CSV export.
+const std::vector<std::string> kSummaryColumns = {
+    "campaign",   "faults",     "requests",       "data failures", "FWA",
+    "IO errors",  "loss/fault", "responded IOPS", "mean Q2C us"};
+
+/// One row's cells in kSummaryColumns order: rounded for the table, the
+/// shortest round-trip form for the CSV.
+std::vector<std::string> summary_cells(const CampaignRow& row, bool full_precision) {
+  const platform::ExperimentResult& r = row.result;
+  const auto real = [full_precision](double v, int precision) {
+    return full_precision ? canonical(Value(v)) : stats::Table::fmt(v, precision);
+  };
+  return {row.label,
+          stats::Table::fmt(std::uint64_t{r.faults_injected}),
+          stats::Table::fmt(r.requests_submitted),
+          stats::Table::fmt(r.data_failures),
+          stats::Table::fmt(r.fwa_failures),
+          stats::Table::fmt(r.io_errors),
+          real(r.data_failures_per_fault(), 2),
+          real(r.responded_iops, 0),
+          real(r.mean_latency_us, 0)};
+}
+
+}  // namespace
+
 std::string summary_table(const std::vector<CampaignRow>& rows) {
-  stats::Table table({"campaign", "faults", "requests", "data failures", "FWA", "IO errors",
-                      "loss/fault", "mean Q2C us"});
-  for (const CampaignRow& row : rows) {
-    const platform::ExperimentResult& r = row.result;
-    table.add_row({row.label, stats::Table::fmt(std::uint64_t{r.faults_injected}),
-                   stats::Table::fmt(r.requests_submitted), stats::Table::fmt(r.data_failures),
-                   stats::Table::fmt(r.fwa_failures), stats::Table::fmt(r.io_errors),
-                   stats::Table::fmt(r.data_failures_per_fault(), 2),
-                   stats::Table::fmt(r.mean_latency_us, 0)});
-  }
+  stats::Table table(kSummaryColumns);
+  for (const CampaignRow& row : rows) table.add_row(summary_cells(row, false));
   return table.render();
+}
+
+stats::CsvWriter summary_csv(const std::vector<CampaignRow>& rows,
+                             const CampaignSpec& campaign) {
+  std::size_t ok = 0, retried = 0, timed_out = 0, restored = 0;
+  for (const CampaignRow& row : rows) {
+    ok += row.status == runner::CampaignStatus::kOk;
+    retried += row.status == runner::CampaignStatus::kRetriedOk;
+    timed_out += row.status == runner::CampaignStatus::kTimedOut;
+    restored += row.status == runner::CampaignStatus::kSkippedCached;
+  }
+  stats::CsvWriter csv(kSummaryColumns);
+  csv.add_comment("spec: " + hash_string(campaign.hash));
+  csv.add_comment(std::string("build: ") + pofi_version());
+  csv.add_comment("entries: ok=" + std::to_string(ok) + " retried-ok=" +
+                  std::to_string(retried) + " timed-out=" + std::to_string(timed_out) +
+                  " restored=" + std::to_string(restored));
+  for (const CampaignRow& row : rows) csv.add_row(summary_cells(row, true));
+  return csv;
 }
 
 }  // namespace pofi::spec

@@ -39,6 +39,7 @@
 #include "runner/campaign_runner.hpp"
 #include "spec/value.hpp"
 #include "ssd/ssd.hpp"
+#include "stats/csv.hpp"
 
 namespace pofi::spec {
 
@@ -121,10 +122,12 @@ struct RunCampaignOptions {
 [[nodiscard]] std::vector<runner::CampaignRunner::Outcome> run_campaign(
     const CampaignSpec& spec, const RunCampaignOptions& options);
 
-/// One finished entry: the summary-table row name and its result.
+/// One finished entry: the summary-table row name, its result and how it
+/// was obtained (fresh, retried, over budget, restored from a checkpoint).
 struct CampaignRow {
   std::string label;
   platform::ExperimentResult result;
+  runner::CampaignStatus status = runner::CampaignStatus::kOk;
 };
 
 /// Fold outcomes into rows in entry order: every success (ok, retried-ok,
@@ -139,7 +142,14 @@ struct CampaignRow {
 [[nodiscard]] std::vector<CampaignRow> run_campaign_rows(
     const CampaignSpec& spec, runner::ProgressSink* sink = nullptr);
 
-/// Render rows as an aligned comparison table.
+/// Render rows as an aligned comparison table: one row per entry, with the
+/// entry label (which carries the figure's x value) first.
 [[nodiscard]] std::string summary_table(const std::vector<CampaignRow>& rows);
+
+/// The same columns as summary_table, one CSV row per entry at full
+/// precision, stamped with the campaign's content hash, the build and the
+/// ok / retried-ok / timed-out / restored entry counts.
+[[nodiscard]] stats::CsvWriter summary_csv(const std::vector<CampaignRow>& rows,
+                                           const CampaignSpec& campaign);
 
 }  // namespace pofi::spec

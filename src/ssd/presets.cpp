@@ -1,7 +1,5 @@
 #include "ssd/presets.hpp"
 
-#include <cstdio>
-
 namespace pofi::ssd {
 
 namespace {
@@ -83,24 +81,6 @@ std::vector<SsdConfig> table1_fleet() {
     }
   }
   return fleet;
-}
-
-std::string table1_row(const SsdConfig& cfg, int units_in_experiments) {
-  char year[16];
-  if (cfg.release_year > 0) {
-    std::snprintf(year, sizeof year, "%d", cfg.release_year);
-  } else {
-    std::snprintf(year, sizeof year, "NA");
-  }
-  const char* ecc_name = cfg.chip.ecc == nand::EccKind::kLdpc  ? "Yes(LDPC)"
-                         : cfg.chip.ecc == nand::EccKind::kBch ? "Yes"
-                                                               : "No";
-  char buf[256];
-  std::snprintf(buf, sizeof buf, "%-8s %5u  %-6s %-7s %-9s %-4s %7s %6d", cfg.model.c_str(),
-                cfg.capacity_gb, cfg.interface_name.c_str(),
-                cfg.cache_enabled ? "Yes" : "No", ecc_name, to_string(cfg.chip.tech), year,
-                units_in_experiments);
-  return buf;
 }
 
 }  // namespace pofi::ssd

@@ -43,7 +43,4 @@ struct PresetOptions {
 /// The six drives of Table I (two units per model).
 [[nodiscard]] std::vector<SsdConfig> table1_fleet();
 
-/// Human-readable Table I row for a config.
-[[nodiscard]] std::string table1_row(const SsdConfig& cfg, int units_in_experiments);
-
 }  // namespace pofi::ssd

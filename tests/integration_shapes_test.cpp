@@ -1,6 +1,7 @@
 // Figure-shape regression guards: scaled-down versions of the headline
 // results, asserted as invariants so a refactor cannot silently break the
-// reproduction. The full-scale versions live in bench/.
+// reproduction. The full-scale versions are the committed specs/*.json
+// campaigns, run with `pofi_run --spec` (EXPERIMENTS.md).
 #include <gtest/gtest.h>
 
 #include "platform/test_platform.hpp"
@@ -65,6 +66,31 @@ TEST(Shapes, SecIVACorruptionHorizonNearCacheHold) {
   };
   EXPECT_EQ(run_delay(100), 10u);   // always lost inside the hold window
   EXPECT_EQ(run_delay(1500), 0u);   // safely past flush + journal
+}
+
+TEST(Shapes, Fig7SmallRequestsLoseMostFwaDominatesAt4K) {
+  // Equal byte rate (4 MiB/s) and equal time per fault at both ends of the
+  // size axis, as in specs/fig7_request_size.json: 4 KiB requests keep far
+  // more acknowledged writes in the volatile window than 1 MiB requests,
+  // and at 4 KiB the whole write sits in DRAM when it is acknowledged, so
+  // most of its loss is FWA.
+  auto run_size = [&](std::uint32_t pages, double pace_iops, std::uint64_t seed) {
+    constexpr std::uint32_t kFaults = 10;
+    auto spec = spec_for(1.0, kFaults, seed);
+    spec.workload.min_pages = pages;
+    spec.workload.max_pages = pages;
+    spec.pace_iops = pace_iops;
+    spec.total_requests = static_cast<std::uint64_t>(kFaults * pace_iops * 1.2);
+    TestPlatform tp(drive(), PlatformConfig{}, seed);
+    return tp.run(spec);
+  };
+  for (const std::uint64_t seed : {100, 101, 102}) {
+    SCOPED_TRACE(seed);
+    const auto small = run_size(1, 1024.0, seed);   // 4 KiB
+    const auto large = run_size(256, 4.0, seed);    // 1 MiB
+    EXPECT_GT(small.total_data_loss(), large.total_data_loss());
+    EXPECT_GE(2 * small.fwa_failures, small.total_data_loss());
+  }
 }
 
 TEST(Shapes, Fig9RarLosesNothingWawLosesMost) {

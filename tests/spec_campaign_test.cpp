@@ -10,6 +10,7 @@
 //     spec file fails the test until it is categorised.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <initializer_list>
@@ -248,6 +249,59 @@ TEST(CampaignRows, SummaryTableContainsEveryRow) {
   EXPECT_NE(table.find("loss/fault"), std::string::npos);
 }
 
+TEST(CampaignRows, SummaryCsvHasTheTableColumnsOneRowPerEntry) {
+  const CampaignSpec campaign =
+      tiny_campaign({{"row-one", false, 2}, {"row-two", true, 3}, {"row-three", false, 4}});
+  const auto rows = run_campaign_rows(campaign);
+  const std::string csv = summary_csv(rows, campaign).render();
+
+  const auto split = [](const std::string& text, const std::string& sep) {
+    std::vector<std::string> parts;
+    for (std::size_t at = 0; at <= text.size();) {
+      const std::size_t end = std::min(text.find(sep, at), text.size());
+      std::string part = text.substr(at, end - at);
+      while (!part.empty() && part.back() == ' ') part.pop_back();
+      while (!part.empty() && part.front() == ' ') part.erase(0, 1);
+      if (!part.empty()) parts.push_back(part);
+      at = end + sep.size();
+    }
+    return parts;
+  };
+  std::vector<std::string> comments, data;
+  for (const auto& line : split(csv, "\n")) {
+    (line.rfind("# ", 0) == 0 ? comments : data).push_back(line);
+  }
+  ASSERT_EQ(comments.size(), 3u);
+  EXPECT_EQ(comments[0], "# spec: " + hash_string(campaign.hash));
+  EXPECT_EQ(comments[1].rfind("# build: ", 0), 0u);
+  EXPECT_EQ(comments[2], "# entries: ok=3 retried-ok=0 timed-out=0 restored=0");
+
+  ASSERT_EQ(data.size(), 1 + rows.size());
+  EXPECT_EQ(data[0],
+            "campaign,faults,requests,data failures,FWA,IO errors,loss/fault,"
+            "responded IOPS,mean Q2C us");
+  // One row per entry, in entry order, keyed by the label; counts exact.
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto& r = rows[i].result;
+    const auto cells = split(data[1 + i], ",");
+    ASSERT_EQ(cells.size(), 9u) << data[1 + i];
+    EXPECT_EQ(cells[0], rows[i].label);
+    EXPECT_EQ(cells[1], std::to_string(r.faults_injected));
+    EXPECT_EQ(cells[2], std::to_string(r.requests_submitted));
+    EXPECT_EQ(cells[4], std::to_string(r.fwa_failures));
+  }
+  // Every table column is a CSV column: the table header's cells are
+  // separated by at least two spaces.
+  const std::string table = summary_table(rows);
+  const auto csv_columns = split(data[0], ",");
+  const auto table_columns = split(table.substr(0, table.find('\n')), "  ");
+  EXPECT_EQ(table_columns.size(), csv_columns.size());
+  for (const auto& column : table_columns) {
+    EXPECT_NE(std::find(csv_columns.begin(), csv_columns.end(), column), csv_columns.end())
+        << column;
+  }
+}
+
 TEST(CampaignRows, EmptyCampaignIsFine) {
   const auto rows = run_campaign_rows(CampaignSpec{});
   EXPECT_TRUE(rows.empty());
@@ -374,12 +428,24 @@ TEST(SpecCampaign, CommittedCampaignSpecsLoadAndExpand) {
     SCOPED_TRACE(file);
     const CampaignSpec spec = load_campaign_file(spec_dir() + "/" + file);
     EXPECT_FALSE(spec.entries.empty());
-    // Rows come back in entry order and consumers index positionally, so
-    // labels need not be unique (secIVA reuses per-delay names across its
-    // cached/uncached halves) — but every entry must be nameable and built.
+    // load_campaign accepts duplicate labels (rows come back in entry
+    // order), but every entry must be nameable and built.
     for (const auto& entry : spec.entries) {
       EXPECT_FALSE(entry.label.empty());
       EXPECT_FALSE(entry.drive.model.empty());
+    }
+  }
+}
+
+TEST(SpecCampaign, CommittedCampaignSpecsHaveUniqueLabels) {
+  // The label is the key of a summary row and of its CSV line, and carries
+  // the figure's x value: no committed spec may reuse one.
+  for (const char* file : kCampaignSpecs) {
+    SCOPED_TRACE(file);
+    const CampaignSpec spec = load_campaign_file(spec_dir() + "/" + file);
+    std::set<std::string> labels;
+    for (const auto& entry : spec.entries) {
+      EXPECT_TRUE(labels.insert(entry.label).second) << "duplicate label " << entry.label;
     }
   }
 }
