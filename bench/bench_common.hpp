@@ -1,11 +1,12 @@
-// Shared helpers for the ablation and fleet benches. The paper's figures
-// and tables are committed specs run by `pofi_run --spec` (EXPERIMENTS.md).
+// Shared helpers for the fleet comparison bench. The paper's figures,
+// tables and ablations are committed specs run by `pofi_run --spec`
+// (EXPERIMENTS.md).
 //
 // Scale note: the paper's campaigns (hundreds of faults, tens of thousands
 // of requests per experiment) run for days on physical hardware. The
 // simulated campaigns reproduce the same *per-fault* statistics at reduced
-// fault counts so the whole bench suite completes in minutes; every bench
-// prints its scale next to the paper's.
+// fault counts so a bench completes in minutes and prints its scale next
+// to the paper's.
 #pragma once
 
 #include <chrono>
@@ -18,25 +19,11 @@
 #include <sys/resource.h>
 #endif
 
-#include "platform/test_platform.hpp"
 #include "ssd/presets.hpp"
 #include "stats/table.hpp"
+#include "workload/workload.hpp"
 
 namespace pofi::bench {
-
-/// The drive used by the workload-parameter studies (SSD-A, the paper's
-/// oldest commodity MLC drive, exhibits every failure class).
-inline ssd::SsdConfig study_drive(const ssd::PresetOptions& opts = {}) {
-  return ssd::make_preset(ssd::VendorModel::kA, opts);
-}
-
-/// Run one campaign on a fresh platform.
-inline platform::ExperimentResult run_campaign(const ssd::SsdConfig& drive,
-                                               const platform::ExperimentSpec& spec,
-                                               const platform::PlatformConfig& pc = {}) {
-  platform::TestPlatform tp(drive, pc, spec.seed);
-  return tp.run(spec);
-}
 
 /// Worker threads for parallel sweeps: POFI_THREADS overrides; default 0
 /// resolves to one worker per hardware thread.

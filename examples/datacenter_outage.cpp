@@ -4,22 +4,18 @@
 // dies they all ride the same discharge curve — but their different caches,
 // cell technologies and ECC configurations produce different damage.
 //
-// Demonstrates: multiple PowerSinks on one PowerSupply, manual orchestration
-// of the simulator (instead of TestPlatform's canned campaign), and per-model
-// damage comparison. The shelf composition and drill timings are data:
-// specs/datacenter_outage.json.
+// Demonstrates: multiple PowerSinks on one PowerSupply and manual
+// orchestration of the simulator (instead of TestPlatform's canned
+// campaign), and per-model damage comparison. A shared-rail shelf is not a
+// TestPlatform campaign, so the drill is fixed here rather than in a spec.
 #include <cstdio>
-#include <exception>
 #include <memory>
 #include <vector>
 
 #include "blk/queue.hpp"
-#include "example_common.hpp"
 #include "psu/atx_control.hpp"
 #include "psu/power_supply.hpp"
 #include "sim/simulator.hpp"
-#include "spec/codec.hpp"
-#include "spec/value.hpp"
 #include "ssd/presets.hpp"
 #include "stats/table.hpp"
 
@@ -36,65 +32,33 @@ struct Shelf {
   std::vector<std::pair<ftl::Lpn, std::uint64_t>> committed;  // lpn -> tag
 };
 
-struct DrillParams {
-  std::uint64_t seed = 2026;
-  std::vector<ssd::SsdConfig> drives;
-  std::uint32_t bursts = 100;
-  sim::Duration burst_interval = sim::Duration::ms(20);
-  std::uint32_t pages_per_write = 16;
-  std::uint64_t lpn_space = 200'000;
-  sim::Duration workload_time = sim::Duration::ms(2100);
-  sim::Duration restore_delay = sim::Duration::ms(500);
-};
-
-DrillParams load_params(const std::string& path) {
-  const spec::Value doc = spec::parse_file(path);
-  DrillParams p;
-  spec::for_each_member(
-      doc, "outage drill spec", [&](const std::string& key, const spec::Value& m) {
-        if (key == "seed") {
-          p.seed = spec::read_u64(m, key);
-        } else if (key == "drives") {
-          if (!m.is_array() || m.items().empty()) {
-            throw spec::Error("expected a non-empty array of drive configs", m.line, m.col,
-                              key);
-          }
-          for (const auto& d : m.items()) p.drives.push_back(spec::drive_from_json(d));
-        } else if (key == "bursts") {
-          p.bursts = spec::read_u32(m, key, 1);
-        } else if (key == "burst_interval_ms") {
-          p.burst_interval = spec::read_duration_ms(m, key);
-        } else if (key == "pages_per_write") {
-          p.pages_per_write = spec::read_u32(m, key, 1);
-        } else if (key == "lpn_space") {
-          p.lpn_space = spec::read_u64(m, key, 1);
-        } else if (key == "workload_ms") {
-          p.workload_time = spec::read_duration_ms(m, key);
-        } else if (key == "restore_delay_ms") {
-          p.restore_delay = spec::read_duration_ms(m, key);
-        } else {
-          return false;
-        }
-        return true;
-      });
-  return p;
-}
+// The drill: one 4 GB unit of each Table I model on the rack rail, one
+// 64 KiB write per drive per burst, the rail failing mid-workload and the
+// generator facility restoring power after a fixed delay.
+constexpr std::uint64_t kSeed = 2026;
+constexpr std::uint32_t kCapacityGb = 4;
+constexpr std::uint32_t kBursts = 100;
+constexpr sim::Duration kBurstInterval = sim::Duration::ms(20);
+constexpr std::uint32_t kPagesPerWrite = 16;  // 64 KiB at 4 KiB pages
+constexpr std::uint64_t kLpnSpace = 200'000;
+constexpr sim::Duration kWorkloadTime = sim::Duration::ms(2100);  // before the rail fails
+constexpr sim::Duration kRestoreDelay = sim::Duration::ms(500);
 
 }  // namespace
 
-int main() try {
-  const DrillParams params = load_params(examples::spec_file("datacenter_outage.json"));
-
-  sim::Simulator sim(params.seed);
+int main() {
+  sim::Simulator sim(kSeed);
   psu::PowerSupply rack_psu(sim, std::make_unique<psu::PowerLawDischarge>());
   psu::AtxController atx(rack_psu);
   psu::ArduinoBridge bridge(sim, atx);
 
-  // One unit of each configured model, scaled down for the demo.
+  // One unit of each model, scaled down for the demo.
+  ssd::PresetOptions opts;
+  opts.capacity_override_gb = kCapacityGb;
   std::vector<Shelf> shelf;
-  for (const auto& cfg : params.drives) {
+  for (const auto model : {ssd::VendorModel::kA, ssd::VendorModel::kB, ssd::VendorModel::kC}) {
     Shelf s;
-    s.drive = std::make_unique<ssd::Ssd>(sim, cfg);
+    s.drive = std::make_unique<ssd::Ssd>(sim, ssd::make_preset(model, opts));
     rack_psu.attach(*s.drive);
     s.queue = std::make_unique<blk::BlockQueue>(sim, *s.drive);
     shelf.push_back(std::move(s));
@@ -117,12 +81,12 @@ int main() try {
   // Each drive absorbs a stream of writes until the rail fails.
   std::uint64_t next_tag = 1;
   sim::Rng rng = sim.fork_rng("rack-writes");
-  for (std::uint32_t burst = 0; burst < params.bursts; ++burst) {
-    sim.after(sim::Duration::ns(params.burst_interval.count_ns() * burst), [&] {
+  for (std::uint32_t burst = 0; burst < kBursts; ++burst) {
+    sim.after(sim::Duration::ns(kBurstInterval.count_ns() * burst), [&] {
       for (auto& s : shelf) {
         if (!s.drive->ready()) continue;
-        const ftl::Lpn lpn = rng.below(params.lpn_space);
-        std::vector<std::uint64_t> tags(params.pages_per_write);
+        const ftl::Lpn lpn = rng.below(kLpnSpace);
+        std::vector<std::uint64_t> tags(kPagesPerWrite);
         for (auto& t : tags) t = next_tag++;
         auto* shelf_ptr = &s;
         const auto first_tag = tags[0];
@@ -138,7 +102,7 @@ int main() try {
       }
     });
   }
-  sim.run_for(params.workload_time);
+  sim.run_for(kWorkloadTime);
 
   // The rack PSU fails mid-workload.
   std::printf("rack PSU failure at t=%.2fs (all drives on one rail)\n", sim.now().to_sec());
@@ -146,7 +110,7 @@ int main() try {
   run_while([&] { return rack_psu.state() != psu::PowerSupply::State::kOff; });
 
   // Generator facility restores power; drives remount.
-  sim.run_for(params.restore_delay);
+  sim.run_for(kRestoreDelay);
   bridge.send(psu::PowerCommand::kOn);
   run_while([&] {
     for (const auto& s : shelf) {
@@ -187,7 +151,4 @@ int main() try {
   std::printf("\nevery drive on the shared rail lost its volatile state at the same instant;\n");
   std::printf("acknowledged-but-damaged counts differ with cache size and flush cadence.\n");
   return 0;
-} catch (const std::exception& e) {
-  std::fprintf(stderr, "error: %s\n", e.what());
-  return 1;
 }

@@ -20,8 +20,7 @@ Ftl::Ftl(sim::Simulator& simulator, nand::ChipArray& chips, Config config)
       chip_(chips),
       config_(config),
       map_(config.mapping_policy, config.extent_frame_pages, config.extent_min_fill,
-           config.lpn_capacity != 0 ? config.lpn_capacity
-                                    : chips.geometry().total_pages()),
+           lpn_space(config, chips.geometry())),
       alloc_(chips.geometry()) {
   if (auto* m = sim_.metrics()) {
     m->counter_source("ftl.gc.invocations", &stats_.gc_invocations);

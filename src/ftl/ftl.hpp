@@ -74,6 +74,14 @@ class Ftl {
     bool operator==(const Config&) const = default;
   };
 
+  /// The LPN space the L2P map covers: `config.lpn_capacity`, or every page
+  /// of the chip array's flat geometry when that is 0. Host LPNs at or past
+  /// it are outside the drive.
+  [[nodiscard]] static std::uint64_t lpn_space(const Config& config,
+                                               const nand::Geometry& array_geometry) {
+    return config.lpn_capacity != 0 ? config.lpn_capacity : array_geometry.total_pages();
+  }
+
   /// Write completion: ok=false on power loss, bad block or full device.
   using WriteCallback = std::function<void(bool ok)>;
   /// Read completion: `mapped` is false for never-written LPNs (the result

@@ -7,8 +7,7 @@ namespace pofi::nand {
 
 ChipArray::ChipArray(sim::Simulator& simulator, Config config) : config_(config) {
   assert(config_.channels >= 1);
-  effective_geometry_ = config_.chip.geometry;
-  effective_geometry_.planes = config_.chip.geometry.planes * config_.channels;
+  effective_geometry_ = flat_geometry(config_);
   chips_.reserve(config_.channels);
   for (std::uint32_t c = 0; c < config_.channels; ++c) {
     // Distinct RNG label per die: error draws must be independent across

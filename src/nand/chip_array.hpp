@@ -28,6 +28,13 @@ class ChipArray {
 
   ChipArray(sim::Simulator& simulator, Config config);
 
+  /// The flat geometry an array of `config` presents (see geometry()).
+  [[nodiscard]] static Geometry flat_geometry(const Config& config) {
+    Geometry g = config.chip.geometry;
+    g.planes = config.chip.geometry.planes * config.channels;
+    return g;
+  }
+
   ChipArray(const ChipArray&) = delete;
   ChipArray& operator=(const ChipArray&) = delete;
 

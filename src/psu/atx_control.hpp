@@ -5,7 +5,7 @@
 //
 // We model each hop with its latency so that a scheduled fault lands on the
 // rail a realistic ~1 ms after the software issues the Off command, and so
-// the ablation bench can zero these latencies out.
+// a spec can zero these latencies out (platform.arduino).
 #pragma once
 
 #include <cstdint>

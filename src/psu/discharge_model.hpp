@@ -5,7 +5,8 @@
 // to reach 0 V with one SSD attached, ~1400 ms unloaded — and the SSD only
 // becomes unavailable once the rail crosses 4.5 V, ~40 ms in. Prior work
 // (Zheng FAST'13, Tseng DAC'11) used power transistors that cut the rail in
-// microseconds. We model both so the ablation bench can compare them.
+// microseconds. We model both so ablation A1
+// (specs/ablation_cutoff_model.json) can compare them.
 #pragma once
 
 #include <memory>

@@ -206,6 +206,7 @@ CampaignSpec load_campaign(const Value& doc) {
     apply_json(entry.platform, *merged.find("platform"));
     entry.drive = drive_from_json(*merged.find("drive"));
     apply_json(entry.experiment, *merged.find("experiment"));
+    check_workload_fits(entry.experiment.workload, entry.drive, *merged.find("experiment"));
 
     const bool seed_pinned = merged.find_path("experiment.seed") != nullptr;
     if (seed_pinned && spec.units > 1) {

@@ -636,6 +636,35 @@ void apply_json(platform::ExperimentSpec& spec, const Value& v) {
   });
 }
 
+void check_workload_fits(const workload::WorkloadConfig& workload, const ssd::SsdConfig& drive,
+                         const Value& parent) {
+  const std::uint64_t space = ssd::lpn_space(drive);
+  const auto past_end = [space](std::uint64_t first, std::uint64_t pages) {
+    return pages > space || first > space - pages;
+  };
+  const std::string limit = "the drive's LPN space of " + std::to_string(space) + " pages";
+  const Value* doc = parent.find("workload");
+  const Value& at = doc != nullptr ? *doc : parent;
+  if (!workload.replay.empty()) {
+    const Value* replay = at.find("replay");
+    for (std::size_t i = 0; i < workload.replay.size(); ++i) {
+      const workload::RequestSpec& r = workload.replay[i];
+      if (past_end(r.lpn, r.pages)) {
+        fail(replay != nullptr ? replay->items()[i] : at, "replay",
+             "request of " + std::to_string(r.pages) + " pages at LPN " +
+                 std::to_string(r.lpn) + " reaches past " + limit);
+      }
+    }
+    return;
+  }
+  if (past_end(workload.base_lpn, workload.wss_pages)) {
+    const Value* wss = at.find("wss_pages");
+    fail(wss != nullptr ? *wss : at, "wss_pages",
+         "working set of " + std::to_string(workload.wss_pages) + " pages from LPN " +
+             std::to_string(workload.base_lpn) + " reaches past " + limit);
+  }
+}
+
 // --- runner -----------------------------------------------------------------
 
 Value to_json(const runner::RunnerConfig& cfg) {

@@ -71,6 +71,15 @@ void apply_json(platform::PlatformConfig& cfg, const Value& v);
 [[nodiscard]] Value to_json(const platform::ExperimentSpec& spec);
 void apply_json(platform::ExperimentSpec& spec, const Value& v);
 
+/// Reject a workload that addresses LPNs outside `drive` (ssd::lpn_space):
+/// its working set [base_lpn, base_lpn + wss_pages), or for a replay
+/// workload each replayed request. `parent` is the document object holding
+/// the "workload" section (an experiment, or a torture doc's root); the
+/// error points at its "wss_pages" or replay request when the document
+/// spells them out.
+void check_workload_fits(const workload::WorkloadConfig& workload, const ssd::SsdConfig& drive,
+                         const Value& parent);
+
 // --- runner -----------------------------------------------------------------
 [[nodiscard]] Value to_json(const runner::RunnerConfig& cfg);
 void apply_json(runner::RunnerConfig& cfg, const Value& v);

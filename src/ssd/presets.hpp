@@ -29,9 +29,11 @@ enum class VendorModel : std::uint8_t { kA, kB, kC };
 struct PresetOptions {
   bool cache_enabled = true;
   bool plp = false;
-  /// Power-on-recovery scan (enterprise firmware feature; see ablation A3).
+  /// Power-on-recovery scan (enterprise firmware feature; ablation A3 is
+  /// specs/ablation_por_recovery.json).
   bool por_scan = false;
-  /// Pre-age the NAND: initial P/E cycles on every block (wear ablation A4).
+  /// Pre-age the NAND: initial P/E cycles on every block (the drive-level
+  /// form of the die aging that ablation A4 measures).
   std::uint32_t preage_pe_cycles = 0;
   ftl::MappingPolicy mapping_policy = ftl::MappingPolicy::kHybridExtent;
   /// Scale the drive down for memory-bounded sweeps (1 = Table I capacity).

@@ -9,15 +9,25 @@
 
 namespace pofi::ssd {
 
+namespace {
+
+nand::ChipArray::Config array_config(const SsdConfig& config) {
+  return {std::max(1u, config.channels), config.chip};
+}
+
+}  // namespace
+
+std::uint64_t lpn_space(const SsdConfig& config) {
+  return ftl::Ftl::lpn_space(config.ftl,
+                             nand::ChipArray::flat_geometry(array_config(config)));
+}
+
 Ssd::Ssd(sim::Simulator& simulator, SsdConfig config)
     : sim_(simulator), config_(std::move(config)) {
-  chip_ = std::make_unique<nand::ChipArray>(
-      sim_, nand::ChipArray::Config{std::max(1u, config_.channels), config_.chip});
+  chip_ = std::make_unique<nand::ChipArray>(sim_, array_config(config_));
   // The host-visible LPN space spans the whole array; size the FTL's dense
   // L2P from the effective (all-channels) geometry unless overridden.
-  if (config_.ftl.lpn_capacity == 0) {
-    config_.ftl.lpn_capacity = chip_->geometry().total_pages();
-  }
+  config_.ftl.lpn_capacity = lpn_space(config_);
   ftl_ = std::make_unique<ftl::Ftl>(sim_, *chip_, config_.ftl);
   cache_ = std::make_unique<WriteCache>(sim_, *ftl_, config_.cache);
   if (auto* m = sim_.metrics()) {

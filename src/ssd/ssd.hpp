@@ -97,6 +97,11 @@ struct SsdConfig {
   bool operator==(const SsdConfig&) const = default;
 };
 
+/// The drive's host-visible LPN space: what its FTL sizes the L2P map from
+/// (ftl::Ftl::lpn_space over the whole chip array). A workload must stay
+/// below it.
+[[nodiscard]] std::uint64_t lpn_space(const SsdConfig& config);
+
 class Ssd final : public psu::PowerSink {
  public:
   Ssd(sim::Simulator& simulator, SsdConfig config);

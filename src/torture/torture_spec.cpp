@@ -69,6 +69,7 @@ TortureConfig load_torture(const Value& doc) {
     return true;
   });
   if (!saw_drive) throw Error("torture spec has no \"drive\"", doc.line, doc.col, "drive");
+  spec::check_workload_fits(cfg.workload, cfg.drive, doc);
   return cfg;
 }
 

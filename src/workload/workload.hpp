@@ -47,7 +47,10 @@ struct RequestSpec {
 
 struct WorkloadConfig {
   std::string name = "workload";
-  std::uint64_t wss_pages = 1ULL << 22;  ///< 16 GiB at 4 KiB pages
+  /// 1 GiB at 4 KiB pages: within the default ssd::SsdConfig and every
+  /// preset down to capacity_gb 1, so a spec on one of those drives may
+  /// leave the working set out.
+  std::uint64_t wss_pages = 1ULL << 18;
   ftl::Lpn base_lpn = 0;
   std::uint32_t min_pages = 1;     ///< 4 KiB
   std::uint32_t max_pages = 256;   ///< 1 MiB

@@ -131,5 +131,23 @@ TEST(Shapes, InstantCutoffSuppressesIoErrors) {
   EXPECT_GT(real_rail.io_errors, 5 * std::max<std::uint64_t>(1, cut_rail.io_errors));
 }
 
+TEST(Shapes, PorScanRecoversUnjournaledEntries) {
+  // Ablation A3 at reduced scale (specs/ablation_por_recovery.json): on
+  // mount the scan rebuilds map entries for data that reached flash but not
+  // the journal, so the same campaign loses less with the scan than without
+  // it (held on all 20 seeds 120-139 at this scale).
+  ssd::PresetOptions por;
+  por.por_scan = true;
+  for (const std::uint64_t seed : {130, 131, 132}) {
+    SCOPED_TRACE(seed);
+    TestPlatform commodity(drive(), PlatformConfig{}, seed);
+    TestPlatform scanning(drive(por), PlatformConfig{}, seed);
+    const auto without = commodity.run(spec_for(1.0, 25, seed));
+    const auto with_scan = scanning.run(spec_for(1.0, 25, seed));
+    EXPECT_GT(scanning.device().ftl().stats().por_entries_recovered, 0u);
+    EXPECT_LT(with_scan.total_data_loss(), without.total_data_loss());
+  }
+}
+
 }  // namespace
 }  // namespace pofi::platform

@@ -5,9 +5,10 @@
 //   * canonical() is a fixed point — parse(canonical(doc)) re-canonicalises
 //     to the same bytes, so the content hash stamped into results is stable
 //     across dump/--dump-spec round trips;
-//   * every committed file is known here: campaign docs must load and
-//     expand, params docs (manual-orchestration examples) must parse. A new
-//     spec file fails the test until it is categorised.
+//   * every committed file is known here: campaign and torture docs must
+//     load, expand and address only LPNs their drive has, params docs
+//     (manual-orchestration examples) must parse. A new spec file fails the
+//     test until it is categorised.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -160,6 +161,52 @@ TEST(SpecCampaign, SweepPathMustTargetKnownSection) {
     FAIL() << "expected spec::Error";
   } catch (const Error& e) {
     EXPECT_EQ(e.where(), "runner.threads");
+  }
+}
+
+TEST(SpecCampaign, WorkloadPastTheDriveIsRejectedWithItsLocation) {
+  // A 1 GiB preset has 262144 LPNs of 4 KiB: a working set may end exactly
+  // there and not one page later, however it gets past the end.
+  const auto where = [](const char* doc) -> std::string {
+    try {
+      (void)load_campaign(parse(doc));
+    } catch (const Error& e) {
+      return e.where() + "@" + std::to_string(e.line()) + ":" + std::to_string(e.col());
+    }
+    return "accepted";
+  };
+  EXPECT_EQ(where(R"({"drive": {"preset": "A", "capacity_gb": 1},
+    "experiment": {"workload": {"wss_pages": 262144}}})"),
+            "accepted");
+  EXPECT_EQ(where(R"({"drive": {"preset": "A", "capacity_gb": 1},
+    "experiment": {"workload": {"wss_pages": 262145}}})"),
+            "wss_pages@2:46");
+  EXPECT_EQ(where(R"({"drive": {"preset": "A", "capacity_gb": 1},
+    "experiment": {"workload": {"wss_pages": 262144, "base_lpn": 1}}})"),
+            "wss_pages@2:46");
+  // base_lpn + wss_pages wraps around 2^64: still past the end.
+  EXPECT_EQ(where(R"({"drive": {"preset": "A", "capacity_gb": 1},
+    "experiment": {"workload": {"wss_pages": 256, "base_lpn": 18446744073709551615}}})"),
+            "wss_pages@2:46");
+  // Every entry is checked against its own drive: the second entry's
+  // overlay shrinks the drive under the base working set.
+  EXPECT_EQ(where(R"({"drive": {"preset": "A", "capacity_gb": 2},
+    "experiment": {"workload": {"wss_pages": 300000}},
+    "entries": [{}, {"drive": {"capacity_gb": 1}}]})"),
+            "wss_pages@2:46");
+  // A replay workload ignores wss_pages; each replayed request is checked.
+  EXPECT_EQ(where(R"({"drive": {"preset": "A", "capacity_gb": 1},
+    "experiment": {"workload": {"wss_pages": 1000000000000,
+      "replay": [{"lpn": 0}, {"lpn": 262143, "pages": 2}]}}})"),
+            "replay@3:30");
+  // Torture documents share the check.
+  try {
+    (void)torture::load_torture(parse(R"({"drive": {"preset": "A", "capacity_gb": 1},
+      "workload": {"wss_pages": 262145}})"));
+    FAIL() << "expected spec::Error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.where(), "wss_pages");
+    EXPECT_EQ(e.line(), 2);
   }
 }
 
@@ -370,9 +417,10 @@ const char* const kCampaignSpecs[] = {
     "fig9_sequences.json",    "secIVA_post_ack_interval.json",
     "secIVD_access_pattern.json", "table1_smoke.json",
     "golden.json",            "large_drive.json",
+    "ablation_cutoff_model.json", "ablation_cache_plp.json",
+    "ablation_por_recovery.json",
 };
 const char* const kParamsSpecs[] = {
-    "datacenter_outage.json",
     "acid_torture.json",
 };
 // Torture docs: crash-point exploration lattices for pofi_run --torture,
@@ -403,6 +451,8 @@ TEST(SpecCampaign, CommittedTortureSpecsLoadAndRoundTrip) {
     const auto cfg = torture::load_torture_file(spec_dir() + "/" + file);
     EXPECT_GE(cfg.requests, 1u);
     EXPECT_GE(cfg.stride, 1u);
+    // The workload addresses only LPNs its drive has.
+    EXPECT_LE(cfg.workload.base_lpn + cfg.workload.wss_pages, ssd::lpn_space(cfg.drive));
     // to_json round-trips through load_torture and preserves the hash.
     const auto back = torture::load_torture(torture::to_json(cfg));
     EXPECT_EQ(torture::torture_hash(back), torture::torture_hash(cfg));
@@ -433,6 +483,8 @@ TEST(SpecCampaign, CommittedCampaignSpecsLoadAndExpand) {
     for (const auto& entry : spec.entries) {
       EXPECT_FALSE(entry.label.empty());
       EXPECT_FALSE(entry.drive.model.empty());
+      const workload::WorkloadConfig& wl = entry.experiment.workload;
+      EXPECT_LE(wl.base_lpn + wl.wss_pages, ssd::lpn_space(entry.drive)) << entry.label;
     }
   }
 }
