@@ -33,15 +33,18 @@ struct Shelf {
 };
 
 // The drill: one 4 GB unit of each Table I model on the rack rail, one
-// 64 KiB write per drive per burst, the rail failing mid-workload and the
-// generator facility restoring power after a fixed delay.
+// 64 KiB write per drive per burst, the rail failing halfway through the
+// burst train and the generator facility restoring power after a fixed delay.
+// Bursts keep arriving during the outage, so the writes issued while the
+// drives are down fail as IO errors; the outage outlasts the train, so the
+// audit reads back settled data.
 constexpr std::uint64_t kSeed = 2026;
 constexpr std::uint32_t kCapacityGb = 4;
 constexpr std::uint32_t kBursts = 100;
 constexpr sim::Duration kBurstInterval = sim::Duration::ms(20);
 constexpr std::uint32_t kPagesPerWrite = 16;  // 64 KiB at 4 KiB pages
 constexpr std::uint64_t kLpnSpace = 200'000;
-constexpr sim::Duration kWorkloadTime = sim::Duration::ms(2100);  // before the rail fails
+constexpr sim::Duration kRailFailsAfter = kBurstInterval * kBursts / 2;
 constexpr sim::Duration kRestoreDelay = sim::Duration::ms(500);
 
 }  // namespace
@@ -78,13 +81,12 @@ int main() {
   });
   std::printf("rack up: %zu drives mounted at t=%.2fs\n", shelf.size(), sim.now().to_sec());
 
-  // Each drive absorbs a stream of writes until the rail fails.
+  // Each drive absorbs a stream of writes, powered or not.
   std::uint64_t next_tag = 1;
   sim::Rng rng = sim.fork_rng("rack-writes");
   for (std::uint32_t burst = 0; burst < kBursts; ++burst) {
-    sim.after(sim::Duration::ns(kBurstInterval.count_ns() * burst), [&] {
+    sim.after(kBurstInterval * burst, [&] {
       for (auto& s : shelf) {
-        if (!s.drive->ready()) continue;
         const ftl::Lpn lpn = rng.below(kLpnSpace);
         std::vector<std::uint64_t> tags(kPagesPerWrite);
         for (auto& t : tags) t = next_tag++;
@@ -102,7 +104,7 @@ int main() {
       }
     });
   }
-  sim.run_for(kWorkloadTime);
+  sim.run_for(kRailFailsAfter);
 
   // The rack PSU fails mid-workload.
   std::printf("rack PSU failure at t=%.2fs (all drives on one rail)\n", sim.now().to_sec());

@@ -1,21 +1,20 @@
 // pofi_run: command-line fault-injection campaigns.
 //
-// The downstream-user entry point: pick a drive, describe a workload, choose
-// a fault count, get the paper-style failure report — no code required.
+// The downstream-user entry point: a campaign is a declarative spec (src/spec,
+// see specs/) plus --set overrides, and the paper-style failure report comes
+// out — no code required.
 //
 //   pofi_run --spec specs/quickstart.json
+//   pofi_run --spec specs/quickstart.json --set drive.preset=B --set experiment.faults=50
 //   pofi_run --spec specs/fig7_request_size.json --set runner.threads=2
 //   pofi_run --spec specs/quickstart.json --dump-spec
 //   pofi_run --spec specs/fig8_iops.json --csv fig8.csv
-//   pofi_run --model A --faults 50 --requests 4000 --read-pct 20
-//            --pattern random --wss-gb 8 --seed 42
-//   pofi_run --model B --cache off --faults 30
-//   pofi_run --model A --units 8 --threads 4 --progress jsonl
+//   pofi_run --spec specs/vendor_qualification.json --threads 4 --progress jsonl
+//   pofi_run --torture specs/torture_smoke.json
 //   pofi_run --help
 //
-// Every invocation — flag-built or file-loaded — goes through the same
-// declarative campaign spec (src/spec): flags compile to a JSON document,
-// --dump-spec prints it, and the document's canonical content hash is
+// The spec codec alone validates the campaign's values; --dump-spec prints
+// the document after the overrides, and its canonical content hash is
 // stamped into the report for provenance.
 #include <atomic>
 #include <charconv>
@@ -27,7 +26,6 @@
 #include <fstream>
 #include <initializer_list>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -39,7 +37,6 @@
 #include "spec/codec.hpp"
 #include "spec/obs_json.hpp"
 #include "spec/version.hpp"
-#include "ssd/presets.hpp"
 #include "stats/table.hpp"
 #include "torture/explorer.hpp"
 #include "torture/torture_spec.hpp"
@@ -67,28 +64,6 @@ std::atomic<bool> g_cancel{false};
 extern "C" void handle_signal(int) { g_cancel.store(true, std::memory_order_relaxed); }
 
 struct Options {
-  // Campaign-shaping flags (compiled into a spec document when no --spec).
-  ssd::VendorModel model = ssd::VendorModel::kA;
-  std::uint32_t faults = 30;
-  std::uint64_t requests = 2400;
-  int read_pct = 0;
-  double wss_gb = 8.0;
-  int size_min_kb = 4;
-  int size_max_kb = 1024;
-  bool sequential = false;
-  workload::SequenceMode sequence = workload::SequenceMode::kNone;
-  double pace_iops = 5.0;
-  double target_iops = 0.0;
-  bool cache = true;
-  bool plp = false;
-  bool por = false;
-  std::uint32_t preage = 0;
-  std::uint32_t capacity_gb = 16;
-  psu::DischargeKind cutoff = psu::DischargeKind::kPowerLaw;
-  std::uint64_t seed = 42;
-  std::uint32_t units = 1;
-  bool units_set = false;
-  // Execution / spec-layer flags.
   unsigned threads = 0;
   bool threads_set = false;
   std::string progress = "console";
@@ -100,43 +75,29 @@ struct Options {
   std::string csv_path;
   bool resume = false;
   bool dump_spec = false;
-  std::vector<std::string> sets;  ///< --set key=value overrides, in order
+  std::vector<std::string> sets;  ///< --set PATH=VALUE overrides, in order
 };
 
-[[noreturn]] void usage(int code) {
+[[noreturn]] void print_help() {
   std::printf(
       "pofi_run - power-outage fault injection campaigns (DATE'18 reproduction)\n\n"
-      "usage: pofi_run [options]\n"
+      "usage: pofi_run --spec FILE.json [options]\n"
+      "       pofi_run --torture FILE.json [options]\n\n"
+      "A campaign is a spec file plus --set overrides; every workload, drive\n"
+      "and platform parameter is a spec key (see specs/ and EXPERIMENTS.md).\n\n"
       "  --spec FILE.json     run a declarative campaign spec (see specs/)\n"
       "  --torture FILE.json  systematic crash-point exploration: inject a power\n"
       "                       fault at every event boundary of the spec's window,\n"
       "                       audit recovery invariants after each remount, and\n"
       "                       shrink any violation into a minimal repro spec\n"
       "  --repro-out FILE     where --torture writes the shrunk repro spec\n"
-      "  --dump-spec          print the campaign as JSON and exit (round-trips\n"
-      "                       both --spec files and flag-built campaigns)\n"
+      "  --dump-spec          print the spec with its overrides applied, as JSON,\n"
+      "                       and exit\n"
       "  --set PATH=VALUE     override a spec key (dotted path, JSON value;\n"
-      "                       e.g. --set experiment.faults=50); repeatable\n"
-      "  --model A|B|C        Table I drive preset (default A)\n"
-      "  --faults N           power faults to inject (default 30)\n"
-      "  --requests N         total request budget (default 2400)\n"
-      "  --read-pct P         read percentage 0..100 (default 0)\n"
-      "  --wss-gb G           working set size in GiB (default 8)\n"
-      "  --size-min-kb K      min request size (default 4)\n"
-      "  --size-max-kb K      max request size (default 1024)\n"
-      "  --pattern random|sequential   access pattern (default random)\n"
-      "  --sequence none|rar|raw|war|waw  dependent-pair mode (default none)\n"
-      "  --pace IOPS          request pacing (default 5)\n"
-      "  --iops IOPS          open-loop target rate (overrides --pace)\n"
-      "  --cache on|off       internal DRAM write cache (default on)\n"
-      "  --plp                supercap power-loss protection\n"
-      "  --por                power-on-recovery OOB scan\n"
-      "  --preage N           initial P/E cycles on every block\n"
-      "  --capacity-gb G      scale the drive (default 16)\n"
-      "  --cutoff power-law|exponential|instant   rail model (default power-law)\n"
-      "  --seed N             campaign seed (default 42)\n"
-      "  --units N            independent campaign copies, sharded seeds (default 1)\n"
-      "  --threads N          runner worker threads; 0 = hardware (default 0)\n"
+      "                       e.g. --set experiment.faults=50); repeatable. An\n"
+      "                       invalid value exits 2 naming its --set argument\n"
+      "  --threads N          runner worker threads; 0 = hardware (default 0;\n"
+      "                       same as --set runner.threads=N)\n"
       "  --progress console|jsonl|off   progress reporting (default console)\n"
       "  --checkpoint FILE    append each finished campaign to a durable JSONL\n"
       "                       checkpoint (crash-safe; see --resume)\n"
@@ -162,18 +123,21 @@ struct Options {
       "exit status:\n"
       "  0  every campaign completed successfully\n"
       "  1  runtime failure (fail-fast campaign failure, IO error)\n"
-      "  2  invalid usage or campaign spec\n"
+      "  2  invalid usage (one line on stderr) or campaign spec\n"
       "  3  quarantined and/or over-budget campaigns (suite still completed)\n"
       "  4  cancelled by SIGINT/SIGTERM (checkpointed rows were kept)\n"
       "  5  torture exploration found recovery-invariant violations\n");
-  std::exit(code);
+  std::exit(kExitOk);
+}
+
+/// Every usage error is one line on stderr and exit 2; stdout stays empty.
+[[noreturn]] void usage_error(const std::string& message) {
+  std::fprintf(stderr, "pofi_run: %s (see --help)\n", message.c_str());
+  std::exit(kExitUsage);
 }
 
 const char* next_arg(int argc, char** argv, int& i) {
-  if (i + 1 >= argc) {
-    std::fprintf(stderr, "missing value for %s\n", argv[i]);
-    usage(2);
-  }
+  if (i + 1 >= argc) usage_error(std::string("missing value for ") + argv[i]);
   return argv[++i];
 }
 
@@ -181,9 +145,7 @@ const char* next_arg(int argc, char** argv, int& i) {
 /// thread starts.
 [[noreturn]] void bad_value(const std::string& flag, const char* text,
                             const std::string& expected) {
-  std::fprintf(stderr, "pofi_run: %s expects %s, got \"%s\"\n", flag.c_str(),
-               expected.c_str(), text);
-  std::exit(kExitUsage);
+  usage_error(flag + " expects " + expected + ", got \"" + text + "\"");
 }
 
 /// Parse the whole token `text` as a T in [lo, hi]: trailing junk, an
@@ -215,13 +177,11 @@ std::size_t choice(const std::string& flag, const char* text,
 }
 
 Options parse(int argc, char** argv) {
-  constexpr auto kU32 = std::numeric_limits<std::uint32_t>::max();
-  constexpr auto kU64 = std::numeric_limits<std::uint64_t>::max();
   Options o;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     const auto value = [&] { return next_arg(argc, argv, i); };
-    if (a == "--help" || a == "-h") usage(0);
+    if (a == "--help" || a == "-h") print_help();
     else if (a == "--version") {
       // The provenance stamp written into reports/CSV/metrics artifacts,
       // plus enough build detail to reproduce the binary.
@@ -239,46 +199,13 @@ Options parse(int argc, char** argv) {
     else if (a == "--checkpoint") o.checkpoint_path = value();
     else if (a == "--resume") o.resume = true;
     else if (a == "--dump-spec") o.dump_spec = true;
-    else if (a == "--set") o.sets.emplace_back(value());
-    else if (a == "--model") {
-      constexpr ssd::VendorModel kModels[] = {ssd::VendorModel::kA, ssd::VendorModel::kB,
-                                              ssd::VendorModel::kC};
-      o.model = kModels[choice(a, value(), {"A", "B", "C"})];
-    }
-    // Ranges match the spec codec's for the key each flag sets.
-    else if (a == "--faults") o.faults = number<std::uint32_t>(a, value(), 1, kU32);
-    else if (a == "--requests") o.requests = number<std::uint64_t>(a, value(), 1, kU64);
-    else if (a == "--read-pct") o.read_pct = number(a, value(), 0, 100);
-    // 1 MiB .. 1 PiB: the page count stays a well-defined uint64.
-    else if (a == "--wss-gb") o.wss_gb = number(a, value(), 1.0 / 1024, 1048576.0);
-    // 4 KiB .. 1 GiB: the byte size stays a well-defined uint32.
-    else if (a == "--size-min-kb") o.size_min_kb = number(a, value(), 4, 1 << 20);
-    else if (a == "--size-max-kb") o.size_max_kb = number(a, value(), 4, 1 << 20);
-    else if (a == "--pattern") o.sequential = choice(a, value(), {"random", "sequential"}) == 1;
-    else if (a == "--sequence") {
-      constexpr workload::SequenceMode kModes[] = {
-          workload::SequenceMode::kNone, workload::SequenceMode::kRAR,
-          workload::SequenceMode::kRAW, workload::SequenceMode::kWAR,
-          workload::SequenceMode::kWAW};
-      o.sequence = kModes[choice(a, value(), {"none", "rar", "raw", "war", "waw"})];
-    }
-    else if (a == "--pace") o.pace_iops = number(a, value(), 0.0, 1e9);
-    else if (a == "--iops") o.target_iops = number(a, value(), 0.0, 1e9);
-    else if (a == "--cache") o.cache = choice(a, value(), {"off", "on"}) == 1;
-    else if (a == "--plp") o.plp = true;
-    else if (a == "--por") o.por = true;
-    else if (a == "--preage") o.preage = number<std::uint32_t>(a, value(), 0, kU32);
-    else if (a == "--capacity-gb") o.capacity_gb = number<std::uint32_t>(a, value(), 1, kU32);
-    else if (a == "--cutoff") {
-      constexpr psu::DischargeKind kKinds[] = {psu::DischargeKind::kPowerLaw,
-                                               psu::DischargeKind::kExponential,
-                                               psu::DischargeKind::kInstant};
-      o.cutoff = kKinds[choice(a, value(), {"power-law", "exponential", "instant"})];
-    }
-    else if (a == "--seed") o.seed = number<std::uint64_t>(a, value(), 0, kU64);
-    else if (a == "--units") {
-      o.units = number<std::uint32_t>(a, value(), 1, 100'000);
-      o.units_set = true;
+    else if (a == "--set") {
+      const std::string kv = value();
+      const auto eq = kv.find('=');
+      if (eq == std::string::npos || eq == 0) {
+        usage_error("--set expects PATH=VALUE, got \"" + kv + "\"");
+      }
+      o.sets.push_back(kv);
     }
     else if (a == "--threads") {
       o.threads = number<unsigned>(a, value(), 0, 1024);
@@ -287,29 +214,23 @@ Options parse(int argc, char** argv) {
       o.progress = value();
       (void)choice(a, o.progress.c_str(), {"console", "jsonl", "off"});
     } else {
-      std::fprintf(stderr, "unknown option %s\n", a.c_str());
-      usage(2);
+      usage_error("unknown option " + a);
     }
   }
-  if (o.size_max_kb < o.size_min_kb) {
-    std::fprintf(stderr, "--size-max-kb must be at least --size-min-kb\n");
-    usage(2);
-  }
-  if (o.resume && o.checkpoint_path.empty()) {
-    std::fprintf(stderr, "--resume requires --checkpoint FILE\n");
-    usage(2);
+  if (o.spec_path.empty() && o.torture_path.empty()) {
+    usage_error("no campaign given: pass --spec FILE or --torture FILE");
   }
   if (!o.torture_path.empty() && !o.spec_path.empty()) {
-    std::fprintf(stderr, "--torture and --spec are mutually exclusive\n");
-    usage(2);
+    usage_error("--torture and --spec are mutually exclusive");
+  }
+  if (o.resume && o.checkpoint_path.empty()) {
+    usage_error("--resume requires --checkpoint FILE");
   }
   if (!o.csv_path.empty() && !o.torture_path.empty()) {
-    std::fprintf(stderr, "--csv applies to campaigns, not --torture\n");
-    usage(2);
+    usage_error("--csv applies to campaigns, not --torture");
   }
   if (!o.repro_out.empty() && o.torture_path.empty()) {
-    std::fprintf(stderr, "--repro-out requires --torture FILE\n");
-    usage(2);
+    usage_error("--repro-out requires --torture FILE");
   }
   return o;
 }
@@ -327,78 +248,53 @@ void print_resume_warnings(const spec::ResumeStats& rs, const std::string& path)
                rs.stale_records);
 }
 
-/// Compile the command-line flags into the equivalent campaign document —
-/// the same IR a specs/*.json file parses to.
-spec::Value build_doc(const Options& o) {
-  // The preset is materialised once here purely to learn the page size the
-  // GiB/KiB flags scale against.
-  ssd::PresetOptions preset;
-  preset.capacity_override_gb = o.capacity_gb;
-  const std::uint32_t page =
-      ssd::make_preset(o.model, preset).chip.geometry.page_size_bytes;
-
-  spec::Value drive = spec::Value::object();
-  drive.set("preset", to_string(o.model));
-  drive.set("cache_enabled", o.cache);
-  drive.set("plp", o.plp);
-  drive.set("por_scan", o.por);
-  if (o.preage != 0) drive.set("preage_pe_cycles", std::uint64_t{o.preage});
-  drive.set("capacity_gb", std::uint64_t{o.capacity_gb});
-
-  spec::Value wl = spec::Value::object();
-  wl.set("name", "pofi_run");
-  wl.set("wss_pages", static_cast<std::uint64_t>(o.wss_gb * (1ULL << 30)) / page);
-  const std::uint32_t min_pages =
-      std::max(1u, static_cast<std::uint32_t>(o.size_min_kb) * 1024 / page);
-  wl.set("min_pages", std::uint64_t{min_pages});
-  wl.set("max_pages",
-         std::uint64_t{std::max(min_pages,
-                                static_cast<std::uint32_t>(o.size_max_kb) * 1024 / page)});
-  wl.set("write_fraction", 1.0 - o.read_pct / 100.0);
-  wl.set("pattern", o.sequential ? "sequential" : "random");
-  wl.set("sequence", to_string(o.sequence));
-  if (o.target_iops > 0.0) wl.set("target_iops", o.target_iops);
-
-  spec::Value experiment = spec::Value::object();
-  experiment.set("name", std::string("pofi_run-") + to_string(o.model));
-  experiment.set("workload", std::move(wl));
-  experiment.set("total_requests", o.requests);
-  experiment.set("faults", std::uint64_t{o.faults});
-  experiment.set("pace_iops", o.pace_iops);
-  // Single campaign: pin the seed (historic behaviour). Fleets leave the
-  // per-entry seed derived from the master so units stay independent.
-  if (o.units == 1) experiment.set("seed", o.seed);
-
-  spec::Value platform = spec::Value::object();
-  platform.set("discharge", to_string(o.cutoff));
-
-  spec::Value doc = spec::Value::object();
-  doc.set("name", "pofi_run");
-  doc.set("seed", o.seed);
-  if (o.units > 1) doc.set("units", std::uint64_t{o.units});
-  doc.set("platform", std::move(platform));
-  doc.set("drive", std::move(drive));
-  doc.set("experiment", std::move(experiment));
-  return doc;
+/// Every value an override brings in, and every object its path creates,
+/// is located at line -(k+1) for the k-th --set argument (a file's own tokens
+/// sit at line >= 1, synthesised values at 0). A spec error raised on one of
+/// them then names the argument instead of a position in the file.
+void locate_override(spec::Value& v, int line) {
+  v.line = line;
+  v.col = 0;
+  for (auto& item : v.items()) locate_override(item, line);
+  for (auto& member : v.members()) locate_override(member.second, line);
 }
 
-/// --set PATH=VALUE: VALUE parses as JSON when it can (numbers, booleans,
-/// arrays), otherwise it is taken as a bare string ("--set drive.preset=B").
-void apply_set(spec::Value& doc, const std::string& kv) {
-  const auto eq = kv.find('=');
-  if (eq == std::string::npos || eq == 0) {
-    std::fprintf(stderr, "--set expects PATH=VALUE, got \"%s\"\n", kv.c_str());
-    std::exit(2);
+/// The --set argument a spec error came from, or nullptr for the file.
+const std::string* override_of(const spec::Error& e, const Options& o) {
+  if (e.line() >= 0) return nullptr;
+  const auto k = static_cast<std::size_t>(-e.line() - 1);
+  return k < o.sets.size() ? &o.sets[k] : nullptr;
+}
+
+/// Apply the --threads and --set overrides, in order. VALUE parses as JSON
+/// when it can (numbers, booleans, arrays), otherwise it is taken as a bare
+/// string ("--set drive.preset=B").
+void apply_overrides(spec::Value& doc, const Options& o) {
+  if (o.threads_set) doc.set_path("runner.threads", std::uint64_t{o.threads});
+  for (std::size_t k = 0; k < o.sets.size(); ++k) {
+    const std::string& kv = o.sets[k];
+    const auto eq = kv.find('=');
+    const std::string path = kv.substr(0, eq);
+    const std::string raw = kv.substr(eq + 1);
+    spec::Value value;
+    try {
+      value = spec::parse(raw);
+    } catch (const spec::Error&) {
+      value = spec::Value(raw);
+    }
+    const int line = -static_cast<int>(k) - 1;
+    locate_override(value, line);
+    doc.set_path(path, std::move(value));
+    // Objects set_path created on the way have no location of their own.
+    spec::Value* node = &doc;
+    for (std::string_view rest = path; node != nullptr;) {
+      const auto dot = rest.find('.');
+      node = node->find(rest.substr(0, dot));
+      if (node != nullptr && node->line == 0) node->line = line;
+      if (dot == std::string_view::npos) break;
+      rest.remove_prefix(dot + 1);
+    }
   }
-  const std::string path = kv.substr(0, eq);
-  const std::string raw = kv.substr(eq + 1);
-  spec::Value value;
-  try {
-    value = spec::parse(raw);
-  } catch (const spec::Error&) {
-    value = spec::Value(raw);
-  }
-  doc.set_path(path, std::move(value));
 }
 
 /// --metrics DIR: one JSON telemetry file per successful entry, stamped with
@@ -458,8 +354,7 @@ bool export_metrics_dir(const std::string& dir, const spec::CampaignSpec& campai
 /// the exit-code mapping (violations -> 5).
 int run_torture(const Options& o) {
   spec::Value doc = spec::parse_file(o.torture_path);
-  if (o.threads_set) doc.set_path("runner.threads", std::uint64_t{o.threads});
-  for (const auto& kv : o.sets) apply_set(doc, kv);
+  apply_overrides(doc, o);
   if (o.dump_spec) {
     std::printf("%s\n", spec::dump(doc).c_str());
     return kExitOk;
@@ -559,16 +454,8 @@ int main(int argc, char** argv) {
   try {
     if (!o.torture_path.empty()) return run_torture(o);
 
-    spec::Value doc =
-        o.spec_path.empty() ? build_doc(o) : spec::parse_file(o.spec_path);
-    if (o.threads_set) doc.set_path("runner.threads", std::uint64_t{o.threads});
-    // --units overrides spec files too (build_doc already folded it in for
-    // flag-built docs); a spec with a pinned seed then fails load_campaign
-    // loudly instead of the flag being ignored.
-    if (o.units_set && !o.spec_path.empty()) {
-      doc.set_path("units", std::uint64_t{o.units});
-    }
-    for (const auto& kv : o.sets) apply_set(doc, kv);
+    spec::Value doc = spec::parse_file(o.spec_path);
+    apply_overrides(doc, o);
 
     if (o.dump_spec) {
       std::printf("%s\n", spec::dump(doc).c_str());
@@ -695,7 +582,11 @@ int main(int argc, char** argv) {
     if (any_quarantined || any_timed_out) return kExitDegraded;
     return kExitOk;
   } catch (const spec::Error& e) {
-    std::fprintf(stderr, "pofi_run: spec error: %s\n", e.what());
+    if (const std::string* kv = override_of(e, o)) {
+      std::fprintf(stderr, "pofi_run: spec error: --set %s: %s\n", kv->c_str(), e.what());
+    } else {
+      std::fprintf(stderr, "pofi_run: spec error: %s\n", e.what());
+    }
     return kExitUsage;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "pofi_run: %s\n", e.what());

@@ -167,6 +167,7 @@ CampaignSpec load_campaign(const Value& doc) {
 
   const Value* sweep = nullptr;
   const Value* entries = nullptr;
+  const Value* units = &doc;  // where a units/seed conflict is reported
   for (const auto& [key, m] : doc.members()) {
     if (key == "name") {
       spec.name = read_string(m, key);
@@ -174,6 +175,7 @@ CampaignSpec load_campaign(const Value& doc) {
       spec.master_seed = read_u64(m, key);
     } else if (key == "units") {
       spec.units = read_u32(m, key, 1, 100'000);
+      units = &m;
     } else if (key == "runner") {
       apply_json(spec.runner, m);
     } else if (key == "platform" || key == "drive" || key == "experiment") {
@@ -212,7 +214,7 @@ CampaignSpec load_campaign(const Value& doc) {
     if (seed_pinned && spec.units > 1) {
       throw Error("\"units\" replication requires derived seeds; drop the explicit "
                   "experiment seed or set units to 1",
-                  doc.line, doc.col, "units");
+                  units->line, units->col, "units");
     }
 
     for (std::uint32_t u = 0; u < spec.units; ++u) {

@@ -1,8 +1,9 @@
 # Runs `${POFI_RUN} ${ARGS}` (ARGS is a |-separated list) and requires the
-# usage-error exit code 2, an empty stdout and a stderr naming ${FLAG}.
+# usage-error exit code 2, an empty stdout and a single stderr line naming
+# ${FLAG}.
 #
-#   cmake -DPOFI_RUN=path/to/pofi_run -DARGS="--seed|12x|--dump-spec"
-#         -DFLAG=--seed -P cli_expect_usage_error.cmake
+#   cmake -DPOFI_RUN=path/to/pofi_run -DARGS="--spec|s.json|--threads|abc"
+#         -DFLAG=--threads -P cli_expect_usage_error.cmake
 string(REPLACE "|" ";" args "${ARGS}")
 string(REPLACE "|" " " shown "${ARGS}")
 execute_process(COMMAND "${POFI_RUN}" ${args}
@@ -16,4 +17,10 @@ endif()
 string(FIND "${err}" "${FLAG}" at)
 if(at EQUAL -1)
   message(FATAL_ERROR "pofi_run ${shown}: stderr does not name ${FLAG}:\n${err}")
+endif()
+string(FIND "${err}" "\n" newline)
+string(LENGTH "${err}" length)
+math(EXPR last "${length} - 1")
+if(NOT newline EQUAL last)
+  message(FATAL_ERROR "pofi_run ${shown}: stderr is not one line:\n${err}")
 endif()

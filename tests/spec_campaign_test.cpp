@@ -6,9 +6,8 @@
 //     to the same bytes, so the content hash stamped into results is stable
 //     across dump/--dump-spec round trips;
 //   * every committed file is known here: campaign and torture docs must
-//     load, expand and address only LPNs their drive has, params docs
-//     (manual-orchestration examples) must parse. A new spec file fails the
-//     test until it is categorised.
+//     load, expand and address only LPNs their drive has. A new spec file
+//     fails the test until it is categorised.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -126,10 +125,13 @@ TEST(SpecCampaign, UnitsReplicateWithIndependentSeeds) {
 
 TEST(SpecCampaign, UnitsRejectPinnedSeed) {
   try {
-    (void)load_campaign(parse(R"({"units": 2, "experiment": {"seed": 5}})"));
+    (void)load_campaign(parse("{\"experiment\": {\"seed\": 5},\n \"units\": 2}"));
     FAIL() << "expected spec::Error";
   } catch (const Error& e) {
     EXPECT_EQ(e.where(), "units");
+    // Located at the units value, not at the document.
+    EXPECT_EQ(e.line(), 2);
+    EXPECT_EQ(e.col(), 11);
   }
 }
 
@@ -408,8 +410,7 @@ TEST(CampaignRows, FoldKeepsSuccessesAndThrowsOnFailures) {
 
 // --- committed specs --------------------------------------------------------
 
-// Campaign documents (load_campaign) vs params documents (examples that
-// orchestrate the simulator manually and only borrow the parser/codecs).
+// Campaign documents: loaded by load_campaign and run by pofi_run --spec.
 const char* const kCampaignSpecs[] = {
     "quickstart.json",       "vendor_qualification.json",
     "fig5_request_type.json", "fig6_wss.json",
@@ -420,9 +421,6 @@ const char* const kCampaignSpecs[] = {
     "ablation_cutoff_model.json", "ablation_cache_plp.json",
     "ablation_por_recovery.json",
 };
-const char* const kParamsSpecs[] = {
-    "acid_torture.json",
-};
 // Torture docs: crash-point exploration lattices for pofi_run --torture,
 // loaded through torture::load_torture_file rather than load_campaign.
 const char* const kTortureSpecs[] = {
@@ -432,7 +430,6 @@ const char* const kTortureSpecs[] = {
 TEST(SpecCampaign, EveryCommittedSpecIsCategorised) {
   std::set<std::string> known;
   for (const char* f : kCampaignSpecs) known.insert(f);
-  for (const char* f : kParamsSpecs) known.insert(f);
   for (const char* f : kTortureSpecs) known.insert(f);
 
   std::size_t seen = 0;
