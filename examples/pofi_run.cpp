@@ -14,8 +14,8 @@
 //   pofi_run --help
 //
 // The spec codec alone validates the campaign's values; --dump-spec prints
-// the document after the overrides, and its canonical content hash is
-// stamped into the report for provenance.
+// the document after the overrides once it validates, and its canonical
+// content hash is stamped into the report for provenance.
 #include <atomic>
 #include <charconv>
 #include <csignal>
@@ -91,8 +91,8 @@ struct Options {
       "                       audit recovery invariants after each remount, and\n"
       "                       shrink any violation into a minimal repro spec\n"
       "  --repro-out FILE     where --torture writes the shrunk repro spec\n"
-      "  --dump-spec          print the spec with its overrides applied, as JSON,\n"
-      "                       and exit\n"
+      "  --dump-spec          validate the spec with its overrides applied, print\n"
+      "                       it as JSON and exit\n"
       "  --set PATH=VALUE     override a spec key (dotted path, JSON value;\n"
       "                       e.g. --set experiment.faults=50); repeatable. An\n"
       "                       invalid value exits 2 naming its --set argument\n"
@@ -355,12 +355,12 @@ bool export_metrics_dir(const std::string& dir, const spec::CampaignSpec& campai
 int run_torture(const Options& o) {
   spec::Value doc = spec::parse_file(o.torture_path);
   apply_overrides(doc, o);
+  const torture::TortureConfig cfg = torture::load_torture(doc);
   if (o.dump_spec) {
     std::printf("%s\n", spec::dump(doc).c_str());
     return kExitOk;
   }
 
-  const torture::TortureConfig cfg = torture::load_torture(doc);
   const std::string hash = spec::hash_string(torture::torture_hash(cfg));
   stats::print_banner("pofi_run torture: " + cfg.name + " | " + hash);
 
@@ -456,13 +456,12 @@ int main(int argc, char** argv) {
 
     spec::Value doc = spec::parse_file(o.spec_path);
     apply_overrides(doc, o);
-
+    const spec::CampaignSpec campaign = spec::load_campaign(doc);
     if (o.dump_spec) {
       std::printf("%s\n", spec::dump(doc).c_str());
       return 0;
     }
 
-    const spec::CampaignSpec campaign = spec::load_campaign(doc);
     const std::string hash = spec::hash_string(campaign.hash);
 
     stats::print_banner("pofi_run: " + campaign.name + " | " +

@@ -157,6 +157,7 @@ void MiniKv::scan_next(
     for (std::uint32_t i = 0; i < pages; ++i) {
       const std::uint64_t rec = out.read_contents[i];
       st->pages_scanned += 1;
+      if ((is_put(rec) || is_commit(rec)) && run > 0) st->holes += 1;
       if (is_put(rec)) {
         pending->emplace_back(put_key(rec), put_value(rec));
         run = 0;

@@ -14,8 +14,9 @@
 //                it actually is.
 //
 // Recovery scans the log, replays complete transactions, and reports torn
-// ones — so a campaign can measure committed-transaction durability and
-// atomicity under power faults, per discipline and per drive.
+// ones and holes — so a campaign can measure committed-transaction
+// durability, atomicity and log prefix-ness under power faults, per
+// discipline and per drive (kvs/fault_drill.hpp).
 #pragma once
 
 #include <cstdint>
@@ -47,6 +48,9 @@ struct KvStats {
 struct RecoveryStats {
   std::uint64_t committed_found = 0;  ///< transactions fully recovered
   std::uint64_t torn = 0;             ///< PUT runs with no commit record
+  /// Valid records found after an invalid page: each one means the
+  /// surviving log is not a clean prefix.
+  std::uint64_t holes = 0;
   std::uint64_t pages_scanned = 0;
 };
 

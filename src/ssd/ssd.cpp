@@ -75,6 +75,11 @@ void Ssd::submit(Command cmd) {
     if (cmd.done) cmd.done(DeviceStatus::kDeviceUnavailable, {});
     return;
   }
+  const std::uint64_t space = config_.ftl.lpn_capacity;
+  if (cmd.op != Command::Op::kFlush && (cmd.pages > space || cmd.lpn > space - cmd.pages)) {
+    if (cmd.done) cmd.done(DeviceStatus::kLbaOutOfRange, {});
+    return;
+  }
   ++stats_.commands_accepted;
   pending_.push_back(std::move(cmd));
   obs_queue_gauges();

@@ -33,6 +33,7 @@ enum class DeviceStatus : std::uint8_t {
   kDeviceUnavailable,  ///< powered off, dying, or mounting
   kMediaError,         ///< at least one page was uncorrectable
   kWriteError,         ///< program failure / device full
+  kLbaOutOfRange,      ///< the command reaches past lpn_space()
 };
 
 [[nodiscard]] constexpr const char* to_string(DeviceStatus s) {
@@ -41,6 +42,7 @@ enum class DeviceStatus : std::uint8_t {
     case DeviceStatus::kDeviceUnavailable: return "device-unavailable";
     case DeviceStatus::kMediaError: return "media-error";
     case DeviceStatus::kWriteError: return "write-error";
+    case DeviceStatus::kLbaOutOfRange: return "lba-out-of-range";
   }
   return "?";
 }
@@ -110,7 +112,9 @@ class Ssd final : public psu::PowerSink {
   /// Device is powered, mounted and accepting commands.
   [[nodiscard]] bool ready() const { return ready_; }
   /// Submit a command. If the device is not ready the command fails
-  /// immediately with kDeviceUnavailable (host sees an IO error).
+  /// immediately with kDeviceUnavailable (host sees an IO error); a read,
+  /// write or TRIM reaching past lpn_space() fails immediately with
+  /// kLbaOutOfRange, as a SATA drive rejects an LBA past its capacity.
   void submit(Command cmd);
   /// One-shot callback when the device next becomes ready. Inline-storage
   /// callable (the last std::function on the command path): waiters fire at

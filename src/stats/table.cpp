@@ -58,46 +58,6 @@ std::string Table::render() const {
 
 void Table::print() const { std::fputs(render().c_str(), stdout); }
 
-FigureData::FigureData(std::string title, std::string x_label, std::vector<double> xs)
-    : title_(std::move(title)), x_label_(std::move(x_label)), xs_(std::move(xs)) {}
-
-FigureData& FigureData::add_series(std::string label, std::vector<double> values) {
-  values.resize(xs_.size(), 0.0);
-  series_.push_back(Series{std::move(label), std::move(values)});
-  return *this;
-}
-
-std::string FigureData::render() const {
-  std::string out = "== " + title_ + " ==\n";
-  Table t([this] {
-    std::vector<std::string> h{x_label_};
-    for (const auto& s : series_) h.push_back(s.label);
-    return h;
-  }());
-  for (std::size_t i = 0; i < xs_.size(); ++i) {
-    std::vector<std::string> row{Table::fmt(xs_[i], 2)};
-    for (const auto& s : series_) row.push_back(Table::fmt(s.values[i], 3));
-    t.add_row(std::move(row));
-  }
-  out += t.render();
-
-  // Sparklines: quick visual shape check per series.
-  static const char* kLevels[] = {" ", ".", ":", "-", "=", "+", "*", "#"};
-  for (const auto& s : series_) {
-    const double max_v = *std::max_element(s.values.begin(), s.values.end());
-    out += "  ";
-    for (const double v : s.values) {
-      int lvl = max_v > 0.0 ? static_cast<int>(v / max_v * 7.0) : 0;
-      lvl = std::clamp(lvl, 0, 7);
-      out += kLevels[lvl];
-    }
-    out += "  <- " + s.label + "\n";
-  }
-  return out;
-}
-
-void FigureData::print() const { std::fputs(render().c_str(), stdout); }
-
 void print_banner(const std::string& text) {
   std::printf("\n============================================================\n");
   std::printf("%s\n", text.c_str());

@@ -1,7 +1,7 @@
-// ASCII table/series rendering for bench output.
+// ASCII table rendering for example and bench output.
 //
-// Every bench prints the paper's tables and figure series through this so
-// the output is uniform and diffable run-to-run.
+// Every report prints its tables through this so the output is uniform and
+// diffable run-to-run.
 #pragma once
 
 #include <cstdint>
@@ -27,30 +27,6 @@ class Table {
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
-};
-
-/// A labelled numeric series (one curve of a figure).
-struct Series {
-  std::string label;
-  std::vector<double> values;
-};
-
-/// Render figure-style data: one row per x value, one column per series,
-/// plus an optional ASCII sparkline per series underneath.
-class FigureData {
- public:
-  FigureData(std::string title, std::string x_label, std::vector<double> xs);
-
-  FigureData& add_series(std::string label, std::vector<double> values);
-
-  [[nodiscard]] std::string render() const;
-  void print() const;
-
- private:
-  std::string title_;
-  std::string x_label_;
-  std::vector<double> xs_;
-  std::vector<Series> series_;
 };
 
 /// Section banner used between experiments in bench output.

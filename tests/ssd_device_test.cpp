@@ -222,6 +222,30 @@ TEST(Ssd, SurvivesMultiplePowerCycles) {
   EXPECT_EQ(h.ssd.stats().power_losses, 3u);
 }
 
+TEST(Ssd, RejectsCommandsPastItsLpnSpace) {
+  Harness h;
+  h.boot();
+  const std::uint64_t space = lpn_space(small_drive());
+  // One page past the end: a read, a write and a TRIM all fail at once.
+  EXPECT_EQ(h.write_sync(space - 1, {0x71, 0x72}),
+            std::optional(DeviceStatus::kLbaOutOfRange));
+  for (const auto op : {Command::Op::kRead, Command::Op::kTrim}) {
+    std::optional<DeviceStatus> status;
+    Command cmd;
+    cmd.op = op;
+    cmd.lpn = space;
+    cmd.pages = 1;
+    cmd.done = [&](DeviceStatus s, std::vector<std::uint64_t>) { status = s; };
+    h.ssd.submit(std::move(cmd));
+    EXPECT_EQ(status, std::optional(DeviceStatus::kLbaOutOfRange));
+  }
+  // An exact fit at the end of the space is accepted.
+  EXPECT_EQ(h.write_sync(space - 2, {0x81, 0x82}), std::optional(DeviceStatus::kOk));
+  const auto data = h.read_sync(space - 2, 2);
+  ASSERT_TRUE(data.has_value());
+  EXPECT_EQ(*data, (std::vector<std::uint64_t>{0x81, 0x82}));
+}
+
 TEST(Presets, Table1FleetHasSixDrives) {
   const auto fleet = table1_fleet();
   ASSERT_EQ(fleet.size(), 6u);

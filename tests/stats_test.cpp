@@ -93,23 +93,5 @@ TEST(Table, FormatHelpers) {
   EXPECT_EQ(Table::fmt(std::int64_t{-7}), "-7");
 }
 
-TEST(FigureData, RendersSeriesAndSparkline) {
-  FigureData fig("test figure", "x", {1.0, 2.0, 3.0});
-  fig.add_series("up", {1.0, 2.0, 3.0});
-  fig.add_series("down", {3.0, 2.0, 1.0});
-  const std::string out = fig.render();
-  EXPECT_NE(out.find("test figure"), std::string::npos);
-  EXPECT_NE(out.find("up"), std::string::npos);
-  EXPECT_NE(out.find("down"), std::string::npos);
-  EXPECT_NE(out.find("<- up"), std::string::npos);  // sparkline legend
-}
-
-TEST(FigureData, ShortSeriesPaddedToXs) {
-  FigureData fig("pad", "x", {1.0, 2.0, 3.0});
-  fig.add_series("short", {5.0});
-  const std::string out = fig.render();
-  EXPECT_NE(out.find("short"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace pofi::stats
