@@ -13,16 +13,22 @@ namespace {
 /// then is wedged — report it as an error, never spin the worker forever.
 constexpr std::uint64_t kRunEventBudget = 50'000'000;
 
+/// Events between the stop checks of the waits that define the golden
+/// schedule: the mount, the drain (measure_schedule and the pilot) and the
+/// approach to a crash boundary. The golden run sees its drain on one of these
+/// edges, so changing the chunk moves B, the lattice and every pinned repro.
+constexpr std::uint64_t kScheduleChunk = 4096;
+
 }  // namespace
 
 template <class Pred>
-void CrashHarness::run_sim_until(Pred stop, const char* what) {
+void CrashHarness::run_sim_until(Pred stop, std::uint64_t chunk, const char* what) {
   sim::Simulator& sim = tp_->simulator();
   while (!stop()) {
     if (sim.idle()) {
       throw std::runtime_error(std::string("torture harness: simulator idle while ") + what);
     }
-    sim.run_all(4096);
+    sim.run_all(chunk);
     if (sim.events_fired() > base_ + kRunEventBudget) {
       throw std::runtime_error(std::string("torture harness: event budget exhausted while ") +
                                what);
@@ -46,7 +52,7 @@ void CrashHarness::begin_run(platform::TestPlatform& tp) {
   // the true start.
   base_ = sim.events_fired();
   tp.scheduler().command_on();
-  run_sim_until([&] { return tp.device().ready(); }, "mounting");
+  run_sim_until([&] { return tp.device().ready(); }, kScheduleChunk, "mounting");
 
   if (cfg_.break_recovery) {
     tp.device().ftl().set_torture_fault(ftl::Ftl::TortureFault::kSkipLastJournalRecord);
@@ -108,7 +114,7 @@ bool CrashHarness::drained() const {
 
 std::uint64_t CrashHarness::measure_schedule(platform::TestPlatform& tp) {
   begin_run(tp);
-  run_sim_until([&] { return drained(); }, "running the golden schedule");
+  run_sim_until([&] { return drained(); }, kScheduleChunk, "running the golden schedule");
   // Margin: let the journal cut and commit what the drain left volatile, so
   // boundaries cover the tail where recovery depends on the final commits.
   tp.simulator().run_for(cfg_.drive.ftl.journal_interval * 2);
@@ -147,7 +153,7 @@ std::uint64_t CrashHarness::run_pilot(platform::TestPlatform& tp, SchedulePilot&
   out.snapshots.clear();
 
   // Mirror measure_schedule()'s run loop *exactly* — drained() evaluated only
-  // at 4096-event chunk boundaries, so B includes the same chunk overshoot —
+  // at kScheduleChunk edges, so B includes the same chunk overshoot —
   // while stepping singly inside each chunk to see every quiescent boundary.
   // Captures are pure reads, so the event stream is byte-identical.
   std::uint64_t next_capture = 0;  // the baseline itself is eligible
@@ -155,7 +161,7 @@ std::uint64_t CrashHarness::run_pilot(platform::TestPlatform& tp, SchedulePilot&
     if (sim.idle()) {
       throw std::runtime_error("torture harness: simulator idle while running the pilot");
     }
-    for (std::uint32_t step = 0; step < 4096 && !sim.idle(); ++step) {
+    for (std::uint64_t step = 0; step < kScheduleChunk && !sim.idle(); ++step) {
       if (sim.events_fired() - base_ >= next_capture && quiescent_for_snapshot()) {
         out.snapshots.emplace_back();
         capture(out.snapshots.back());
@@ -223,18 +229,18 @@ CrashOutcome CrashHarness::finish_crash_point(std::uint64_t boundary) {
   sim.set_boundary_probe(&probe);
   // The probe stops run_all at the exact boundary; a schedule that quiesces
   // or wedges before reaching it is caught by the guards. drained() is
-  // evaluated only at 4096-event boundaries measured from base_ — a restored
+  // evaluated only at kScheduleChunk edges measured from base_ — a restored
   // run starts mid-chunk, and checking early would stop where a full replay
   // (whose chunks all start at base_) blows straight past to the probe.
   try {
     while (true) {
       const std::uint64_t fired = sim.events_fired() - base_;
-      if (probe.tripped() || (fired % 4096 == 0 && drained())) break;
+      if (probe.tripped() || (fired % kScheduleChunk == 0 && drained())) break;
       if (sim.idle()) {
         throw std::runtime_error(
             "torture harness: simulator idle while approaching the boundary");
       }
-      sim.run_all(4096 - fired % 4096);
+      sim.run_all(kScheduleChunk - fired % kScheduleChunk);
       if (sim.events_fired() > base_ + kRunEventBudget) {
         throw std::runtime_error(
             "torture harness: event budget exhausted while approaching the boundary");
@@ -260,10 +266,12 @@ CrashOutcome CrashHarness::finish_crash_point(std::uint64_t boundary) {
         tp.scheduler().command_off();
         break;
     }
-    run_sim_until([&] { return tp.scheduler().rail_fully_down(); }, "riding the rail down");
+    // Past the cut nothing defines the schedule, and at ready() POR has
+    // flushed the map: later journal ticks could not change the audit.
+    run_sim_until([&] { return tp.scheduler().rail_fully_down(); }, 1, "riding the rail down");
     sim.run_for(cfg_.platform.post_fault_dwell);
     tp.scheduler().command_on();
-    run_sim_until([&] { return tp.device().ready(); }, "remounting");
+    run_sim_until([&] { return tp.device().ready(); }, 1, "remounting");
   }
 
   // Writes still unsettled at the crash: the device may hold either version.

@@ -160,11 +160,18 @@ class CrashHarness {
                     const HarnessSnapshot& snap);
   /// Shared tail of both crash paths: probe to `boundary`, inject, ride the
   /// rail down, dwell, remount, mark unsettled writes indeterminate, audit.
+  /// The approach checks drain on kScheduleChunk edges like the golden run,
+  /// so both paths stop at the same boundaries. The rail-down and remount
+  /// waits step per event: nothing after the cut defines the schedule, and
+  /// at ready() POR has flushed the map, so the run ends at the remount.
   CrashOutcome finish_crash_point(std::uint64_t boundary);
-  /// Step until `stop` holds; throws if the sim goes idle or the event
-  /// budget blows first (a wedged schedule, not a finding).
+  /// Step `chunk` events at a time until `stop` holds; throws if the sim
+  /// goes idle or the event budget blows first (a wedged schedule, not a
+  /// finding). `stop` is checked only between chunks. The mount and the
+  /// golden drain pass kScheduleChunk, whose edges fix the schedule length
+  /// B; the post-fault waits pass 1.
   template <class Pred>
-  void run_sim_until(Pred stop, const char* what);
+  void run_sim_until(Pred stop, std::uint64_t chunk, const char* what);
 
   const TortureConfig& cfg_;
 

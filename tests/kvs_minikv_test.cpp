@@ -180,20 +180,23 @@ TEST(MiniKv, TornTransactionNotReplayed) {
   // sure recovery counts it as torn and does not apply the puts.
   Harness h(CommitDiscipline::kBarriered);
   h.kv.put(1, 11);
-  ASSERT_TRUE(h.commit_sync());
+  ASSERT_TRUE(h.commit_sync());  // PUT at LPN 0, COMMIT at LPN 1
   // Handcraft a torn txn: data page + flush, then crash before commit page.
   bool wrote = false;
-  h.queue.submit_write(1000, {MiniKv::encode_put(9, 99)},
+  h.queue.submit_write(2, {MiniKv::encode_put(9, 99)},
                        [&](blk::RequestOutcome) { wrote = true; });
   h.run_until([&] { return wrote; });
   bool flushed = false;
   h.queue.submit_flush([&](blk::RequestOutcome) { flushed = true; });
   h.run_until([&] { return flushed; });
   h.power_cycle();
-  // The torn record sits far beyond the committed region; recovery sees the
-  // hole, keeps scanning within its window, finds the orphan put, and ends
-  // with a pending run -> torn.
-  (void)h.recover_sync();
+  // The orphan put directly follows the committed transaction, so recovery
+  // reads it with no gap before it and ends the log with a pending run: one
+  // torn transaction, no hole.
+  const auto st = h.recover_sync();
+  EXPECT_EQ(st.torn, 1u);
+  EXPECT_EQ(st.committed_found, 1u);
+  EXPECT_EQ(st.holes, 0u);
   EXPECT_FALSE(h.kv.get(9).has_value());
   EXPECT_EQ(h.kv.get(1), std::optional<std::uint32_t>(11));
 }

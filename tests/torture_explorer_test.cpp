@@ -305,6 +305,33 @@ TEST(TortureExplorer, SnapshotIntervalNeverChangesVerdicts) {
   }
 }
 
+// A crash point ends at the remount: the rail-down and remount waits stop at
+// the first event where they hold, so an injected point fires only a short
+// tail past its boundary instead of running on to the next schedule chunk
+// edge through idle journal ticks.
+TEST(TortureHarness, CrashPointTailIsBounded) {
+  const TortureConfig cfg = small_config();
+  CrashHarness harness(cfg);
+  runner::SessionSlot slot;
+  SchedulePilot pilot;
+  const std::uint64_t schedule = harness.run_pilot(
+      runner::ExperimentSession::acquire(slot, cfg.drive, cfg.platform, cfg.seed), pilot, 64);
+
+  std::size_t injected = 0;
+  for (std::uint64_t k = 0; k < schedule; k += 97) {
+    const HarnessSnapshot* snap = pilot.nearest_at_or_before(k);
+    ASSERT_NE(snap, nullptr) << "k=" << k;
+    platform::TestPlatform& tp =
+        runner::ExperimentSession::acquire_for_restore(slot, cfg.drive, cfg.platform);
+    const CrashOutcome out = harness.run_crash_point_from(tp, pilot, *snap, k);
+    if (!out.injected) continue;
+    ++injected;
+    EXPECT_TRUE(out.report.ok()) << "k=" << k;
+    EXPECT_LE(tp.simulator().events_fired() - snap->base - k, 256u) << "k=" << k;
+  }
+  EXPECT_GT(injected, 0u);
+}
+
 // audit-failed is part of the status taxonomy: round-trips through the
 // string codec and stays out of is_success (so it is never checkpointed).
 TEST(TortureExplorer, AuditFailedStatusTaxonomy) {
