@@ -12,7 +12,6 @@
 // blocks to the sealed set and opens fresh ones.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <optional>
@@ -52,27 +51,17 @@ class BlockAllocator {
 
   [[nodiscard]] std::size_t free_blocks() const;
   [[nodiscard]] std::uint64_t pages_allocated() const { return pages_allocated_; }
-  /// Currently open block of `stream` on `plane` (mostly for tests).
+  /// Currently open block of `stream` on `plane` (tests and the auditor).
   [[nodiscard]] std::optional<BlockId> active_block(Stream stream, std::uint32_t plane) const;
 
   // --- Audit interface (read-only; src/torture/) ----------------------------
-  /// Every block currently in a free heap, sorted (deterministic order).
-  [[nodiscard]] std::vector<BlockId> free_block_ids() const {
-    std::vector<BlockId> out;
+  /// Visit every free-heap entry, in heap-storage order (a block pushed twice
+  /// is visited twice).
+  template <typename Fn>
+  void for_each_free_block(Fn&& fn) const {
     for (const auto& heap : free_heaps_) {
-      for (const FreeEntry& e : heap.container()) out.push_back(e.block);
+      for (const FreeEntry& e : heap.container()) fn(e.block);
     }
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-  /// Every block with an open allocation cursor, sorted.
-  [[nodiscard]] std::vector<BlockId> active_blocks() const {
-    std::vector<BlockId> out;
-    for (const Active& a : active_) {
-      if (a.open) out.push_back(a.block);
-    }
-    std::sort(out.begin(), out.end());
-    return out;
   }
 
   /// Test-only corruption hook: push a block onto its plane's free heap

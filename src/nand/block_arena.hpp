@@ -56,6 +56,13 @@ class BlockArena {
     return b < block_index_.size() ? block_index_[b] : kNoSlot;
   }
   [[nodiscard]] std::size_t touched_blocks() const { return slots_; }
+  /// Visit every materialised block, in ascending BlockId order.
+  template <typename Fn>
+  void for_each_touched(Fn&& fn) const {
+    for (BlockId b = 0; b < block_index_.size(); ++b) {
+      if (block_index_[b] != kNoSlot) fn(b);
+    }
+  }
 
   // --- Per-block counters and flags --------------------------------------
   [[nodiscard]] std::uint32_t erase_count(Slot s) const { return erase_count_[s]; }

@@ -195,6 +195,15 @@ class NandChip {
   [[nodiscard]] bool is_bad(BlockId b) const;
   /// Number of materialised (touched) blocks.
   [[nodiscard]] std::size_t touched_blocks() const { return arena_.touched_blocks(); }
+  /// Whether block `b` has an arena slot (was ever touched).
+  [[nodiscard]] bool materialized(BlockId b) const {
+    return arena_.find(b) != BlockArena::kNoSlot;
+  }
+  /// Visit every materialised block, in ascending BlockId order.
+  template <typename Fn>
+  void for_each_materialized_block(Fn&& fn) const {
+    arena_.for_each_touched(fn);
+  }
 
  private:
   struct InFlight {

@@ -91,6 +91,18 @@ class ChipArray {
   [[nodiscard]] std::uint32_t erase_count(BlockId b) const;
   [[nodiscard]] bool is_bad(BlockId b) const;
   [[nodiscard]] std::size_t touched_blocks() const;
+  /// Whether block `b` holds arena state; an unmaterialised block is erased.
+  [[nodiscard]] bool materialized(BlockId b) const {
+    return chips_[channel_of_block(b)]->materialized(local_block(b));
+  }
+  /// Visit every materialised block (global ids), die by die.
+  template <typename Fn>
+  void for_each_materialized_block(Fn&& fn) const {
+    for (std::uint32_t c = 0; c < config_.channels; ++c) {
+      chips_[c]->for_each_materialized_block(
+          [&](BlockId local) { fn(local * config_.channels + c); });
+    }
+  }
   /// Aggregate statistics across every die.
   [[nodiscard]] ChipStats stats() const;
   [[nodiscard]] NandChip& die(std::uint32_t channel) { return *chips_[channel]; }

@@ -1,10 +1,9 @@
 #include "spec/version.hpp"
 
+#include "pofi_git_rev.hpp"  // POFI_GIT_REV, generated at build time
+
 #ifndef POFI_VERSION_STRING
 #define POFI_VERSION_STRING "0.0.0"
-#endif
-#ifndef POFI_GIT_REV
-#define POFI_GIT_REV "unreleased"
 #endif
 
 namespace pofi::spec {

@@ -4,8 +4,9 @@
 
 namespace pofi::spec {
 
-/// "pofi <semver>+<git short rev>" — rev is "unreleased" when the build tree
-/// had no git metadata at configure time.
+/// "pofi <semver>+<git short rev>" — the rev is read at build time and
+/// carries "+dirty" when a tracked file differed from HEAD; it is
+/// "unreleased" when the sources had no git metadata (or git was missing).
 [[nodiscard]] const char* pofi_version();
 
 }  // namespace pofi::spec

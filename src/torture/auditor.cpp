@@ -1,8 +1,8 @@
 #include "torture/auditor.hpp"
 
 #include <algorithm>
+#include <string>
 #include <tuple>
-#include <unordered_map>
 
 #include "ftl/ftl.hpp"
 #include "nand/page.hpp"
@@ -28,6 +28,48 @@ void add(AuditReport& report, InvariantKind kind, ftl::Lpn lpn, ftl::Ppn ppn,
 
 }  // namespace
 
+void InvariantAuditor::check_membership(AuditReport& report, ftl::BlockId block,
+                                        const Membership& m, std::uint32_t valid_count) {
+  // Each pair emits min(count_a, count_b) findings: what std::set_intersection
+  // emits over the sets as sorted multisets.
+  auto overlap = [&](std::uint32_t a, std::uint32_t b, const char* what) {
+    for (std::uint32_t i = 0; i < std::min(a, b); ++i) {
+      add(report, InvariantKind::kAllocatorArenaMismatch, ftl::kUnmappedLpn,
+          ~ftl::Ppn{0}, block, "block " + std::to_string(block) + " is in both " + what);
+    }
+  };
+  overlap(m.free, m.active, "the free pool and the active set");
+  overlap(m.free, m.sealed, "the free pool and the sealed set");
+  overlap(m.active, m.sealed, "the active set and the sealed set");
+  if (valid_count == 0) return;
+  // Every free-pool entry is checked, so a block pushed twice reports twice.
+  for (std::uint32_t i = 0; i < m.free; ++i) {
+    add(report, InvariantKind::kAllocatorArenaMismatch, ftl::kUnmappedLpn, ~ftl::Ppn{0},
+        block,
+        "free block " + std::to_string(block) + " still counts " +
+            std::to_string(valid_count) + " valid page(s)");
+  }
+}
+
+void InvariantAuditor::check_free_pages(AuditReport& report, const nand::ChipArray& chip,
+                                        ftl::BlockId block, std::uint32_t free_entries) {
+  // Only materialised blocks get here: an untouched block has no arena slot
+  // and is erased by definition. A free one must be erased end to end.
+  const nand::Geometry& geom = chip.geometry();
+  for (std::uint32_t p = 0; p < geom.pages_per_block; ++p) {
+    const ftl::Ppn ppn = geom.first_page(block) + p;
+    const nand::Page* page = chip.peek(ppn);
+    if (page != nullptr && page->status != nand::PageStatus::kErased) {
+      for (std::uint32_t i = 0; i < free_entries; ++i) {
+        add(report, InvariantKind::kAllocatorArenaMismatch, ftl::kUnmappedLpn, ppn, block,
+            "free block " + std::to_string(block) + " holds a " +
+                std::string(nand::to_string(page->status)) + " page");
+      }
+      return;  // one finding per block is enough to localise it
+    }
+  }
+}
+
 AuditReport InvariantAuditor::audit(const ssd::Ssd& ssd,
                                     const platform::ShadowStore* shadow) {
   AuditReport report;
@@ -36,28 +78,29 @@ AuditReport InvariantAuditor::audit(const ssd::Ssd& ssd,
   const nand::ChipArray& chip = ssd.chip();
   const nand::Geometry& geom = chip.geometry();
   const std::uint64_t horizon = ftl.journal_horizon();
+  const std::uint64_t total_blocks = geom.total_blocks();
 
   // --- I1 + I2 + I4: walk the L2P map once ---------------------------------
-  // Collect per-PPN ownership (double-map detection), per-block live counts
-  // (valid-count cross-check), reverse-map agreement, and journal-replay
-  // completeness for persisted entries.
-  std::unordered_map<ftl::Ppn, ftl::Lpn> owner;
-  std::unordered_map<ftl::BlockId, std::uint32_t> counted;
-  owner.reserve(map.entry_count());
+  // Count live pages per block (valid-count cross-check), check reverse-map
+  // agreement and journal-replay completeness for persisted entries, and
+  // collect the PPNs that could be doubly owned (see I1 below).
+  owners_.clear();
+  counted_.assign(total_blocks, 0);
   map.for_each_mapping([&](ftl::Lpn lpn, ftl::Ppn ppn) {
     ++report.mappings_checked;
     const ftl::BlockId block = geom.block_of(ppn);
-    ++counted[block];
+    // A mapping past the geometry has no block to count against; the peek
+    // below reports it as pointing at a never-programmed page.
+    if (block < total_blocks) ++counted_[block];
 
-    if (const auto [it, inserted] = owner.emplace(ppn, lpn); !inserted) {
-      add(report, InvariantKind::kDoubleMappedPpn, lpn, ppn, block,
-          "lpn " + std::to_string(lpn) + " and lpn " + std::to_string(it->second) +
-              " both map to ppn " + std::to_string(ppn));
-    }
-    if (ftl.reverse_lpn(ppn) != lpn) {
+    if (const ftl::Lpn reverse = ftl.reverse_lpn(ppn); reverse != lpn) {
       add(report, InvariantKind::kReverseMapMismatch, lpn, ppn, block,
           "map says lpn " + std::to_string(lpn) + " -> ppn " + std::to_string(ppn) +
-              " but reverse map holds lpn " + std::to_string(ftl.reverse_lpn(ppn)));
+              " but reverse map holds lpn " + std::to_string(reverse));
+      owners_.emplace_back(ppn, lpn);
+      if (reverse != ftl::kUnmappedLpn && map.lookup(reverse) == ppn) {
+        owners_.emplace_back(ppn, reverse);
+      }
     }
 
     const nand::Page* page = chip.peek(ppn);
@@ -69,23 +112,65 @@ AuditReport InvariantAuditor::audit(const ssd::Ssd& ssd,
     // Partial/corrupt pages are the paper's data-failure channel, not a
     // replay bug; their OOB shares the page's fate and proves nothing.
     if (page->status != nand::PageStatus::kValid) return;
+    const bool foreign = page->oob.lpn != lpn;
+    if (!foreign && page->oob.seq <= horizon) return;
     if (map.entry_volatile(lpn)) return;  // not journaled yet: no horizon claim
-    if (page->oob.lpn != lpn) {
+    if (foreign) {
       add(report, InvariantKind::kJournalReplayIncomplete, lpn, ppn, block,
           "persisted mapping points at a page stamped for lpn " +
               std::to_string(page->oob.lpn));
-    } else if (page->oob.seq > horizon) {
+    } else {
       add(report, InvariantKind::kJournalReplayIncomplete, lpn, ppn, block,
           "persisted mapping carries seq " + std::to_string(page->oob.seq) +
               " > journal horizon " + std::to_string(horizon));
     }
   });
 
-  // --- I2: per-block valid counts match the map walk ------------------------
-  const std::uint64_t total_blocks = geom.total_blocks();
+  // --- I1: no PPN has two owners --------------------------------------------
+  // The reverse map names one LPN per PPN, so of a PPN's owners at most one
+  // agrees with it: every doubly owned PPN has a mismatching owner, and the
+  // walk collected all of that PPN's owners (each mismatching one, plus the
+  // agreeing one it still maps). A clean map collects nothing. The walk
+  // visits LPNs in ascending order, so the lowest LPN of a PPN is its first
+  // owner and every later one is the duplicate.
+  std::sort(owners_.begin(), owners_.end());
+  owners_.erase(std::unique(owners_.begin(), owners_.end()), owners_.end());
+  for (std::size_t first = 0; first < owners_.size();) {
+    const auto [ppn, owner] = owners_[first];
+    std::size_t i = first + 1;
+    for (; i < owners_.size() && owners_[i].first == ppn; ++i) {
+      add(report, InvariantKind::kDoubleMappedPpn, owners_[i].second, ppn,
+          geom.block_of(ppn),
+          "lpn " + std::to_string(owners_[i].second) + " and lpn " +
+              std::to_string(owner) + " both map to ppn " + std::to_string(ppn));
+    }
+    first = i;
+  }
+
+  // --- I3: allocator free/active/sealed sets, as per-block counts -----------
+  const ftl::BlockAllocator& alloc = ftl.allocator();
+  members_.assign(total_blocks, Membership{});
+  strays_.clear();
+  auto note = [&](ftl::BlockId b, AllocSet set) {
+    if (b < total_blocks) {
+      members_[b].add(set);
+    } else {
+      strays_.emplace_back(b, set);
+    }
+  };
+  alloc.for_each_free_block([&](ftl::BlockId b) { note(b, AllocSet::kFree); });
+  for (std::size_t s = 0; s < ftl::kStreamCount; ++s) {
+    for (std::uint32_t plane = 0; plane < geom.planes; ++plane) {
+      if (const auto b = alloc.active_block(static_cast<ftl::Stream>(s), plane)) {
+        note(*b, AllocSet::kActive);
+      }
+    }
+  }
+  for (const ftl::BlockId b : alloc.sealed_blocks()) note(b, AllocSet::kSealed);
+
+  // --- I2 + I3: one pass over the per-block counters ------------------------
   for (ftl::BlockId b = 0; b < total_blocks; ++b) {
-    const auto it = counted.find(b);
-    const std::uint32_t walked = it == counted.end() ? 0 : it->second;
+    const std::uint32_t walked = counted_[b];
     const std::uint32_t believed = ftl.valid_count(b);
     if (walked != believed) {
       add(report, InvariantKind::kMapValidCountMismatch, ftl::kUnmappedLpn,
@@ -94,65 +179,34 @@ AuditReport InvariantAuditor::audit(const ssd::Ssd& ssd,
               " but the map holds " + std::to_string(walked) + " live page(s)");
     }
     if (walked != 0 || believed != 0) ++report.blocks_checked;
+    const Membership& m = members_[b];
+    if (m.free + m.active + m.sealed > 1 || (m.free != 0 && believed != 0)) {
+      check_membership(report, b, m, believed);
+    }
   }
-
-  // --- I3: allocator free/active/sealed sets vs the arena -------------------
-  const ftl::BlockAllocator& alloc = ftl.allocator();
-  const std::vector<ftl::BlockId> free_ids = alloc.free_block_ids();
-  const std::vector<ftl::BlockId> active = alloc.active_blocks();
-  std::vector<ftl::BlockId> sealed = alloc.sealed_blocks();
-  std::sort(sealed.begin(), sealed.end());
-
-  auto check_disjoint = [&](const std::vector<ftl::BlockId>& a,
-                            const std::vector<ftl::BlockId>& b, const char* what) {
-    std::vector<ftl::BlockId> both;
-    std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                          std::back_inserter(both));
-    for (const ftl::BlockId blk : both) {
-      add(report, InvariantKind::kAllocatorArenaMismatch, ftl::kUnmappedLpn,
-          ~ftl::Ppn{0}, blk, "block " + std::to_string(blk) + " is in both " + what);
+  chip.for_each_materialized_block([&](ftl::BlockId b) {
+    if (b < total_blocks && members_[b].free != 0) {
+      check_free_pages(report, chip, b, members_[b].free);
     }
-  };
-  check_disjoint(free_ids, active, "the free pool and the active set");
-  check_disjoint(free_ids, sealed, "the free pool and the sealed set");
-  check_disjoint(active, sealed, "the active set and the sealed set");
-
-  for (const ftl::BlockId b : free_ids) {
-    if (ftl.valid_count(b) != 0) {
-      add(report, InvariantKind::kAllocatorArenaMismatch, ftl::kUnmappedLpn,
-          ~ftl::Ppn{0}, b,
-          "free block " + std::to_string(b) + " still counts " +
-              std::to_string(ftl.valid_count(b)) + " valid page(s)");
-    }
-    // Untouched blocks have no arena slot (peek == nullptr) and are erased
-    // by definition; a materialised free block must be erased end to end.
-    if (chip.peek(geom.first_page(b)) == nullptr) continue;
-    for (std::uint32_t p = 0; p < geom.pages_per_block; ++p) {
-      const nand::Page* page = chip.peek(geom.first_page(b) + p);
-      if (page != nullptr && page->status != nand::PageStatus::kErased) {
-        add(report, InvariantKind::kAllocatorArenaMismatch, ftl::kUnmappedLpn,
-            geom.first_page(b) + p, b,
-            "free block " + std::to_string(b) + " holds a " +
-                std::string(nand::to_string(page->status)) + " page");
-        break;  // one finding per block is enough to localise it
-      }
-    }
+  });
+  std::sort(strays_.begin(), strays_.end());
+  for (std::size_t i = 0; i < strays_.size();) {
+    const ftl::BlockId b = strays_[i].first;
+    Membership m;
+    for (; i < strays_.size() && strays_[i].first == b; ++i) m.add(strays_[i].second);
+    check_membership(report, b, m, ftl.valid_count(b));
+    if (m.free != 0 && chip.materialized(b)) check_free_pages(report, chip, b, m.free);
   }
 
   // --- I5: every ACKed write is durable or declared lost --------------------
   if (shadow != nullptr) {
     const std::vector<ftl::Lpn>& reverted = ftl.last_reverted_lpns();
     const std::vector<ftl::Lpn>& dropped = ssd.cache().last_dropped_lpns();
-    // Deterministic visit order: collect and sort (the shadow store visits
-    // its slots in hash order).
-    std::vector<std::pair<ftl::Lpn, std::uint64_t>> acked;
+    // The shadow store visits its slots in hash order; the final sort makes
+    // the report independent of it.
     shadow->for_each([&](ftl::Lpn lpn, std::uint64_t expected, bool indeterminate) {
       if (indeterminate) return;  // device may hold either version: no claim
       if (expected == nand::kErasedContent) return;
-      acked.emplace_back(lpn, expected);
-    });
-    std::sort(acked.begin(), acked.end());
-    for (const auto& [lpn, expected] : acked) {
       ++report.acked_pages_checked;
       const auto ppn = map.lookup(lpn);
       const nand::Page* page = ppn.has_value() ? chip.peek(*ppn) : nullptr;
@@ -160,7 +214,7 @@ AuditReport InvariantAuditor::audit(const ssd::Ssd& ssd,
           page == nullptr ? nand::kErasedContent : page->content;
       if (ppn.has_value() && page != nullptr && on_media == expected &&
           page->status == nand::PageStatus::kValid) {
-        continue;  // durable
+        return;  // durable
       }
       // Not durable: acceptable only when classified into the paper's
       // taxonomy — FWA (map revert), declared cache loss, or media damage
@@ -171,19 +225,19 @@ AuditReport InvariantAuditor::audit(const ssd::Ssd& ssd,
           page != nullptr && (page->status == nand::PageStatus::kPartial ||
                               page->status == nand::PageStatus::kCorrupt ||
                               page->upset_errors > 0);
-      if (declared_fwa || declared_cache_loss || damaged) continue;
+      if (declared_fwa || declared_cache_loss || damaged) return;
       add(report, InvariantKind::kLostAckedWrite, lpn,
           ppn.value_or(~ftl::Ppn{0}),
           ppn.has_value() ? geom.block_of(*ppn) : ~ftl::BlockId{0},
           "ACKed write to lpn " + std::to_string(lpn) +
               " is gone: not reverted, not declared cache loss, media intact");
-    }
+    });
   }
 
   std::sort(report.violations.begin(), report.violations.end(),
             [](const Violation& a, const Violation& b) {
-              return std::tie(a.kind, a.lpn, a.ppn, a.block) <
-                     std::tie(b.kind, b.lpn, b.ppn, b.block);
+              return std::tie(a.kind, a.lpn, a.ppn, a.block, a.detail) <
+                     std::tie(b.kind, b.lpn, b.ppn, b.block, b.detail);
             });
   return report;
 }

@@ -8,11 +8,13 @@
 // arena's page-status lanes, the journal horizon and the host's shadow
 // ground truth against each other. Every check is read-only (peek-based) and
 // deterministic, so it can run inside the torture explorer's parallel shards
-// without perturbing the simulation.
+// without perturbing the simulation; each shard's harness owns its auditor
+// (and with it the auditor's reusable scratch).
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ftl/types.hpp"
@@ -57,8 +59,8 @@ struct Violation {
 };
 
 struct AuditReport {
-  /// Sorted by (kind, lpn, ppn, block) so reports are byte-identical at any
-  /// shard/thread layout.
+  /// Sorted by (kind, lpn, ppn, block, detail) so reports are byte-identical
+  /// at any shard/thread layout and whatever order the checks ran in.
   std::vector<Violation> violations;
   std::uint64_t mappings_checked = 0;
   std::uint64_t blocks_checked = 0;
@@ -66,6 +68,12 @@ struct AuditReport {
   [[nodiscard]] bool ok() const { return violations.empty(); }
 };
 
+/// Cost model: one pass over the L2P mappings, one over the shadow store's
+/// acked pages, one page scan per free block the NAND arena has
+/// materialised, and a pass of flat per-block counters over the block range
+/// (no hashing, sorting or NAND access per block). Scratch buffers live in
+/// the auditor and keep their capacity, so a warm auditor allocates only for
+/// the violations it reports.
 class InvariantAuditor {
  public:
   /// Audit a mounted (ready) device. `shadow` supplies the host's view of
@@ -78,8 +86,37 @@ class InvariantAuditor {
   /// recent power loss (Ftl::last_reverted_lpns, WriteCache::
   /// last_dropped_lpns), so it is sound for the one-fault-per-session runs
   /// the torture harness performs.
-  [[nodiscard]] static AuditReport audit(const ssd::Ssd& ssd,
-                                         const platform::ShadowStore* shadow);
+  [[nodiscard]] AuditReport audit(const ssd::Ssd& ssd, const platform::ShadowStore* shadow);
+
+ private:
+  enum class AllocSet : std::uint8_t { kFree, kActive, kSealed };
+  /// How often a block appears in each allocator set (free heaps, open
+  /// cursors, sealed list). A healthy block is in at most one, once.
+  struct Membership {
+    std::uint32_t free = 0;
+    std::uint32_t active = 0;
+    std::uint32_t sealed = 0;
+    void add(AllocSet set) {
+      switch (set) {
+        case AllocSet::kFree: ++free; break;
+        case AllocSet::kActive: ++active; break;
+        case AllocSet::kSealed: ++sealed; break;
+      }
+    }
+  };
+
+  static void check_membership(AuditReport& report, ftl::BlockId block, const Membership& m,
+                               std::uint32_t valid_count);
+  static void check_free_pages(AuditReport& report, const nand::ChipArray& chip,
+                               ftl::BlockId block, std::uint32_t free_entries);
+
+  /// Owners of the PPNs a reverse-map mismatch names, PPN-sorted.
+  std::vector<std::pair<ftl::Ppn, ftl::Lpn>> owners_;
+  std::vector<std::uint32_t> counted_;  ///< live mappings per block
+  std::vector<Membership> members_;     ///< per block in the geometry
+  /// Allocator entries naming a block past the geometry (only a corrupted
+  /// allocator holds one): checked like the rest, without a dense slot.
+  std::vector<std::pair<ftl::BlockId, AllocSet>> strays_;
 };
 
 }  // namespace pofi::torture

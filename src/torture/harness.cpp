@@ -282,7 +282,7 @@ CrashOutcome CrashHarness::finish_crash_point(std::uint64_t boundary) {
   }
   outstanding_.clear();
 
-  out.report = InvariantAuditor::audit(tp.device(), &tp.shadow());
+  out.report = auditor_.audit(tp.device(), &tp.shadow());
   return out;
 }
 

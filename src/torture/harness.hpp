@@ -185,6 +185,7 @@ class CrashHarness {
   bool halted_ = false;          ///< crash reached: no further submissions
   sim::EventId pump_event_{};    ///< armed inter-arrival timer (census/capture)
   sim::TimerRearmer rearm_;      ///< pooled across restores
+  InvariantAuditor auditor_;     ///< scratch pooled across crash points
   std::unordered_map<std::uint64_t, PendingWrite> outstanding_;
   std::vector<workload::RequestSpec> recorded_;
 };

@@ -7,7 +7,8 @@
 // high-waters during warm-up and later captures/restores copy in place —
 // vectors keep capacity, hash tables reuse nodes, re-armed timer closures
 // fit the std::function small-buffer. After warm-up, N further
-// restore+snapshot cycles must perform exactly zero allocations.
+// restore+snapshot cycles must perform exactly zero allocations. The same
+// holds for a warmed invariant auditor, which runs after every crash point.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +17,7 @@
 
 #include "platform/test_platform.hpp"
 #include "ssd/presets.hpp"
+#include "torture/auditor.hpp"
 #include "torture/harness.hpp"
 #include "torture/torture_spec.hpp"
 
@@ -106,6 +108,40 @@ TEST(SnapshotAlloc, RestoreSnapshotCyclesAllocateNothingInSteadyState) {
   EXPECT_EQ(cycle_allocs, 0u)
       << "snapshot/restore must not touch the heap once warmed: " << cycle_allocs
       << " allocations across " << kCycles << " cycles";
+}
+
+// The invariant auditor keeps its scratch across calls: once it has audited
+// the crash points of a sweep, auditing them again allocates nothing (a
+// clean report holds no violations, so no strings or vector either).
+TEST(SnapshotAlloc, WarmAuditorAllocatesNothing) {
+  const torture::TortureConfig cfg = small_config();
+  platform::TestPlatform tp(cfg.drive, cfg.platform, cfg.seed);
+
+  torture::CrashHarness harness(cfg);
+  torture::SchedulePilot pilot;
+  const std::uint64_t schedule = harness.run_pilot(tp, pilot, cfg.snapshot_interval);
+
+  torture::InvariantAuditor auditor;
+  std::uint64_t audit_allocs = 0;
+  std::size_t audited = 0;
+  for (const bool warm : {false, true}) {
+    for (std::uint64_t k = 0; k < schedule; k += 97) {
+      const torture::HarnessSnapshot* snap = pilot.nearest_at_or_before(k);
+      ASSERT_NE(snap, nullptr);
+      const torture::CrashOutcome out = harness.run_crash_point_from(tp, pilot, *snap, k);
+      ASSERT_TRUE(out.report.ok()) << "k=" << k;
+      const std::uint64_t before = allocs_now();
+      const torture::AuditReport report = auditor.audit(tp.device(), &tp.shadow());
+      if (warm) {
+        audit_allocs += allocs_now() - before;
+        ++audited;
+      }
+      EXPECT_EQ(report.mappings_checked, out.report.mappings_checked) << "k=" << k;
+    }
+  }
+  EXPECT_GT(audited, 0u);
+  EXPECT_EQ(audit_allocs, 0u) << audit_allocs << " allocations across " << audited
+                              << " warm audits";
 }
 
 TEST(SnapshotAlloc, CountersActuallyCount) {
