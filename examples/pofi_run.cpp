@@ -115,8 +115,6 @@ struct Options {
       "  --help               this text\n"
       "\n"
       "resilience (spec \"runner\" section, or --set runner.KEY=VALUE):\n"
-      "  retry_limit N            retries per campaign before quarantine (default 0)\n"
-      "  retry_backoff_ms MS      exponential backoff base; deterministic jitter\n"
       "  campaign_timeout_seconds S   per-campaign wall-clock budget\n"
       "  (platform.max_sim_events caps simulator events per campaign)\n"
       "\n"
@@ -494,8 +492,8 @@ int main(int argc, char** argv) {
     }
 
     // Fold the outcome taxonomy into rows + exit status. is_success covers
-    // ok / retried-ok / timed-out / skipped-cached; everything else either
-    // degrades the exit code or (fail-fast, cancel) truncated the suite.
+    // ok / timed-out / skipped-cached; everything else either degrades the
+    // exit code or (fail-fast, cancel) truncated the suite.
     std::vector<spec::CampaignRow> rows;
     std::vector<const runner::CampaignRunner::Outcome*> degraded;
     bool any_failed = false;
@@ -560,8 +558,7 @@ int main(int argc, char** argv) {
     if (!degraded.empty()) {
       std::printf("\ndegraded campaigns:\n");
       for (const auto* out : degraded) {
-        std::printf("  %-12s %s (%u attempt%s)%s%s\n", to_string(out->status),
-                    out->label.c_str(), out->attempts, out->attempts == 1 ? "" : "s",
+        std::printf("  %-12s %s%s%s\n", to_string(out->status), out->label.c_str(),
                     out->error.empty() ? "" : ": ", out->error.c_str());
       }
     }

@@ -50,7 +50,7 @@ struct PlatformConfig {
   /// once the simulator has fired this many events. 0 disables. Counted in
   /// simulation events, so a pathological config trips at the same point on
   /// every machine and at any thread count — the campaign runner then
-  /// retries or quarantines the entry instead of hanging the pool.
+  /// quarantines the entry instead of hanging the pool.
   std::uint64_t max_sim_events = 0;
   /// Cooperative cancellation token threaded into the simulator (see
   /// sim::Simulator::set_cancel_token). Runtime wiring, not a spec key: the

@@ -109,7 +109,6 @@ std::vector<CampaignRunner::Outcome> CampaignRunner::run() {
     obs::MetricId obs_busy = obs::kNoMetric;
     obs::MetricId obs_wait = obs::kNoMetric;
     obs::MetricId obs_jobs = obs::kNoMetric;
-    obs::MetricId obs_retries = obs::kNoMetric;
     if (reg != nullptr) {
       char name[48];
       std::snprintf(name, sizeof name, "runner.worker.%u.busy_us", worker_id);
@@ -117,7 +116,6 @@ std::vector<CampaignRunner::Outcome> CampaignRunner::run() {
       std::snprintf(name, sizeof name, "runner.worker.%u.wait_us", worker_id);
       obs_wait = reg->counter(name);
       obs_jobs = reg->counter("runner.jobs.completed");
-      obs_retries = reg->counter("runner.jobs.retry_attempts");
     }
     auto idle_since = std::chrono::steady_clock::now();
     // The worker's session box: campaigns pool a device stack here across
@@ -144,83 +142,50 @@ std::vector<CampaignRunner::Outcome> CampaignRunner::run() {
                                std::chrono::duration<double, std::micro>(t0 - idle_since).count()));
       }
 
-      // Exception firewall + retry loop. Every attempt runs the same pure
-      // closure, so a retry after a transient host-side failure (OOM, flaky
-      // dependency) reproduces the campaign exactly.
-      std::uint32_t attempt = 0;
-      for (;;) {
-        ++attempt;
-        bool ok = false;
-        bool entry_cancelled = false;
-        try {
-          out.result = jobs[idx].fn(session);
-          ok = true;
-        } catch (const sim::AbortError& e) {
-          out.error = e.what();
-          entry_cancelled = e.reason() == sim::AbortReason::kCancelled;
-        } catch (const std::exception& e) {
-          out.error = e.what();
-        } catch (...) {
-          out.error = "unknown exception";
-        }
-        if (!ok) {
-          // The throw may have left a pooled stack mid-reset or mid-run:
-          // poisoned. Drop it so the retry (and the worker's next entry)
-          // rebuilds from nothing — exactly a fresh-platform attempt.
-          session.reset();
-        }
-        if (ok) {
-          if (out.result.audit_violations > 0) {
-            // The session ran to completion but the torture auditor found
-            // inconsistent recovery state. Deterministic, so retrying would
-            // only reproduce it — resolve terminally instead.
-            out.status = CampaignStatus::kAuditFailed;
-            out.error = std::to_string(out.result.audit_violations) +
-                        " recovery-invariant violation(s)";
-            break;
-          }
-          out.status = attempt > 1 ? CampaignStatus::kRetriedOk : CampaignStatus::kOk;
-          out.error.clear();
-          break;
-        }
+      // Exception firewall: a throwing entry resolves terminally and never
+      // takes down the pool.
+      bool ok = false;
+      bool entry_cancelled = false;
+      try {
+        out.result = jobs[idx].fn(session);
+        ok = true;
+      } catch (const sim::AbortError& e) {
+        out.error = e.what();
+        entry_cancelled = e.reason() == sim::AbortReason::kCancelled;
+      } catch (const std::exception& e) {
+        out.error = e.what();
+      } catch (...) {
+        out.error = "unknown exception";
+      }
+      if (ok && out.result.audit_violations > 0) {
+        // The session ran to completion but the torture auditor found
+        // inconsistent recovery state.
+        out.status = CampaignStatus::kAuditFailed;
+        out.error = std::to_string(out.result.audit_violations) +
+                    " recovery-invariant violation(s)";
+      } else if (ok) {
+        out.status = CampaignStatus::kOk;
+      } else {
+        // The throw may have left a pooled stack mid-reset or mid-run:
+        // poisoned. Drop it so the worker's next entry rebuilds from nothing.
+        session.reset();
         if (entry_cancelled || externally_cancelled()) {
           out.status = CampaignStatus::kCancelled;
-          break;
-        }
-        if (attempt > config_.retry_limit) {
-          // Budget exhausted: quarantine the entry so the rest of the suite
-          // still completes (fail-fast restores stop-the-world semantics).
+        } else {
+          // Quarantine the entry so the rest of the suite still completes
+          // (fail-fast restores stop-the-world semantics).
           out.status =
               config_.fail_fast ? CampaignStatus::kFailed : CampaignStatus::kQuarantined;
-          break;
-        }
-        const double delay_ms = backoff_delay_ms(config_, idx, attempt);
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          ProgressEvent ev;
-          ev.phase = CampaignPhase::kRetry;
-          ev.index = idx;
-          ev.label = out.label;
-          ev.attempt = attempt;
-          ev.error = out.error;
-          ev.backoff_ms = delay_ms;
-          emit(ev);
-        }
-        if (delay_ms > 0.0) {
-          std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(delay_ms));
         }
       }
-      out.attempts = attempt;
       out.wall_seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
       if (reg != nullptr) {
         reg->add(obs_busy, static_cast<std::uint64_t>(out.wall_seconds * 1e6));
         reg->add(obs_jobs);
-        if (attempt > 1) reg->add(obs_retries, attempt - 1);
       }
       idle_since = std::chrono::steady_clock::now();
-      if ((out.status == CampaignStatus::kOk || out.status == CampaignStatus::kRetriedOk) &&
-          config_.campaign_timeout_seconds > 0.0 &&
+      if (out.status == CampaignStatus::kOk && config_.campaign_timeout_seconds > 0.0 &&
           out.wall_seconds > config_.campaign_timeout_seconds) {
         out.status = CampaignStatus::kTimedOut;
       }
@@ -236,7 +201,6 @@ std::vector<CampaignRunner::Outcome> CampaignRunner::run() {
         ev.index = idx;
         ev.label = out.label;
         ev.status = out.status;
-        ev.attempt = out.attempts;
         ev.faults_injected = out.result.faults_injected;
         ev.requests_submitted = out.result.requests_submitted;
         ev.data_failures = out.result.data_failures;
@@ -246,10 +210,7 @@ std::vector<CampaignRunner::Outcome> CampaignRunner::run() {
         ev.error = out.error;
         emit(ev);
         call_hook(idx);
-        if (config_.fail_fast && out.status != CampaignStatus::kOk &&
-            out.status != CampaignStatus::kRetriedOk) {
-          cancelled = true;
-        }
+        if (config_.fail_fast && out.status != CampaignStatus::kOk) cancelled = true;
         if (out.status == CampaignStatus::kCancelled) cancelled = true;
       }
     }

@@ -9,8 +9,7 @@
 //   1. Determinism: a campaign's result depends only on its own closure
 //      (drive config + spec + seed). Seeds are derived per submission index
 //      (sim::derive_seed), never from execution order, so results are
-//      bit-identical at any thread count. Retry backoff jitter is likewise a
-//      pure function of (entry index, attempt).
+//      bit-identical at any thread count.
 //   2. Ordered collection: outcomes land at their submission index; callers
 //      never see interleaving.
 //   3. Serialized progress: every ProgressSink call happens under the runner
@@ -19,10 +18,10 @@
 //
 // Resilience (see runner_config.hpp for the knobs):
 //
-//   * Exception firewall: a throwing entry never takes down the pool. It is
-//     retried up to retry_limit times (exponential backoff, deterministic
-//     jitter), then quarantined — the rest of the suite completes and the
-//     quarantined entry is reported through its Outcome and the sink.
+//   * Exception firewall: a throwing entry never takes down the pool. It runs
+//     once and is quarantined — the rest of the suite completes and the
+//     quarantined entry is reported through its Outcome and the sink. A
+//     retry would rerun the same pure closure and fail the same way.
 //     fail_fast restores the historical stop-the-suite behaviour (kFailed).
 //   * Cooperative cancellation: RunnerConfig::cancel stops workers from
 //     dequeuing; a sim::AbortError(kCancelled) unwinding out of an entry
@@ -40,8 +39,8 @@
 // campaign typically resets a pooled device stack in place instead of
 // rebuilding it — a pure performance optimisation; the pooling contract
 // requires results to be bit-identical either way, so all three guarantees
-// above survive reuse. A throwing attempt drops the worker's slot before
-// the retry, so retries always rebuild from nothing.
+// above survive reuse. A throwing entry drops the worker's slot, so the
+// worker's next entry rebuilds from nothing.
 //
 // The runner is generic over *what* a campaign runs (a CampaignFn returning
 // an ExperimentResult, or a SessionFn that also sees the worker's session
@@ -76,8 +75,7 @@ class CampaignRunner {
     /// it just blew its wall-clock budget).
     platform::ExperimentResult result;
     double wall_seconds = 0.0;
-    std::uint32_t attempts = 0;  ///< attempts consumed (0 when never ran)
-    std::string error;  ///< last attempt's failure (failed/quarantined/cancelled)
+    std::string error;  ///< what it threw (failed/quarantined/cancelled)
   };
 
   /// Observes each resolved outcome that actually *ran* this session (not

@@ -6,10 +6,9 @@ namespace pofi::runner {
 
 bool status_from_string(std::string_view name, CampaignStatus& out) {
   for (const CampaignStatus s :
-       {CampaignStatus::kPending, CampaignStatus::kOk, CampaignStatus::kRetriedOk,
-        CampaignStatus::kFailed, CampaignStatus::kTimedOut, CampaignStatus::kQuarantined,
-        CampaignStatus::kCancelled, CampaignStatus::kSkipped,
-        CampaignStatus::kSkippedCached, CampaignStatus::kAuditFailed}) {
+       {CampaignStatus::kPending, CampaignStatus::kOk, CampaignStatus::kFailed,
+        CampaignStatus::kTimedOut, CampaignStatus::kQuarantined, CampaignStatus::kCancelled,
+        CampaignStatus::kSkipped, CampaignStatus::kSkippedCached, CampaignStatus::kAuditFailed}) {
     if (name == to_string(s)) {
       out = s;
       return true;
@@ -29,11 +28,6 @@ void ConsoleProgress::on_event(const ProgressEvent& e) {
     case CampaignPhase::kStarted:
       std::fprintf(out_, "[runner] started  %s\n", e.label.c_str());
       break;
-    case CampaignPhase::kRetry:
-      std::fprintf(out_, "[runner] retry    %s: attempt %" PRIu32 " failed (%s); next in %.0f ms\n",
-                   e.label.c_str(), e.attempt, e.error.c_str(), e.backoff_ms);
-      std::fflush(out_);
-      break;
     case CampaignPhase::kFinished:
       if (e.status == CampaignStatus::kSkipped) {
         std::fprintf(out_, "[runner] skipped  %s (fail-fast/cancelled)\n", e.label.c_str());
@@ -44,16 +38,15 @@ void ConsoleProgress::on_event(const ProgressEvent& e) {
                  e.status == CampaignStatus::kQuarantined ||
                  e.status == CampaignStatus::kCancelled ||
                  e.status == CampaignStatus::kAuditFailed) {
-        std::fprintf(out_, "[runner] %-8s %s: %s (attempt %" PRIu32 ")\n",
-                     to_string(e.status), e.label.c_str(), e.error.c_str(), e.attempt);
+        std::fprintf(out_, "[runner] %-8s %s: %s\n", to_string(e.status), e.label.c_str(),
+                     e.error.c_str());
       } else {
         std::fprintf(out_,
-                     "[runner] finished %zu/%zu %s%s%s: faults=%" PRIu32 " reqs=%" PRIu64
+                     "[runner] finished %zu/%zu %s%s: faults=%" PRIu32 " reqs=%" PRIu64
                      " dataFail=%" PRIu64 " fwa=%" PRIu64 " ioErr=%" PRIu64
                      " (%.2fs, suite loss %" PRIu64 ")\n",
                      e.finished, e.total, e.label.c_str(),
                      e.status == CampaignStatus::kTimedOut ? " [over budget]" : "",
-                     e.status == CampaignStatus::kRetriedOk ? " [retried]" : "",
                      e.faults_injected, e.requests_submitted, e.data_failures,
                      e.fwa_failures, e.io_errors, e.wall_seconds, e.suite_data_loss);
       }
@@ -69,19 +62,10 @@ std::string to_jsonl(const ProgressEvent& e) {
   out += to_string(e.phase);
   out += "\",\"index\":" + std::to_string(e.index);
   out += ",\"label\":\"" + json_escape(e.label) + "\"";
-  if (e.phase == CampaignPhase::kRetry) {
-    out += ",\"attempt\":" + std::to_string(e.attempt);
-    out += ",\"error\":\"" + json_escape(e.error) + "\"";
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.3f", e.backoff_ms);
-    out += ",\"backoff_ms\":";
-    out += buf;
-  }
   if (e.phase == CampaignPhase::kFinished) {
     out += ",\"status\":\"";
     out += to_string(e.status);
     out += "\"";
-    if (e.attempt > 1) out += ",\"attempts\":" + std::to_string(e.attempt);
     if (!e.error.empty()) out += ",\"error\":\"" + json_escape(e.error) + "\"";
     if (is_success(e.status)) {
       char buf[64];

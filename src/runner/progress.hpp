@@ -1,9 +1,9 @@
 // Live progress reporting for parallel campaign execution.
 //
 // The runner emits one ProgressEvent per campaign lifecycle transition
-// (queued -> started -> [retry...] -> finished/skipped). Events are
-// serialized: the runner holds its own lock around every on_event call, so no
-// two calls overlap and sink implementations need no locking of their own.
+// (queued -> started -> finished/skipped). Events are serialized: the runner
+// holds its own lock around every on_event call, so no two calls overlap and
+// sink implementations need no locking of their own.
 // Event order is guaranteed per campaign (queued before started before
 // finished) and the `finished` counter is monotone across the whole run;
 // started/finished events of *different* campaigns interleave freely under
@@ -18,18 +18,17 @@
 
 namespace pofi::runner {
 
-enum class CampaignPhase : std::uint8_t { kQueued, kStarted, kRetry, kFinished };
+enum class CampaignPhase : std::uint8_t { kQueued, kStarted, kFinished };
 
 /// Terminal (and pending) states of one campaign entry — the error taxonomy
 /// carried through progress events, checkpoint records, CSV comments and the
 /// suite summary. is_success() below partitions it for callers.
 enum class CampaignStatus : std::uint8_t {
-  kPending,       ///< not finished yet (queued/started/retry events)
-  kOk,            ///< first attempt completed within budget
-  kRetriedOk,     ///< completed after >= 1 retry
+  kPending,       ///< not finished yet (queued/started events)
+  kOk,            ///< completed within budget
   kFailed,        ///< threw under fail-fast; Outcome::error holds the message
   kTimedOut,      ///< completed, but over the wall-clock budget
-  kQuarantined,   ///< exhausted its retry budget; the suite continued without it
+  kQuarantined,   ///< threw (fail-fast off); the suite continued without it
   kCancelled,     ///< stopped mid-run by cooperative cancellation
   kSkipped,       ///< never ran (fail-fast or cancellation emptied the queue)
   kSkippedCached, ///< resume: result restored from a checkpoint, not re-run
@@ -40,7 +39,6 @@ enum class CampaignStatus : std::uint8_t {
   switch (p) {
     case CampaignPhase::kQueued: return "queued";
     case CampaignPhase::kStarted: return "started";
-    case CampaignPhase::kRetry: return "retry";
     case CampaignPhase::kFinished: return "finished";
   }
   return "?";
@@ -50,7 +48,6 @@ enum class CampaignStatus : std::uint8_t {
   switch (s) {
     case CampaignStatus::kPending: return "pending";
     case CampaignStatus::kOk: return "ok";
-    case CampaignStatus::kRetriedOk: return "retried-ok";
     case CampaignStatus::kFailed: return "failed";
     case CampaignStatus::kTimedOut: return "timed-out";
     case CampaignStatus::kQuarantined: return "quarantined";
@@ -72,8 +69,8 @@ enum class CampaignStatus : std::uint8_t {
 /// keeping it out of is_success() also keeps it out of resume checkpoint
 /// reuse, so a fixed build re-runs previously-failing entries.
 [[nodiscard]] constexpr bool is_success(CampaignStatus s) {
-  return s == CampaignStatus::kOk || s == CampaignStatus::kRetriedOk ||
-         s == CampaignStatus::kTimedOut || s == CampaignStatus::kSkippedCached;
+  return s == CampaignStatus::kOk || s == CampaignStatus::kTimedOut ||
+         s == CampaignStatus::kSkippedCached;
 }
 
 struct ProgressEvent {
@@ -82,12 +79,6 @@ struct ProgressEvent {
   std::string label;
   CampaignStatus status = CampaignStatus::kPending;  ///< set on kFinished
 
-  // Retry bookkeeping. `attempt` is the attempt that just ran (1-based, set
-  // on kRetry and kFinished); `backoff_ms` is the delay before the *next*
-  // attempt (kRetry only).
-  std::uint32_t attempt = 1;
-  double backoff_ms = 0.0;
-
   // Per-campaign aggregates, populated on kFinished when the campaign ran.
   std::uint32_t faults_injected = 0;
   std::uint64_t requests_submitted = 0;
@@ -95,7 +86,7 @@ struct ProgressEvent {
   std::uint64_t fwa_failures = 0;
   std::uint64_t io_errors = 0;
   double wall_seconds = 0.0;
-  std::string error;  ///< kRetry/kFailed/kQuarantined/kCancelled: what it threw
+  std::string error;  ///< kFailed/kQuarantined/kCancelled: what it threw
 
   // Suite-level running totals at the instant of the event.
   std::size_t finished = 0;           ///< campaigns finished so far
@@ -112,7 +103,7 @@ class ProgressSink {
 };
 
 /// Human-oriented one-line-per-event reporter. Quiet by default: only
-/// started/retry/finished lines; `verbose` adds the queued burst.
+/// started/finished lines; `verbose` adds the queued burst.
 class ConsoleProgress final : public ProgressSink {
  public:
   explicit ConsoleProgress(std::FILE* out = stderr, bool verbose = false)

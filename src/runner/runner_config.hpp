@@ -10,22 +10,19 @@
 //     sim::Simulator step limit or cancel token into the campaign (the spec
 //     layer wires platform.max_sim_events and the suite cancel flag); the
 //     simulator then throws sim::AbortError between events, which the runner
-//     treats as a failed attempt (step limit) or a suite stop (cancel).
+//     treats as a failed entry (step limit) or a suite stop (cancel).
 //
-// Failed attempts — throws and step-limit aborts — are retried up to
-// retry_limit times with exponential backoff and deterministic jitter; an
-// entry that exhausts its budget is quarantined (fail_fast off) so the rest
-// of the suite still completes, or fails the suite (fail_fast on).
+// Each entry runs once. A failed entry — a throw or a step-limit abort — is
+// quarantined (fail_fast off) so the rest of the suite still completes, or
+// fails the suite (fail_fast on). Every entry is a pure function of its spec
+// and seed, so running it again would only fail the same way; an interrupted
+// suite is completed with --checkpoint/--resume instead.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
-#include <cmath>
-#include <cstdint>
 #include <thread>
 
 #include "obs/fwd.hpp"
-#include "sim/rng.hpp"
 
 namespace pofi::runner {
 
@@ -41,21 +38,6 @@ struct RunnerConfig {
 
   /// Wall-clock budget per campaign in seconds; <= 0 disables the check.
   double campaign_timeout_seconds = 0.0;
-
-  /// Extra attempts after the first for an entry that throws (or trips its
-  /// simulator step budget). 0 = never retry (historical behaviour).
-  std::uint32_t retry_limit = 0;
-
-  /// Base backoff before the first retry, in wall milliseconds; doubles per
-  /// retry up to retry_backoff_max_ms. <= 0 retries immediately.
-  double retry_backoff_ms = 0.0;
-
-  /// Cap on the exponential backoff, in milliseconds.
-  double retry_backoff_max_ms = 10'000.0;
-
-  /// Seed of the deterministic jitter stream (sim::derive_seed over entry
-  /// index and attempt): schedules are reproducible at any thread count.
-  std::uint64_t retry_jitter_seed = 42;
 
   /// Cooperative suite cancellation (may be flipped by a signal handler or a
   /// supervisor thread): when it reads true, workers stop dequeuing and the
@@ -76,25 +58,6 @@ struct RunnerConfig {
   if (config.threads != 0) return config.threads;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
-}
-
-/// Backoff before retry `attempt` (1-based) of entry `entry_index`, in wall
-/// milliseconds: exponential base doubling capped at retry_backoff_max_ms,
-/// scaled by a deterministic jitter factor in [0.5, 1.0) so simultaneous
-/// retries decorrelate without breaking reproducibility. Pure function of
-/// (config, entry_index, attempt) — identical at any thread count.
-[[nodiscard]] inline double backoff_delay_ms(const RunnerConfig& config,
-                                             std::size_t entry_index,
-                                             std::uint32_t attempt) {
-  if (config.retry_backoff_ms <= 0.0 || attempt == 0) return 0.0;
-  const double base =
-      std::min(std::ldexp(config.retry_backoff_ms, static_cast<int>(
-                              std::min<std::uint32_t>(attempt, 53) - 1)),
-               config.retry_backoff_max_ms);
-  const std::uint64_t raw =
-      sim::derive_seed(sim::derive_seed(config.retry_jitter_seed, entry_index), attempt);
-  const double jitter = static_cast<double>(raw >> 11) * 0x1.0p-53;  // [0, 1)
-  return base * (0.5 + 0.5 * jitter);
 }
 
 }  // namespace pofi::runner

@@ -11,9 +11,9 @@
 //   * The slot starts empty. A campaign may install, replace or drop the
 //     session; whatever it leaves behind is handed to the worker's next
 //     campaign verbatim.
-//   * A campaign attempt that throws poisons the session (it may have died
-//     mid-reset): the worker drops the slot before any retry, so the retry
-//     rebuilds from nothing and reproduces a fresh-platform run exactly.
+//   * A campaign that throws poisons the session (it may have died
+//     mid-reset): the worker drops the slot, so its next campaign rebuilds
+//     from nothing and reproduces a fresh-platform run exactly.
 //   * Results must never depend on what the slot held on entry — reuse is a
 //     pure performance optimisation, bit-indistinguishable from a rebuild.
 #pragma once

@@ -256,7 +256,7 @@ std::vector<runner::CampaignRunner::Outcome> run_campaign(const CampaignSpec& sp
   // Resume: index the checkpoint's reusable records by entry index. A record
   // is reusable only when the content hash, the flat entry index and the
   // resolved seed all still match this spec, and its status is a success —
-  // anything else (edited spec, quarantined attempt, foreign campaign) is
+  // anything else (edited spec, quarantined entry, foreign campaign) is
   // ignored and the entry simply re-runs. Later duplicates win: if a resumed
   // run was itself interrupted, the freshest record is authoritative.
   std::unordered_map<std::size_t, CheckpointRecord> cached;
@@ -323,7 +323,6 @@ std::vector<runner::CampaignRunner::Outcome> run_campaign(const CampaignSpec& sp
           rec.seed = spec.entries[idx].experiment.seed;
           rec.label = out.label;
           rec.status = out.status;
-          rec.attempts = out.attempts;
           rec.wall_seconds = out.wall_seconds;
           rec.result = out.result;
           w->append(rec);
@@ -338,18 +337,15 @@ std::vector<CampaignRow> campaign_rows(std::vector<runner::CampaignRunner::Outco
   for (auto& out : outcomes) {
     switch (out.status) {
       case runner::CampaignStatus::kOk:
-      case runner::CampaignStatus::kRetriedOk:
       case runner::CampaignStatus::kTimedOut:
       case runner::CampaignStatus::kSkippedCached:
         rows.push_back({std::move(out.label), std::move(out.result), out.status});
         break;
       case runner::CampaignStatus::kFailed:
+      case runner::CampaignStatus::kQuarantined:
       case runner::CampaignStatus::kAuditFailed:
         throw std::runtime_error("campaign \"" + out.label + "\" " + to_string(out.status) +
                                  ": " + out.error);
-      case runner::CampaignStatus::kQuarantined:
-        throw std::runtime_error("campaign \"" + out.label + "\" quarantined after " +
-                                 std::to_string(out.attempts) + " attempt(s): " + out.error);
       case runner::CampaignStatus::kCancelled:
       case runner::CampaignStatus::kSkipped:
       case runner::CampaignStatus::kPending:
@@ -399,19 +395,17 @@ std::string summary_table(const std::vector<CampaignRow>& rows) {
 
 stats::CsvWriter summary_csv(const std::vector<CampaignRow>& rows,
                              const CampaignSpec& campaign) {
-  std::size_t ok = 0, retried = 0, timed_out = 0, restored = 0;
+  std::size_t ok = 0, timed_out = 0, restored = 0;
   for (const CampaignRow& row : rows) {
     ok += row.status == runner::CampaignStatus::kOk;
-    retried += row.status == runner::CampaignStatus::kRetriedOk;
     timed_out += row.status == runner::CampaignStatus::kTimedOut;
     restored += row.status == runner::CampaignStatus::kSkippedCached;
   }
   stats::CsvWriter csv(kSummaryColumns);
   csv.add_comment("spec: " + hash_string(campaign.hash));
   csv.add_comment(std::string("build: ") + pofi_version());
-  csv.add_comment("entries: ok=" + std::to_string(ok) + " retried-ok=" +
-                  std::to_string(retried) + " timed-out=" + std::to_string(timed_out) +
-                  " restored=" + std::to_string(restored));
+  csv.add_comment("entries: ok=" + std::to_string(ok) + " timed-out=" +
+                  std::to_string(timed_out) + " restored=" + std::to_string(restored));
   for (const CampaignRow& row : rows) csv.add_row(summary_cells(row, true));
   return csv;
 }

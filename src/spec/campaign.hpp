@@ -123,18 +123,18 @@ struct RunCampaignOptions {
     const CampaignSpec& spec, const RunCampaignOptions& options);
 
 /// One finished entry: the summary-table row name, its result and how it
-/// was obtained (fresh, retried, over budget, restored from a checkpoint).
+/// was obtained (fresh, over budget, restored from a checkpoint).
 struct CampaignRow {
   std::string label;
   platform::ExperimentResult result;
   runner::CampaignStatus status = runner::CampaignStatus::kOk;
 };
 
-/// Fold outcomes into rows in entry order: every success (ok, retried-ok,
-/// timed-out, restored from a checkpoint) becomes a row; an entry that never
-/// finished (skipped, cancelled, pending) has none. Throws std::runtime_error
-/// on the first failed, audit-failed or quarantined entry — a sweep with
-/// silently missing points is worse than no sweep.
+/// Fold outcomes into rows in entry order: every success (ok, timed-out,
+/// restored from a checkpoint) becomes a row; an entry that never finished
+/// (skipped, cancelled, pending) has none. Throws std::runtime_error on the
+/// first failed, audit-failed or quarantined entry — a sweep with silently
+/// missing points is worse than no sweep.
 [[nodiscard]] std::vector<CampaignRow> campaign_rows(
     std::vector<runner::CampaignRunner::Outcome> outcomes);
 
@@ -148,7 +148,7 @@ struct CampaignRow {
 
 /// The same columns as summary_table, one CSV row per entry at full
 /// precision, stamped with the campaign's content hash, the build and the
-/// ok / retried-ok / timed-out / restored entry counts.
+/// ok / timed-out / restored entry counts.
 [[nodiscard]] stats::CsvWriter summary_csv(const std::vector<CampaignRow>& rows,
                                            const CampaignSpec& campaign);
 

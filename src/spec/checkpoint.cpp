@@ -164,7 +164,6 @@ Value to_json(const CheckpointRecord& rec) {
   v.set("seed", rec.seed);
   v.set("label", rec.label);
   v.set("status", runner::to_string(rec.status));
-  v.set("attempts", std::uint64_t{rec.attempts});
   v.set("wall_seconds", rec.wall_seconds);
   v.set("result", to_json(rec.result));
   return v;
@@ -196,8 +195,6 @@ CheckpointRecord checkpoint_record_from_json(const Value& v) {
       if (!runner::status_from_string(s, rec.status)) {
         throw Error("unknown entry status \"" + s + "\"", m.line, m.col, key);
       }
-    } else if (key == "attempts") {
-      rec.attempts = read_u32(m, key);
     } else if (key == "wall_seconds") {
       rec.wall_seconds = read_double(m, key, 0.0, kDoubleHi);
     } else if (key == "result") {

@@ -16,8 +16,9 @@
 //     final line but never interleave two records; the loader tolerates (and
 //     warns about) a trailing partial line.
 //
-// Only successful entries (is_success: ok / retried-ok / timed-out) are
-// reused on resume; quarantined or cancelled entries re-run.
+// Only successful entries (is_success: ok / timed-out) are reused on
+// resume; quarantined or cancelled entries re-run. A record with a key or
+// status this build does not know counts as malformed, so its entry re-runs.
 #pragma once
 
 #include <cstdio>
@@ -41,7 +42,6 @@ struct CheckpointRecord {
   std::uint64_t seed = 0;        ///< the entry's resolved experiment seed
   std::string label;
   runner::CampaignStatus status = runner::CampaignStatus::kOk;
-  std::uint32_t attempts = 1;
   double wall_seconds = 0.0;
   platform::ExperimentResult result;
 };

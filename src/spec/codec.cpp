@@ -672,10 +672,6 @@ Value to_json(const runner::RunnerConfig& cfg) {
   v.set("threads", std::uint64_t{cfg.threads});
   v.set("fail_fast", cfg.fail_fast);
   v.set("campaign_timeout_seconds", cfg.campaign_timeout_seconds);
-  v.set("retry_limit", std::uint64_t{cfg.retry_limit});
-  v.set("retry_backoff_ms", cfg.retry_backoff_ms);
-  v.set("retry_backoff_max_ms", cfg.retry_backoff_max_ms);
-  v.set("retry_jitter_seed", cfg.retry_jitter_seed);
   return v;
 }
 
@@ -687,14 +683,6 @@ void apply_json(runner::RunnerConfig& cfg, const Value& v) {
       cfg.fail_fast = read_bool(m, key);
     } else if (key == "campaign_timeout_seconds") {
       cfg.campaign_timeout_seconds = read_double(m, key, 0.0, 1e9);
-    } else if (key == "retry_limit") {
-      cfg.retry_limit = read_u32(m, key, 0, 1000);
-    } else if (key == "retry_backoff_ms") {
-      cfg.retry_backoff_ms = read_double(m, key, 0.0, 1e9);
-    } else if (key == "retry_backoff_max_ms") {
-      cfg.retry_backoff_max_ms = read_double(m, key, 0.0, 1e9);
-    } else if (key == "retry_jitter_seed") {
-      cfg.retry_jitter_seed = read_u64(m, key);
     } else {
       return false;
     }

@@ -196,7 +196,6 @@ ExploreReport explore(const TortureConfig& cfg, const ExploreOptions& options) {
       rec.seed = seed;
       rec.label = out.label;
       rec.status = out.status;
-      rec.attempts = out.attempts;
       rec.wall_seconds = out.wall_seconds;
       rec.result = out.result;
       w->append(rec);

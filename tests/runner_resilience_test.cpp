@@ -1,5 +1,5 @@
-// Resilience tests for the campaign runner: retry-with-backoff, quarantine,
-// step-budget watchdog aborts, cooperative cancellation, checkpoint-restored
+// Resilience tests for the campaign runner: quarantine, step-budget
+// watchdog aborts, cooperative cancellation, checkpoint-restored
 // entries, the result hook, and the JSONL taxonomy records.
 //
 // Synthetic jobs throughout — the runner is generic over what a campaign
@@ -40,87 +40,10 @@ class RecordingSink final : public ProgressSink {
   std::vector<ProgressEvent> events_;
 };
 
-/// A job that throws `failures` times, then succeeds. Each *suite run* gets
-/// fresh counters, so retries within one run are what is being counted.
-struct FlakyJob {
-  std::shared_ptr<std::atomic<std::uint32_t>> calls;
-  std::uint32_t failures;
-  std::uint64_t tag;
-
-  FlakyJob(std::uint32_t failures_in, std::uint64_t tag_in)
-      : calls(std::make_shared<std::atomic<std::uint32_t>>(0)),
-        failures(failures_in),
-        tag(tag_in) {}
-
-  platform::ExperimentResult operator()() const {
-    if (calls->fetch_add(1) < failures) {
-      throw std::runtime_error("transient fault #" + std::to_string(calls->load()));
-    }
-    return synthetic_result(tag);
-  }
-};
-
-TEST(RunnerResilience, FlakyJobRetriesThenSucceeds) {
-  RecordingSink sink;
-  RunnerConfig config;
-  config.threads = 1;
-  config.retry_limit = 3;
-  CampaignRunner runner(config, &sink);
-  runner.add("flaky", FlakyJob(/*failures=*/2, /*tag=*/7));
-
-  const auto outcomes = runner.run();
-  ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_EQ(outcomes[0].status, CampaignStatus::kRetriedOk);
-  EXPECT_EQ(outcomes[0].attempts, 3u);
-  EXPECT_TRUE(outcomes[0].error.empty());  // the *last* attempt succeeded
-  EXPECT_EQ(outcomes[0].result.requests_submitted, 7u);
-
-  // Two retry events, attempt-numbered, each carrying the thrown message.
-  std::vector<const ProgressEvent*> retries;
-  for (const auto& ev : sink.events()) {
-    if (ev.phase == CampaignPhase::kRetry) retries.push_back(&ev);
-  }
-  ASSERT_EQ(retries.size(), 2u);
-  EXPECT_EQ(retries[0]->attempt, 1u);
-  EXPECT_EQ(retries[1]->attempt, 2u);
-  EXPECT_NE(retries[0]->error.find("transient fault"), std::string::npos);
-  EXPECT_EQ(sink.events().back().status, CampaignStatus::kRetriedOk);
-  EXPECT_EQ(sink.events().back().attempt, 3u);
-}
-
-TEST(RunnerResilience, RetriedResultsAreIdenticalAtAnyThreadCount) {
-  const auto run_suite = [](unsigned threads) {
-    RunnerConfig config;
-    config.threads = threads;
-    config.retry_limit = 2;
-    CampaignRunner runner(config);
-    for (std::uint64_t i = 0; i < 6; ++i) {
-      runner.add("f-" + std::to_string(i),
-                 FlakyJob(/*failures=*/static_cast<std::uint32_t>(i % 3), /*tag=*/i));
-    }
-    return runner.run();
-  };
-  const auto seq = run_suite(1);
-  const auto two = run_suite(2);
-  const auto four = run_suite(4);
-  ASSERT_EQ(seq.size(), 6u);
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    EXPECT_EQ(seq[i].status, i % 3 == 0 ? CampaignStatus::kOk : CampaignStatus::kRetriedOk);
-    EXPECT_EQ(seq[i].attempts, i % 3 + 1);
-    for (const auto* other : {&two, &four}) {
-      EXPECT_EQ(seq[i].status, (*other)[i].status);
-      EXPECT_EQ(seq[i].attempts, (*other)[i].attempts);
-      EXPECT_EQ(seq[i].result.requests_submitted, (*other)[i].result.requests_submitted);
-      EXPECT_EQ(seq[i].result.mean_latency_us, (*other)[i].result.mean_latency_us);
-    }
-  }
-}
-
 TEST(RunnerResilience, QuarantineIsolatesThePoisonEntry) {
   RecordingSink sink;
   RunnerConfig config;
   config.threads = 2;
-  config.retry_limit = 1;
   CampaignRunner runner(config, &sink);
   for (std::uint64_t i = 0; i < 6; ++i) {
     if (i == 2) {
@@ -136,7 +59,6 @@ TEST(RunnerResilience, QuarantineIsolatesThePoisonEntry) {
   for (std::size_t i = 0; i < 6; ++i) {
     if (i == 2) {
       EXPECT_EQ(outcomes[i].status, CampaignStatus::kQuarantined);
-      EXPECT_EQ(outcomes[i].attempts, 2u);  // first try + one retry
       EXPECT_EQ(outcomes[i].error, "always broken");
     } else {
       EXPECT_EQ(outcomes[i].status, CampaignStatus::kOk);
@@ -147,24 +69,24 @@ TEST(RunnerResilience, QuarantineIsolatesThePoisonEntry) {
   EXPECT_EQ(sink.events().back().finished, 6u);
 }
 
-TEST(RunnerResilience, StepLimitAbortIsRetriedThenQuarantined) {
+TEST(RunnerResilience, StepLimitAbortIsQuarantined) {
   // A simulator that trips its step budget throws AbortError(kStepLimit);
-  // the runner treats that like any failed attempt (a deterministic rerun of
-  // a pathological config will trip again, but a mis-set budget is a config
-  // problem, not a reason to kill the suite).
+  // the runner treats that like any failed entry (a mis-set budget is a
+  // config problem, not a reason to kill the suite).
   RunnerConfig config;
   config.threads = 1;
-  config.retry_limit = 2;
   CampaignRunner runner(config);
-  runner.add("stuck", []() -> platform::ExperimentResult {
+  int calls = 0;
+  runner.add("stuck", [&calls]() -> platform::ExperimentResult {
+    ++calls;
     throw sim::AbortError(sim::AbortReason::kStepLimit,
                           "simulation step budget exceeded (100 events)");
   });
   runner.add("fine", [] { return synthetic_result(9); });
 
   const auto outcomes = runner.run();
+  EXPECT_EQ(calls, 1);  // an entry runs once: a rerun would trip the same budget
   EXPECT_EQ(outcomes[0].status, CampaignStatus::kQuarantined);
-  EXPECT_EQ(outcomes[0].attempts, 3u);
   EXPECT_NE(outcomes[0].error.find("step budget"), std::string::npos);
   EXPECT_EQ(outcomes[1].status, CampaignStatus::kOk);
 }
@@ -192,11 +114,10 @@ TEST(RunnerResilience, CancelTokenStopsDequeuingAndSkipsTheRest) {
 
 TEST(RunnerResilience, SimulatorCancelAbortResolvesEntryAsCancelled) {
   // An entry unwinding with AbortError(kCancelled) — its simulator observed
-  // the shared token mid-run — must not be retried: the operator asked for a
+  // the shared token mid-run — is not quarantined: the operator asked for a
   // stop, so the entry resolves kCancelled and the suite drains.
   RunnerConfig config;
   config.threads = 1;
-  config.retry_limit = 5;  // must NOT be consumed
   CampaignRunner runner(config);
   runner.add("interrupted", []() -> platform::ExperimentResult {
     throw sim::AbortError(sim::AbortReason::kCancelled, "simulation cancelled");
@@ -205,7 +126,6 @@ TEST(RunnerResilience, SimulatorCancelAbortResolvesEntryAsCancelled) {
 
   const auto outcomes = runner.run();
   EXPECT_EQ(outcomes[0].status, CampaignStatus::kCancelled);
-  EXPECT_EQ(outcomes[0].attempts, 1u);
   EXPECT_EQ(outcomes[1].status, CampaignStatus::kSkipped);
 }
 
@@ -324,18 +244,14 @@ TEST(RunnerResilience, CheckpointRestoredEntriesDoNotPerturbPooledSessions) {
 }
 
 // A worker's pooled session survives across live entries (same object, one
-// cycle each) and is dropped after a failed attempt: the retry must rebuild
-// from nothing, reproducing a fresh-platform run rather than inheriting a
-// possibly-poisoned stack.
+// cycle each) and is dropped after a throw: the worker's next entry must
+// rebuild from nothing rather than inherit a possibly-poisoned stack.
 TEST(RunnerResilience, FailedAttemptDropsThePooledSession) {
   RunnerConfig config;
   config.threads = 1;
-  config.retry_limit = 1;
 
-  std::vector<const SessionBase*> seen;
   std::vector<std::uint64_t> cycles;
-  std::atomic<bool> threw{false};
-  const auto observe = [&seen, &cycles](SessionSlot& slot) {
+  const auto observe = [&cycles](SessionSlot& slot) {
     auto* session = dynamic_cast<MarkerSession*>(slot.get());
     if (session == nullptr) {
       auto fresh = std::make_unique<MarkerSession>();
@@ -343,7 +259,6 @@ TEST(RunnerResilience, FailedAttemptDropsThePooledSession) {
       slot = std::move(fresh);
     }
     session->cycles += 1;
-    seen.push_back(slot.get());
     cycles.push_back(session->cycles);
   };
 
@@ -352,10 +267,9 @@ TEST(RunnerResilience, FailedAttemptDropsThePooledSession) {
     observe(slot);
     return synthetic_result(1);
   });
-  runner.add("flaky-1", [&](SessionSlot& slot) {
+  runner.add("poison-1", [&](SessionSlot& slot) -> platform::ExperimentResult {
     observe(slot);
-    if (!threw.exchange(true)) throw std::runtime_error("poisoned mid-campaign");
-    return synthetic_result(2);
+    throw std::runtime_error("poisoned mid-campaign");
   });
   runner.add("ok-2", [&](SessionSlot& slot) {
     observe(slot);
@@ -363,16 +277,14 @@ TEST(RunnerResilience, FailedAttemptDropsThePooledSession) {
   });
   const auto outcomes = runner.run();
   ASSERT_EQ(outcomes.size(), 3u);
-  EXPECT_EQ(outcomes[1].status, CampaignStatus::kRetriedOk);
+  EXPECT_EQ(outcomes[1].status, CampaignStatus::kQuarantined);
+  EXPECT_EQ(outcomes[2].status, CampaignStatus::kOk);
 
-  // ok-0 and flaky-1's first attempt share the pooled session (cycles 1, 2);
-  // the throw drops it, so the retry and everything after start a new one —
-  // its cycle count restarts at 1. (Cycle counts, not pointer identity: the
-  // allocator routinely hands the replacement the freed session's address.)
-  ASSERT_EQ(seen.size(), 4u);
-  EXPECT_EQ(seen[0], seen[1]);
-  EXPECT_EQ(seen[2], seen[3]);
-  EXPECT_EQ(cycles, (std::vector<std::uint64_t>{1, 2, 1, 2}));
+  // ok-0 and poison-1 share the pooled session (cycles 1, 2); the throw
+  // drops it, so ok-2 starts a new one — its cycle count restarts at 1.
+  // (Cycle counts, not pointer identity: the allocator routinely hands the
+  // replacement the freed session's address.)
+  EXPECT_EQ(cycles, (std::vector<std::uint64_t>{1, 2, 1}));
 }
 
 TEST(RunnerResilience, ResultHookSeesRanEntriesAndSurvivesThrowing) {
@@ -397,41 +309,11 @@ TEST(RunnerResilience, ResultHookSeesRanEntriesAndSurvivesThrowing) {
   EXPECT_EQ(hooked, (std::vector<std::size_t>{1, 2}));
 }
 
-TEST(RunnerResilience, BackoffScheduleIsDeterministicAndBounded) {
-  RunnerConfig config;
-  config.retry_backoff_ms = 2.0;
-  config.retry_backoff_max_ms = 10.0;
-
-  EXPECT_EQ(backoff_delay_ms(config, 0, 0), 0.0);  // first attempt never waits
-  for (std::size_t entry = 0; entry < 4; ++entry) {
-    double prev_base = 0.0;
-    for (std::uint32_t attempt = 1; attempt <= 6; ++attempt) {
-      const double d = backoff_delay_ms(config, entry, attempt);
-      const double base = std::min(2.0 * static_cast<double>(1u << (attempt - 1)), 10.0);
-      // Jittered into [base/2, base), monotone caps at max, and bit-exactly
-      // reproducible: the schedule is a pure function, never wall-clock.
-      EXPECT_GE(d, base * 0.5);
-      EXPECT_LT(d, base);
-      EXPECT_EQ(d, backoff_delay_ms(config, entry, attempt));
-      EXPECT_GE(base, prev_base);
-      prev_base = base;
-    }
-  }
-  // Distinct entries retrying at the same attempt decorrelate.
-  EXPECT_NE(backoff_delay_ms(config, 1, 1), backoff_delay_ms(config, 2, 1));
-
-  RunnerConfig no_backoff;
-  no_backoff.retry_backoff_ms = 0.0;
-  EXPECT_EQ(backoff_delay_ms(no_backoff, 0, 3), 0.0);
-}
-
-TEST(JsonlProgressSink, EmitsRetryAndQuarantineRecords) {
+TEST(JsonlProgressSink, EmitsQuarantineRecords) {
   std::ostringstream out;
   JsonlProgress sink(out);
   RunnerConfig config;
   config.threads = 1;
-  config.retry_limit = 1;
-  config.retry_backoff_ms = 0.5;
   CampaignRunner runner(config, &sink);
   runner.add("doomed", []() -> platform::ExperimentResult {
     throw std::runtime_error("injected");
@@ -439,12 +321,9 @@ TEST(JsonlProgressSink, EmitsRetryAndQuarantineRecords) {
   (void)runner.run();
 
   const std::string text = out.str();
-  EXPECT_NE(text.find("\"event\":\"retry\""), std::string::npos);
-  EXPECT_NE(text.find("\"attempt\":1"), std::string::npos);
-  EXPECT_NE(text.find("\"backoff_ms\":"), std::string::npos);
-  EXPECT_NE(text.find("\"error\":\"injected\""), std::string::npos);
-  EXPECT_NE(text.find("\"status\":\"quarantined\""), std::string::npos);
-  EXPECT_NE(text.find("\"attempts\":2"), std::string::npos);
+  EXPECT_NE(text.find("{\"event\":\"finished\",\"index\":0,\"label\":\"doomed\","
+                      "\"status\":\"quarantined\",\"error\":\"injected\",\"finished\":1"),
+            std::string::npos);
   // Every line is one complete object (single-write flushing is exercised
   // for real in the checkpoint tests; here the framing must hold).
   std::istringstream lines(text);
@@ -458,10 +337,9 @@ TEST(JsonlProgressSink, EmitsRetryAndQuarantineRecords) {
 
 TEST(CampaignStatusTaxonomy, StringsRoundTrip) {
   for (CampaignStatus s :
-       {CampaignStatus::kPending, CampaignStatus::kOk, CampaignStatus::kRetriedOk,
-        CampaignStatus::kFailed, CampaignStatus::kTimedOut, CampaignStatus::kQuarantined,
-        CampaignStatus::kCancelled, CampaignStatus::kSkipped,
-        CampaignStatus::kSkippedCached, CampaignStatus::kAuditFailed}) {
+       {CampaignStatus::kPending, CampaignStatus::kOk, CampaignStatus::kFailed,
+        CampaignStatus::kTimedOut, CampaignStatus::kQuarantined, CampaignStatus::kCancelled,
+        CampaignStatus::kSkipped, CampaignStatus::kSkippedCached, CampaignStatus::kAuditFailed}) {
     CampaignStatus parsed{};
     ASSERT_TRUE(status_from_string(to_string(s), parsed)) << to_string(s);
     EXPECT_EQ(parsed, s);
@@ -472,7 +350,6 @@ TEST(CampaignStatusTaxonomy, StringsRoundTrip) {
 
 TEST(CampaignStatusTaxonomy, SuccessPredicateMatchesResultValidity) {
   EXPECT_TRUE(is_success(CampaignStatus::kOk));
-  EXPECT_TRUE(is_success(CampaignStatus::kRetriedOk));
   EXPECT_TRUE(is_success(CampaignStatus::kTimedOut));  // completed, over budget
   EXPECT_TRUE(is_success(CampaignStatus::kSkippedCached));
   EXPECT_FALSE(is_success(CampaignStatus::kPending));

@@ -323,7 +323,7 @@ TEST(CampaignRows, SummaryCsvHasTheTableColumnsOneRowPerEntry) {
   ASSERT_EQ(comments.size(), 3u);
   EXPECT_EQ(comments[0], "# spec: " + hash_string(campaign.hash));
   EXPECT_EQ(comments[1].rfind("# build: ", 0), 0u);
-  EXPECT_EQ(comments[2], "# entries: ok=3 retried-ok=0 timed-out=0 restored=0");
+  EXPECT_EQ(comments[2], "# entries: ok=3 timed-out=0 restored=0");
 
   ASSERT_EQ(data.size(), 1 + rows.size());
   EXPECT_EQ(data[0],
@@ -394,12 +394,12 @@ TEST(CampaignRows, FoldKeepsSuccessesAndThrowsOnFailures) {
   // Successes become rows in entry order; entries that never finished
   // (fail-fast or cancellation) have none.
   const auto rows = fold({CampaignStatus::kOk, CampaignStatus::kPending,
-                          CampaignStatus::kRetriedOk, CampaignStatus::kCancelled,
+                          CampaignStatus::kTimedOut, CampaignStatus::kCancelled,
                           CampaignStatus::kTimedOut, CampaignStatus::kSkipped,
                           CampaignStatus::kSkippedCached});
   ASSERT_EQ(rows.size(), 4u);
   EXPECT_EQ(rows[0].label, "ok");
-  EXPECT_EQ(rows[1].label, "retried-ok");
+  EXPECT_EQ(rows[1].label, "timed-out");
   EXPECT_EQ(rows[2].label, "timed-out");
   EXPECT_EQ(rows[3].label, "skipped-cached");
   // A failed, audit-failed or quarantined entry fails the whole fold.
@@ -497,6 +497,17 @@ TEST(SpecCampaign, CommittedCampaignSpecsHaveUniqueLabels) {
       EXPECT_TRUE(labels.insert(entry.label).second) << "duplicate label " << entry.label;
     }
   }
+}
+
+// The README's library snippet, run as written against the committed
+// quickstart spec: one row, every scheduled fault injected.
+TEST(SpecCampaign, ReadmeLibrarySnippetRunsQuickstart) {
+  const auto campaign = load_campaign_file(spec_dir() + "/quickstart.json");
+  const auto rows = run_campaign_rows(campaign);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].label, "quickstart");
+  EXPECT_EQ(rows[0].result.faults_injected, campaign.entries.front().experiment.faults);
+  EXPECT_EQ(rows[0].result.faults_injected, 20u);
 }
 
 }  // namespace

@@ -87,8 +87,7 @@ TEST(CheckpointCodec, RecordRoundTripKeepsKeyAndTaxonomy) {
   rec.entry_index = 11;
   rec.seed = 0xFEDCBA9876543210ULL;
   rec.label = "unit-12";
-  rec.status = runner::CampaignStatus::kRetriedOk;
-  rec.attempts = 3;
+  rec.status = runner::CampaignStatus::kTimedOut;
   rec.wall_seconds = 1.25;
   rec.result = tricky_result();
 
@@ -97,8 +96,7 @@ TEST(CheckpointCodec, RecordRoundTripKeepsKeyAndTaxonomy) {
   EXPECT_EQ(back.entry_index, rec.entry_index);
   EXPECT_EQ(back.seed, rec.seed);
   EXPECT_EQ(back.label, rec.label);
-  EXPECT_EQ(back.status, runner::CampaignStatus::kRetriedOk);
-  EXPECT_EQ(back.attempts, 3u);
+  EXPECT_EQ(back.status, runner::CampaignStatus::kTimedOut);
   EXPECT_EQ(back.wall_seconds, 1.25);
   EXPECT_EQ(fingerprint(back.result), fingerprint(rec.result));
 }
@@ -345,18 +343,78 @@ TEST(CheckpointResume, ResumeStatsSurfaceWhatTheLoaderDropped) {
   EXPECT_EQ(stats.stale_records, 0u);
 }
 
+// A checkpoint written before entries ran exactly once carries an
+// "attempts" key on every record, and "retried-ok" on entries that needed a
+// retry. Neither parses today: each such line counts as malformed (with its
+// warning), its entry re-runs, and the merged rows still equal an
+// uninterrupted run.
+TEST(CheckpointResume, RecordsWithAttemptsOrRetriedOkReRun) {
+  const std::string checkpoint = "/tmp/pofi_ckpt_resume_old_format.jsonl";
+  const std::string old_format = "/tmp/pofi_ckpt_resume_old_format_edited.jsonl";
+  std::remove(checkpoint.c_str());
+
+  const auto campaign = load_campaign(parse(kCampaignJson));
+  RunCampaignOptions options;
+  options.checkpoint_path = checkpoint;
+  const auto baseline = run_campaign(campaign, options);
+  ASSERT_EQ(baseline.size(), 3u);
+
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(checkpoint, std::ios::binary);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  ASSERT_EQ(lines.size(), 3u);
+  Value with_attempts = parse(lines[0]);
+  with_attempts.set("attempts", std::uint64_t{1});
+  Value retried = parse(lines[1]);
+  retried.set("status", "retried-ok");
+  {
+    std::ofstream out(old_format, std::ios::binary | std::ios::trunc);
+    out << canonical(with_attempts) << "\n" << canonical(retried) << "\n" << lines[2] << "\n";
+  }
+
+  RunCampaignOptions resume_options;
+  resume_options.checkpoint_path = old_format;
+  resume_options.resume = true;
+  ResumeStats stats;
+  resume_options.resume_stats = &stats;
+  testing::internal::CaptureStderr();
+  const auto resumed = run_campaign(campaign, resume_options);
+  const std::string warnings = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(stats.malformed_lines, 2u);
+  EXPECT_FALSE(stats.truncated_tail);
+  EXPECT_EQ(stats.records_loaded, 1u);
+  EXPECT_EQ(stats.records_reused, 1u);
+  EXPECT_NE(warnings.find(":1 unparseable record"), std::string::npos) << warnings;
+  EXPECT_NE(warnings.find("attempts"), std::string::npos) << warnings;
+  EXPECT_NE(warnings.find(":2 unparseable record"), std::string::npos) << warnings;
+  EXPECT_NE(warnings.find("retried-ok"), std::string::npos) << warnings;
+
+  ASSERT_EQ(resumed.size(), 3u);
+  const std::size_t cached = static_cast<std::size_t>(
+      checkpoint_record_from_json(parse(lines[2])).entry_index);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(resumed[i].status, i == cached ? runner::CampaignStatus::kSkippedCached
+                                             : runner::CampaignStatus::kOk);
+  }
+  const auto rows = campaign_rows(resumed);
+  const auto baseline_rows = campaign_rows(baseline);
+  ASSERT_EQ(rows.size(), baseline_rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].label, baseline_rows[i].label);
+    EXPECT_EQ(fingerprint(rows[i].result), fingerprint(baseline_rows[i].result));
+  }
+}
+
 TEST(CheckpointResume, ResilienceKnobsRoundTripThroughTheSpecCodec) {
   runner::RunnerConfig rc;
-  rc.retry_limit = 4;
-  rc.retry_backoff_ms = 12.5;
-  rc.retry_backoff_max_ms = 640.0;
-  rc.retry_jitter_seed = 777;
+  rc.fail_fast = true;
+  rc.campaign_timeout_seconds = 12.5;
   runner::RunnerConfig back;
   apply_json(back, parse(canonical(to_json(rc))));
-  EXPECT_EQ(back.retry_limit, 4u);
-  EXPECT_EQ(back.retry_backoff_ms, 12.5);
-  EXPECT_EQ(back.retry_backoff_max_ms, 640.0);
-  EXPECT_EQ(back.retry_jitter_seed, 777u);
+  EXPECT_TRUE(back.fail_fast);
+  EXPECT_EQ(back.campaign_timeout_seconds, 12.5);
 
   platform::PlatformConfig pc;
   pc.max_sim_events = 123456789;
@@ -366,20 +424,32 @@ TEST(CheckpointResume, ResilienceKnobsRoundTripThroughTheSpecCodec) {
 
   // The spec-visible knobs parse from a campaign document's runner section.
   const auto campaign = load_campaign(parse(
-      R"({"name": "knobs", "runner": {"retry_limit": 2, "retry_backoff_ms": 1.5},
+      R"({"name": "knobs", "runner": {"fail_fast": true, "campaign_timeout_seconds": 1.5},
           "experiment": {"faults": 1}, "drive": {"preset": "A", "capacity_gb": 1}})"));
-  EXPECT_EQ(campaign.runner.retry_limit, 2u);
-  EXPECT_EQ(campaign.runner.retry_backoff_ms, 1.5);
+  EXPECT_TRUE(campaign.runner.fail_fast);
+  EXPECT_EQ(campaign.runner.campaign_timeout_seconds, 1.5);
+
+  // Entries run once: a retry key is an unknown key, named with its line.
+  try {
+    (void)load_campaign(parse(
+        "{\"name\": \"knobs\",\n \"runner\": {\"retry_limit\": 2},\n"
+        " \"experiment\": {\"faults\": 1}, \"drive\": {\"preset\": \"A\", \"capacity_gb\": 1}}"));
+    FAIL() << "expected spec::Error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.where(), "retry_limit");
+    EXPECT_EQ(e.line(), 2);
+    EXPECT_NE(std::string(e.what()).find("unknown key"), std::string::npos);
+  }
 }
 
 TEST(CheckpointResume, RunnerSectionDoesNotChangeTheContentHash) {
   const auto a = load_campaign(parse(kCampaignJson));
   Value doc = parse(kCampaignJson);
-  doc.set_path("runner.retry_limit", std::uint64_t{3});
+  doc.set_path("runner.fail_fast", true);
   doc.set_path("runner.threads", std::uint64_t{8});
   const auto b = load_campaign(doc);
   // Same campaign content → same hash → checkpoints stay valid when only
-  // execution policy changes (more threads, more retries).
+  // execution policy changes (more threads, fail-fast).
   EXPECT_EQ(a.hash, b.hash);
 }
 
