@@ -1,8 +1,11 @@
-// pofi_run: command-line fault-injection campaigns.
+// pofi_run: command-line fault-injection campaigns and crash-point sweeps.
 //
-// The downstream-user entry point: a campaign is a declarative spec (src/spec,
+// The downstream-user entry point: a run is a declarative spec (src/spec,
 // see specs/) plus --set overrides, and the paper-style failure report comes
-// out — no code required.
+// out — no code required. A spec whose file has a "torture" section is a
+// crash-point sweep (src/torture); any other spec is a campaign. Both kinds
+// share one run path: progress sink, checkpoint/resume, cancellation, the
+// --metrics runner sidecar and the outcome -> exit-code fold.
 //
 //   pofi_run --spec specs/quickstart.json
 //   pofi_run --spec specs/quickstart.json --set drive.preset=B --set experiment.faults=50
@@ -10,12 +13,13 @@
 //   pofi_run --spec specs/quickstart.json --dump-spec
 //   pofi_run --spec specs/fig8_iops.json --csv fig8.csv
 //   pofi_run --spec specs/vendor_qualification.json --threads 4 --progress jsonl
-//   pofi_run --torture specs/torture_smoke.json
+//   pofi_run --spec specs/torture_smoke.json --repro-out repro.json
 //   pofi_run --help
 //
-// The spec codec alone validates the campaign's values; --dump-spec prints
-// the document after the overrides once it validates, and its canonical
-// content hash is stamped into the report for provenance.
+// The spec codec alone validates the run's values; --dump-spec prints the
+// document after the overrides once it validates, and its canonical content
+// hash is stamped into the report for provenance.
+#include <algorithm>
 #include <atomic>
 #include <charconv>
 #include <csignal>
@@ -28,6 +32,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -52,7 +57,7 @@ enum ExitCode : int {
   kExitUsage = 2,       ///< invalid usage or campaign spec
   kExitDegraded = 3,    ///< quarantined and/or over-budget campaigns
   kExitCancelled = 4,   ///< run cancelled by SIGINT/SIGTERM
-  kExitAuditFailed = 5, ///< torture exploration found recovery-invariant violations
+  kExitAuditFailed = 5, ///< a crash sweep found recovery-invariant violations
 };
 
 /// Cooperative cancellation flag, shared by the signal handler, the runner
@@ -68,7 +73,6 @@ struct Options {
   bool threads_set = false;
   std::string progress = "console";
   std::string spec_path;
-  std::string torture_path;
   std::string repro_out;
   std::string checkpoint_path;
   std::string metrics_dir;
@@ -81,16 +85,15 @@ struct Options {
 [[noreturn]] void print_help() {
   std::printf(
       "pofi_run - power-outage fault injection campaigns (DATE'18 reproduction)\n\n"
-      "usage: pofi_run --spec FILE.json [options]\n"
-      "       pofi_run --torture FILE.json [options]\n\n"
-      "A campaign is a spec file plus --set overrides; every workload, drive\n"
-      "and platform parameter is a spec key (see specs/ and EXPERIMENTS.md).\n\n"
-      "  --spec FILE.json     run a declarative campaign spec (see specs/)\n"
-      "  --torture FILE.json  systematic crash-point exploration: inject a power\n"
-      "                       fault at every event boundary of the spec's window,\n"
-      "                       audit recovery invariants after each remount, and\n"
-      "                       shrink any violation into a minimal repro spec\n"
-      "  --repro-out FILE     where --torture writes the shrunk repro spec\n"
+      "usage: pofi_run --spec FILE.json [options]\n\n"
+      "A run is a spec file plus --set overrides; every workload, drive\n"
+      "and platform parameter is a spec key (see specs/ and EXPERIMENTS.md).\n"
+      "A spec with a \"torture\" section is a crash-point sweep: it injects a\n"
+      "power fault at every event boundary of its window, audits recovery\n"
+      "invariants after each remount, and shrinks any violation into a minimal\n"
+      "repro spec. Any other spec is a campaign.\n\n"
+      "  --spec FILE.json     run a campaign or crash-sweep spec (see specs/)\n"
+      "  --repro-out FILE     where a crash sweep writes the shrunk repro spec\n"
       "  --dump-spec          validate the spec with its overrides applied, print\n"
       "                       it as JSON and exit\n"
       "  --set PATH=VALUE     override a spec key (dotted path, JSON value;\n"
@@ -99,18 +102,20 @@ struct Options {
       "  --threads N          runner worker threads; 0 = hardware (default 0;\n"
       "                       same as --set runner.threads=N)\n"
       "  --progress console|jsonl|off   progress reporting (default console)\n"
-      "  --checkpoint FILE    append each finished campaign to a durable JSONL\n"
-      "                       checkpoint (crash-safe; see --resume)\n"
-      "  --resume             skip campaigns already recorded in --checkpoint\n"
-      "                       FILE; merged results are bit-identical to an\n"
-      "                       uninterrupted run of the same spec\n"
-      "  --metrics DIR        collect per-experiment telemetry (src/obs) and\n"
-      "                       export one JSON file per entry into DIR, plus a\n"
-      "                       runner.json worker-utilization sidecar; each file\n"
-      "                       is stamped with the spec content hash\n"
-      "  --csv FILE           write the summary columns to FILE as CSV, one row\n"
-      "                       per campaign at full precision, stamped with the\n"
-      "                       spec content hash, build and entry outcome counts\n"
+      "  --checkpoint FILE    append each finished campaign or sweep shard to a\n"
+      "                       durable JSONL checkpoint (crash-safe; see --resume)\n"
+      "  --resume             skip what --checkpoint FILE already records; merged\n"
+      "                       results are bit-identical to an uninterrupted run\n"
+      "                       of the same spec\n"
+      "  --metrics DIR        write a runner.json sidecar into DIR (worker\n"
+      "                       utilization, checkpoint.* and torture.* counters);\n"
+      "                       a campaign also collects per-experiment telemetry\n"
+      "                       (src/obs), one JSON file per entry. Each file is\n"
+      "                       stamped with the spec content hash\n"
+      "  --csv FILE           write a campaign's summary columns to FILE as CSV,\n"
+      "                       one row per campaign at full precision, stamped\n"
+      "                       with the spec content hash, build and entry\n"
+      "                       outcome counts\n"
       "  --version            print the build-provenance stamp and exit\n"
       "  --help               this text\n"
       "\n"
@@ -124,7 +129,7 @@ struct Options {
       "  2  invalid usage (one line on stderr) or campaign spec\n"
       "  3  quarantined and/or over-budget campaigns (suite still completed)\n"
       "  4  cancelled by SIGINT/SIGTERM (checkpointed rows were kept)\n"
-      "  5  torture exploration found recovery-invariant violations\n");
+      "  5  a crash sweep found recovery-invariant violations\n");
   std::exit(kExitOk);
 }
 
@@ -190,7 +195,6 @@ Options parse(int argc, char** argv) {
       std::exit(0);
     }
     else if (a == "--spec") o.spec_path = value();
-    else if (a == "--torture") o.torture_path = value();
     else if (a == "--repro-out") o.repro_out = value();
     else if (a == "--metrics") o.metrics_dir = value();
     else if (a == "--csv") o.csv_path = value();
@@ -215,35 +219,11 @@ Options parse(int argc, char** argv) {
       usage_error("unknown option " + a);
     }
   }
-  if (o.spec_path.empty() && o.torture_path.empty()) {
-    usage_error("no campaign given: pass --spec FILE or --torture FILE");
-  }
-  if (!o.torture_path.empty() && !o.spec_path.empty()) {
-    usage_error("--torture and --spec are mutually exclusive");
-  }
+  if (o.spec_path.empty()) usage_error("no spec given: pass --spec FILE");
   if (o.resume && o.checkpoint_path.empty()) {
     usage_error("--resume requires --checkpoint FILE");
   }
-  if (!o.csv_path.empty() && !o.torture_path.empty()) {
-    usage_error("--csv applies to campaigns, not --torture");
-  }
-  if (!o.repro_out.empty() && o.torture_path.empty()) {
-    usage_error("--repro-out requires --torture FILE");
-  }
   return o;
-}
-
-/// Surface what a --resume splice silently tolerated: torn/corrupt JSONL
-/// lines and records that no longer match the spec must not masquerade as a
-/// clean resume.
-void print_resume_warnings(const spec::ResumeStats& rs, const std::string& path) {
-  if (rs.malformed_lines == 0 && rs.stale_records == 0) return;
-  std::fprintf(stderr,
-               "pofi_run: warning: resume from %s reused %zu record(s) but dropped "
-               "%zu unparseable line(s)%s and %zu stale record(s); dropped entries re-ran\n",
-               path.c_str(), rs.records_reused, rs.malformed_lines,
-               rs.truncated_tail ? " (including a truncated tail, likely a torn write)" : "",
-               rs.stale_records);
 }
 
 /// Every value an override brings in, and every object its path creates,
@@ -295,64 +275,130 @@ void apply_overrides(spec::Value& doc, const Options& o) {
   }
 }
 
-/// --metrics DIR: one JSON telemetry file per successful entry, stamped with
-/// the campaign name, spec content hash, build version, entry index, label
-/// and resolved seed — enough to join any metrics file back to its exact
-/// campaign row. A runner.json sidecar carries worker-utilization counters.
-bool export_metrics_dir(const std::string& dir, const spec::CampaignSpec& campaign,
-                        const std::string& hash,
-                        const std::vector<runner::CampaignRunner::Outcome>& outcomes,
-                        obs::MetricRegistry& runner_registry) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    std::fprintf(stderr, "pofi_run: cannot create metrics dir %s: %s\n", dir.c_str(),
-                 ec.message().c_str());
-    return false;
-  }
-  const auto write_file = [&](const std::string& name, const spec::Value& v) {
-    const std::filesystem::path path = std::filesystem::path(dir) / name;
-    std::ofstream f(path, std::ios::binary | std::ios::trunc);
-    f << spec::dump(v) << "\n";
-    if (!f.good()) {
-      std::fprintf(stderr, "pofi_run: failed writing %s\n", path.string().c_str());
-      return false;
-    }
-    return true;
-  };
-  bool ok = true;
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    const auto& out = outcomes[i];
-    if (!runner::is_success(out.status)) continue;
-    spec::Value v = spec::Value::object();
-    v.set("campaign", campaign.name);
-    v.set("spec", hash);
-    v.set("version", spec::pofi_version());
-    v.set("entry", static_cast<std::uint64_t>(i));
-    v.set("label", out.label);
-    v.set("seed", campaign.entries[i].experiment.seed);
-    v.set("status", runner::to_string(out.status));
-    v.set("metrics", spec::to_json(out.result.metrics));
-    char name[32];
-    std::snprintf(name, sizeof name, "entry-%04zu.json", i);
-    ok = write_file(name, v) && ok;
-  }
-  spec::Value sidecar = spec::Value::object();
-  sidecar.set("campaign", campaign.name);
-  sidecar.set("spec", hash);
-  sidecar.set("version", spec::pofi_version());
-  sidecar.set("runner", spec::to_json(runner_registry.snapshot()));
-  ok = write_file("runner.json", sidecar) && ok;
-  return ok;
+/// Write `text` and a newline to `path`; false (with a stderr line) on failure.
+bool write_file(const std::filesystem::path& path, const std::string& text) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f << text << "\n";
+  if (!f.good()) std::fprintf(stderr, "pofi_run: failed writing %s\n", path.string().c_str());
+  return f.good();
 }
 
-/// --torture FILE: systematic crash-point exploration (src/torture). Shares
-/// the campaign path's override, progress, checkpoint/resume and cancel
-/// machinery; differs in the report (invariant findings + shrunk repro) and
-/// the exit-code mapping (violations -> 5).
-int run_torture(const Options& o) {
-  spec::Value doc = spec::parse_file(o.torture_path);
-  apply_overrides(doc, o);
+/// The provenance keys that lead every --metrics file: spec name, content
+/// hash and build.
+spec::Value metrics_doc(const std::string& name, const std::string& hash) {
+  spec::Value v = spec::Value::object();
+  v.set("campaign", name);
+  v.set("spec", hash);
+  v.set("version", spec::pofi_version());
+  return v;
+}
+
+/// A --metrics file: its name within the directory, and its document.
+using MetricsFile = std::pair<std::string, spec::Value>;
+
+/// The run path both spec kinds share: the progress sink, checkpoint/resume,
+/// cancellation and the runner registry behind --metrics, wired into the
+/// spec::RunOptions that run_campaign and explore take.
+class SharedRun {
+ public:
+  /// `console` draws console progress (a single-entry campaign prints its
+  /// report and nothing else).
+  SharedRun(const Options& o, bool console) : o_(o) {
+    if (o.progress == "jsonl") {
+      sink_ = std::make_unique<runner::JsonlProgress>(std::cout);
+    } else if (o.progress == "console" && console) {
+      sink_ = std::make_unique<runner::ConsoleProgress>(stderr);
+    }
+    options_.sink = sink_.get();
+    options_.checkpoint_path = o.checkpoint_path;
+    options_.resume = o.resume;
+    options_.cancel = &g_cancel;
+    options_.resume_stats = &resume_stats_;
+    if (!o.metrics_dir.empty()) options_.runner_metrics = &registry_;
+  }
+
+  // options_ points into this object.
+  SharedRun(const SharedRun&) = delete;
+  SharedRun& operator=(const SharedRun&) = delete;
+
+  [[nodiscard]] const spec::RunOptions& options() const { return options_; }
+
+  /// After the run: warn about what --resume dropped, then write the
+  /// --metrics files — `entries` plus a runner.json sidecar of the runner
+  /// registry. False when a file could not be written.
+  bool finish(const std::string& name, const std::string& hash,
+              std::vector<MetricsFile> entries = {}) {
+    // Surface what the resume splice silently tolerated: torn or corrupt
+    // lines and records that no longer match the spec must not masquerade
+    // as a clean resume.
+    const spec::ResumeStats& rs = resume_stats_;
+    if (o_.resume && (rs.malformed_lines != 0 || rs.stale_records != 0)) {
+      std::fprintf(stderr,
+                   "pofi_run: warning: resume from %s reused %zu record(s) but dropped "
+                   "%zu unparseable line(s)%s and %zu stale record(s); dropped entries re-ran\n",
+                   o_.checkpoint_path.c_str(), rs.records_reused, rs.malformed_lines,
+                   rs.truncated_tail ? " (including a truncated tail, likely a torn write)" : "",
+                   rs.stale_records);
+    }
+    if (o_.metrics_dir.empty()) return true;
+    std::error_code ec;
+    std::filesystem::create_directories(o_.metrics_dir, ec);
+    if (ec) {
+      std::fprintf(stderr, "pofi_run: cannot create metrics dir %s: %s\n",
+                   o_.metrics_dir.c_str(), ec.message().c_str());
+      return false;
+    }
+    spec::Value sidecar = metrics_doc(name, hash);
+    sidecar.set("runner", spec::to_json(registry_.snapshot()));
+    entries.emplace_back("runner.json", std::move(sidecar));
+    bool ok = true;
+    for (const auto& [file, v] : entries) {
+      ok = write_file(std::filesystem::path(o_.metrics_dir) / file, spec::dump(v)) && ok;
+    }
+    return ok;
+  }
+
+ private:
+  const Options& o_;
+  std::unique_ptr<runner::ProgressSink> sink_;
+  spec::ResumeStats resume_stats_;
+  obs::MetricRegistry registry_;
+  spec::RunOptions options_;
+};
+
+/// The outcome taxonomy entries that are reported as degraded.
+bool degraded(runner::CampaignStatus s) {
+  return s == runner::CampaignStatus::kFailed || s == runner::CampaignStatus::kQuarantined ||
+         s == runner::CampaignStatus::kTimedOut || s == runner::CampaignStatus::kAuditFailed;
+}
+
+bool cancelled(const std::vector<runner::CampaignRunner::Outcome>& outcomes) {
+  return g_cancel.load() ||
+         std::any_of(outcomes.begin(), outcomes.end(), [](const auto& out) {
+           return out.status == runner::CampaignStatus::kCancelled;
+         });
+}
+
+/// The outcome -> exit-code fold of the --help table, in its precedence:
+/// cancelled, runtime failure (a fail-fast failure or `io_failed`), audit
+/// failure, then quarantined or over budget.
+int exit_code(const std::vector<runner::CampaignRunner::Outcome>& outcomes, bool io_failed) {
+  if (cancelled(outcomes)) return kExitCancelled;
+  const auto any = [&](runner::CampaignStatus s) {
+    return std::any_of(outcomes.begin(), outcomes.end(),
+                       [s](const auto& out) { return out.status == s; });
+  };
+  if (io_failed || any(runner::CampaignStatus::kFailed)) return kExitRuntime;
+  if (any(runner::CampaignStatus::kAuditFailed)) return kExitAuditFailed;
+  if (any(runner::CampaignStatus::kQuarantined) || any(runner::CampaignStatus::kTimedOut)) {
+    return kExitDegraded;
+  }
+  return kExitOk;
+}
+
+/// A crash-point sweep (src/torture): the report is the invariant findings
+/// and the shrunk repro.
+int run_sweep(const spec::Value& doc, const Options& o) {
   const torture::TortureConfig cfg = torture::load_torture(doc);
   if (o.dump_spec) {
     std::printf("%s\n", spec::dump(doc).c_str());
@@ -362,26 +408,9 @@ int run_torture(const Options& o) {
   const std::string hash = spec::hash_string(torture::torture_hash(cfg));
   stats::print_banner("pofi_run torture: " + cfg.name + " | " + hash);
 
-  std::unique_ptr<runner::ProgressSink> sink;
-  if (o.progress == "console") {
-    sink = std::make_unique<runner::ConsoleProgress>(stderr);
-  } else if (o.progress == "jsonl") {
-    sink = std::make_unique<runner::JsonlProgress>(std::cout);
-  }
-
-  torture::ExploreOptions topt;
-  topt.sink = sink.get();
-  topt.checkpoint_path = o.checkpoint_path;
-  topt.resume = o.resume;
-  topt.cancel = &g_cancel;
-  topt.repro_path = o.repro_out;
-  spec::ResumeStats resume_stats;
-  topt.resume_stats = &resume_stats;
-  obs::MetricRegistry registry;
-  if (!o.metrics_dir.empty()) topt.runner_metrics = &registry;
-
-  const torture::ExploreReport report = torture::explore(cfg, topt);
-  if (o.resume) print_resume_warnings(resume_stats, o.checkpoint_path);
+  SharedRun run(o, true);
+  const torture::ExploreReport report = torture::explore(cfg, run.options());
+  bool io_failed = !run.finish(cfg.name, hash);
 
   std::printf("schedule: %llu event boundaries | lattice: %llu point(s) planned, "
               "%llu explored, %llu fault(s) injected\n",
@@ -390,22 +419,10 @@ int run_torture(const Options& o) {
               static_cast<unsigned long long>(report.points_explored),
               static_cast<unsigned long long>(report.points_injected));
 
-  bool cancelled = g_cancel.load();
-  bool any_degraded = false;
   for (const auto& out : report.outcomes) {
-    switch (out.status) {
-      case runner::CampaignStatus::kCancelled:
-        cancelled = true;
-        break;
-      case runner::CampaignStatus::kFailed:
-      case runner::CampaignStatus::kQuarantined:
-      case runner::CampaignStatus::kTimedOut:
-        any_degraded = true;
-        std::printf("degraded shard: %-12s %s%s%s\n", to_string(out.status),
-                    out.label.c_str(), out.error.empty() ? "" : ": ", out.error.c_str());
-        break;
-      default:
-        break;
+    if (degraded(out.status) && out.status != runner::CampaignStatus::kAuditFailed) {
+      std::printf("degraded shard: %-12s %s%s%s\n", to_string(out.status), out.label.c_str(),
+                  out.error.empty() ? "" : ": ", out.error.c_str());
     }
   }
 
@@ -428,6 +445,9 @@ int run_torture(const Options& o) {
       std::printf("  ... %zu more boundary(ies)\n", report.findings.size() - shown);
     }
     if (report.shrunk) {
+      if (!o.repro_out.empty()) {
+        io_failed = !write_file(o.repro_out, spec::dump(report.repro)) || io_failed;
+      }
       std::printf("repro: shrunk to %llu request(s) + boundary %llu%s%s\n",
                   static_cast<unsigned long long>(report.repro_requests),
                   static_cast<unsigned long long>(report.repro_boundary),
@@ -435,11 +455,98 @@ int run_torture(const Options& o) {
     }
   }
   std::printf("provenance: %s | %s\n", hash.c_str(), spec::pofi_version());
+  return exit_code(report.outcomes, io_failed);
+}
 
-  if (cancelled) return kExitCancelled;
-  if (report.total_violations > 0) return kExitAuditFailed;
-  if (any_degraded) return kExitDegraded;
-  return kExitOk;
+/// A campaign: one summary row per entry (or the full report for a single
+/// entry), optionally exported as CSV.
+int run_campaign(const spec::Value& doc, const Options& o) {
+  spec::CampaignSpec campaign = spec::load_campaign(doc);
+  if (o.dump_spec) {
+    std::printf("%s\n", spec::dump(doc).c_str());
+    return kExitOk;
+  }
+
+  const std::string hash = spec::hash_string(campaign.hash);
+  stats::print_banner("pofi_run: " + campaign.name + " | " +
+                      std::to_string(campaign.entries.size()) + " campaign(s) | " + hash);
+
+  // --metrics collects per-entry telemetry; campaign rows stay bit-identical
+  // either way, only ExperimentResult::metrics fills in.
+  if (!o.metrics_dir.empty()) {
+    for (spec::CampaignEntry& entry : campaign.entries) entry.platform.metrics = true;
+  }
+  SharedRun run(o, campaign.entries.size() > 1);
+  const auto outcomes = spec::run_campaign(campaign, run.options());
+
+  // One telemetry file per successful entry, stamped with the entry index,
+  // label and resolved seed — enough to join it back to its campaign row.
+  std::vector<MetricsFile> entry_files;
+  std::vector<spec::CampaignRow> rows;
+  std::vector<const runner::CampaignRunner::Outcome*> degraded_outcomes;
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    const auto& out = outcomes[i];
+    if (degraded(out.status)) degraded_outcomes.push_back(&out);
+    if (!runner::is_success(out.status)) continue;
+    rows.push_back({out.label, out.result, out.status});
+    if (o.metrics_dir.empty()) continue;
+    spec::Value v = metrics_doc(campaign.name, hash);
+    v.set("entry", static_cast<std::uint64_t>(i));
+    v.set("label", out.label);
+    v.set("seed", campaign.entries[i].experiment.seed);
+    v.set("status", runner::to_string(out.status));
+    v.set("metrics", spec::to_json(out.result.metrics));
+    char name[32];
+    std::snprintf(name, sizeof name, "entry-%04zu.json", i);
+    entry_files.emplace_back(name, std::move(v));
+  }
+  bool io_failed = !run.finish(campaign.name, hash, std::move(entry_files));
+  if (!o.csv_path.empty() && !spec::summary_csv(rows, campaign).write_file(o.csv_path)) {
+    std::fprintf(stderr, "pofi_run: failed writing %s\n", o.csv_path.c_str());
+    io_failed = true;
+  }
+
+  const bool was_cancelled = cancelled(outcomes);
+  if (rows.size() == 1 && outcomes.size() == 1 && degraded_outcomes.empty() &&
+      !was_cancelled) {
+    platform::ReportOptions ro;
+    ro.spec_hash = hash;
+    ro.version = spec::pofi_version();
+    std::fputs(platform::format_report(rows.front().result, ro).c_str(), stdout);
+    return exit_code(outcomes, io_failed);
+  }
+
+  std::printf("%zu/%zu campaigns completed, %u worker threads%s\n\n", rows.size(),
+              outcomes.size(), runner::resolved_threads(campaign.runner),
+              was_cancelled ? "  [cancelled]" : "");
+  std::fputs(spec::summary_table(rows).c_str(), stdout);
+  std::uint64_t total_loss = 0;
+  std::uint32_t total_faults = 0;
+  for (const auto& row : rows) {
+    total_loss += row.result.total_data_loss();
+    total_faults += row.result.faults_injected;
+  }
+  std::printf("\ntotal: %llu acknowledged writes lost over %u faults (%.2f/fault)\n",
+              static_cast<unsigned long long>(total_loss), total_faults,
+              total_faults > 0 ? static_cast<double>(total_loss) / total_faults : 0.0);
+
+  if (!degraded_outcomes.empty()) {
+    std::printf("\ndegraded campaigns:\n");
+    for (const auto* out : degraded_outcomes) {
+      std::printf("  %-12s %s%s%s\n", to_string(out->status), out->label.c_str(),
+                  out->error.empty() ? "" : ": ", out->error.c_str());
+    }
+  }
+  if (was_cancelled) {
+    std::printf("\ncancelled: suite stopped by signal; %s\n",
+                o.checkpoint_path.empty()
+                    ? "no checkpoint (finished rows are lost)"
+                    : ("finished rows checkpointed in " + o.checkpoint_path +
+                       " (rerun with --resume)")
+                          .c_str());
+  }
+  std::printf("provenance: %s | %s\n", hash.c_str(), spec::pofi_version());
+  return exit_code(outcomes, io_failed);
 }
 
 }  // namespace
@@ -450,133 +557,18 @@ int main(int argc, char** argv) {
   std::signal(SIGTERM, handle_signal);
 
   try {
-    if (!o.torture_path.empty()) return run_torture(o);
-
     spec::Value doc = spec::parse_file(o.spec_path);
+    // The file picks the kind before any override applies, so a --set that
+    // names the other kind's keys is a spec error quoting that --set.
+    const bool sweep = doc.find("torture") != nullptr;
+    if (sweep && !o.csv_path.empty()) {
+      usage_error("--csv applies to campaigns, not crash sweeps");
+    }
+    if (!sweep && !o.repro_out.empty()) {
+      usage_error("--repro-out applies to crash sweeps (a spec with a \"torture\" section)");
+    }
     apply_overrides(doc, o);
-    const spec::CampaignSpec campaign = spec::load_campaign(doc);
-    if (o.dump_spec) {
-      std::printf("%s\n", spec::dump(doc).c_str());
-      return 0;
-    }
-
-    const std::string hash = spec::hash_string(campaign.hash);
-
-    stats::print_banner("pofi_run: " + campaign.name + " | " +
-                        std::to_string(campaign.entries.size()) + " campaign(s) | " +
-                        hash);
-
-    std::unique_ptr<runner::ProgressSink> sink;
-    if (o.progress == "console" && campaign.entries.size() > 1) {
-      sink = std::make_unique<runner::ConsoleProgress>(stderr);
-    } else if (o.progress == "jsonl") {
-      sink = std::make_unique<runner::JsonlProgress>(std::cout);
-    }
-
-    spec::RunCampaignOptions run_options;
-    run_options.sink = sink.get();
-    run_options.checkpoint_path = o.checkpoint_path;
-    run_options.resume = o.resume;
-    run_options.cancel = &g_cancel;
-    spec::ResumeStats resume_stats;
-    run_options.resume_stats = &resume_stats;
-    obs::MetricRegistry runner_registry;
-    if (!o.metrics_dir.empty()) {
-      run_options.collect_metrics = true;
-      run_options.runner_metrics = &runner_registry;
-    }
-    const auto outcomes = spec::run_campaign(campaign, run_options);
-    if (o.resume) print_resume_warnings(resume_stats, o.checkpoint_path);
-    if (!o.metrics_dir.empty()) {
-      export_metrics_dir(o.metrics_dir, campaign, hash, outcomes, runner_registry);
-    }
-
-    // Fold the outcome taxonomy into rows + exit status. is_success covers
-    // ok / timed-out / skipped-cached; everything else either degrades the
-    // exit code or (fail-fast, cancel) truncated the suite.
-    std::vector<spec::CampaignRow> rows;
-    std::vector<const runner::CampaignRunner::Outcome*> degraded;
-    bool any_failed = false;
-    bool any_quarantined = false;
-    bool any_timed_out = false;
-    bool any_audit_failed = false;
-    bool cancelled = g_cancel.load();
-    for (const auto& out : outcomes) {
-      switch (out.status) {
-        case runner::CampaignStatus::kAuditFailed:
-          any_audit_failed = true;
-          degraded.push_back(&out);
-          break;
-        case runner::CampaignStatus::kTimedOut:
-          any_timed_out = true;
-          degraded.push_back(&out);
-          break;
-        case runner::CampaignStatus::kQuarantined:
-          any_quarantined = true;
-          degraded.push_back(&out);
-          break;
-        case runner::CampaignStatus::kFailed:
-          any_failed = true;
-          degraded.push_back(&out);
-          break;
-        case runner::CampaignStatus::kCancelled:
-          cancelled = true;
-          break;
-        default:
-          break;
-      }
-      if (runner::is_success(out.status)) {
-        rows.push_back({out.label, out.result, out.status});
-      }
-    }
-    const bool csv_failed =
-        !o.csv_path.empty() && !spec::summary_csv(rows, campaign).write_file(o.csv_path);
-    if (csv_failed) std::fprintf(stderr, "pofi_run: failed writing %s\n", o.csv_path.c_str());
-
-    if (rows.size() == 1 && outcomes.size() == 1 && degraded.empty() && !cancelled) {
-      platform::ReportOptions ro;
-      ro.spec_hash = hash;
-      ro.version = spec::pofi_version();
-      std::fputs(platform::format_report(rows.front().result, ro).c_str(), stdout);
-      return csv_failed ? kExitRuntime : kExitOk;
-    }
-
-    std::printf("%zu/%zu campaigns completed, %u worker threads%s\n\n", rows.size(),
-                outcomes.size(), runner::resolved_threads(campaign.runner),
-                cancelled ? "  [cancelled]" : "");
-    std::fputs(spec::summary_table(rows).c_str(), stdout);
-    std::uint64_t total_loss = 0;
-    std::uint32_t total_faults = 0;
-    for (const auto& row : rows) {
-      total_loss += row.result.total_data_loss();
-      total_faults += row.result.faults_injected;
-    }
-    std::printf("\ntotal: %llu acknowledged writes lost over %u faults (%.2f/fault)\n",
-                static_cast<unsigned long long>(total_loss), total_faults,
-                total_faults > 0 ? static_cast<double>(total_loss) / total_faults : 0.0);
-
-    if (!degraded.empty()) {
-      std::printf("\ndegraded campaigns:\n");
-      for (const auto* out : degraded) {
-        std::printf("  %-12s %s%s%s\n", to_string(out->status), out->label.c_str(),
-                    out->error.empty() ? "" : ": ", out->error.c_str());
-      }
-    }
-    if (cancelled) {
-      std::printf("\ncancelled: suite stopped by signal; %s\n",
-                  o.checkpoint_path.empty()
-                      ? "no checkpoint (finished rows are lost)"
-                      : ("finished rows checkpointed in " + o.checkpoint_path +
-                         " (rerun with --resume)")
-                            .c_str());
-    }
-    std::printf("provenance: %s | %s\n", hash.c_str(), spec::pofi_version());
-
-    if (cancelled) return kExitCancelled;
-    if (any_failed || csv_failed) return kExitRuntime;
-    if (any_audit_failed) return kExitAuditFailed;
-    if (any_quarantined || any_timed_out) return kExitDegraded;
-    return kExitOk;
+    return sweep ? run_sweep(doc, o) : run_campaign(doc, o);
   } catch (const spec::Error& e) {
     if (const std::string* kv = override_of(e, o)) {
       std::fprintf(stderr, "pofi_run: spec error: --set %s: %s\n", kv->c_str(), e.what());

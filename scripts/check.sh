@@ -29,11 +29,12 @@ if [[ "${FAST}" == "1" ]]; then
   exit 0
 fi
 
-# Each sanitizer stage runs a preset from CMakePresets.json, so the set it
-# runs lives in one place. TSan: the runner's worker pool, progress sinks and
-# campaign rows are the only concurrent code in the tree; the `tsan` test
-# preset names them plus what runs on their workers (event-kernel fuzz,
-# obs registry, pooled-session fuzz, torture explorer).
+# Each sanitizer stage runs a preset from CMakePresets.json. TSan: the
+# runner's worker pool, progress sinks and campaign rows are the only
+# concurrent code in the tree; the `tsan` test preset selects the test
+# binaries labelled `tsan` in tests/CMakeLists.txt — those plus what runs on
+# their workers (event-kernel fuzz, obs registry, pooled-session fuzz,
+# campaign specs, golden campaigns, torture explorer).
 echo "==> TSan: configure + build + ctest --preset tsan (build-tsan/)"
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "${JOBS}"

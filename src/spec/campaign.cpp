@@ -239,34 +239,30 @@ CampaignSpec load_campaign_file(const std::string& path) {
   return load_campaign(parse_file(path));
 }
 
-std::vector<runner::CampaignRunner::Outcome> run_campaign(const CampaignSpec& spec,
-                                                          runner::ProgressSink* sink) {
-  RunCampaignOptions options;
-  options.sink = sink;
-  return run_campaign(spec, options);
-}
-
-std::vector<runner::CampaignRunner::Outcome> run_campaign(const CampaignSpec& spec,
-                                                          const RunCampaignOptions& options) {
-  runner::RunnerConfig config = spec.runner;
+std::vector<runner::CampaignRunner::Outcome> run_resumable(runner::RunnerConfig config,
+                                                           std::uint64_t content_hash,
+                                                           std::vector<ResumableJob> jobs,
+                                                           const RunOptions& options) {
   if (options.cancel != nullptr) config.cancel = options.cancel;
   if (options.runner_metrics != nullptr) config.metrics = options.runner_metrics;
   runner::CampaignRunner rn(config, options.sink);
 
-  // Resume: index the checkpoint's reusable records by entry index. A record
-  // is reusable only when the content hash, the flat entry index and the
-  // resolved seed all still match this spec, and its status is a success —
-  // anything else (edited spec, quarantined entry, foreign campaign) is
-  // ignored and the entry simply re-runs. Later duplicates win: if a resumed
-  // run was itself interrupted, the freshest record is authoritative.
+  // Resume: index the checkpoint's reusable records by job index. A record
+  // is reusable only when the content hash, the job index and the seed all
+  // still match, and its status is a success — anything else (edited spec,
+  // quarantined entry, violating shard, foreign file) is ignored and the job
+  // simply re-runs. Later duplicates win: if a resumed run was itself
+  // interrupted, the freshest record is authoritative.
   std::unordered_map<std::size_t, CheckpointRecord> cached;
+  std::size_t malformed = 0;
+  std::size_t stale = 0;
   if (options.resume && !options.checkpoint_path.empty()) {
     CheckpointFile file = load_checkpoint(options.checkpoint_path);
-    std::size_t stale = 0;
+    malformed = file.malformed_lines;
     for (CheckpointRecord& rec : file.records) {
-      const bool matches = rec.spec_hash == spec.hash && runner::is_success(rec.status) &&
-                           rec.entry_index < spec.entries.size() &&
-                           spec.entries[rec.entry_index].experiment.seed == rec.seed;
+      const bool matches = rec.spec_hash == content_hash && runner::is_success(rec.status) &&
+                           rec.entry_index < jobs.size() &&
+                           jobs[rec.entry_index].seed == rec.seed;
       if (!matches) {
         ++stale;
         continue;
@@ -274,61 +270,64 @@ std::vector<runner::CampaignRunner::Outcome> run_campaign(const CampaignSpec& sp
       cached.insert_or_assign(static_cast<std::size_t>(rec.entry_index), std::move(rec));
     }
     if (options.resume_stats != nullptr) {
-      options.resume_stats->records_loaded = file.records.size();
-      options.resume_stats->records_reused = cached.size();
-      options.resume_stats->malformed_lines = file.malformed_lines;
-      options.resume_stats->truncated_tail = file.truncated_tail;
-      options.resume_stats->stale_records = stale;
-    }
-    if (options.runner_metrics != nullptr) {
-      // Surface silent tolerance: dropped lines/records are countable, not
-      // just stderr noise, so dashboards can alarm on checkpoint rot.
-      options.runner_metrics->add(
-          options.runner_metrics->counter("checkpoint.malformed_lines_dropped"),
-          file.malformed_lines);
-      options.runner_metrics->add(
-          options.runner_metrics->counter("checkpoint.stale_records_dropped"), stale);
+      *options.resume_stats = {file.records.size(), cached.size(), malformed,
+                               file.truncated_tail, stale};
     }
   }
+  if (options.runner_metrics != nullptr) {
+    // Surface silent tolerance: dropped lines/records are countable (zero
+    // without --resume), not just stderr noise, so dashboards can alarm on
+    // checkpoint rot.
+    obs::MetricRegistry& m = *options.runner_metrics;
+    m.add(m.counter("checkpoint.malformed_lines_dropped"), malformed);
+    m.add(m.counter("checkpoint.stale_records_dropped"), stale);
+  }
 
-  for (std::size_t i = 0; i < spec.entries.size(); ++i) {
-    const CampaignEntry& entry = spec.entries[i];
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (auto it = cached.find(i); it != cached.end()) {
-      rn.add_completed(entry.label, std::move(it->second.result));
-      continue;
+      rn.add_completed(std::move(jobs[i].label), std::move(it->second.result));
+    } else {
+      rn.add(std::move(jobs[i].label), std::move(jobs[i].fn));
     }
-    // The worker's slot keeps one device stack alive across entries;
-    // acquire() resets it in place, or rebuilds it on a config change.
-    rn.add(entry.label,
-           [&entry, cancel = options.cancel,
-            metrics = options.collect_metrics](runner::SessionSlot& slot) {
-             platform::PlatformConfig pc = entry.platform;
-             pc.cancel = cancel;
-             if (metrics) pc.metrics = true;
-             platform::TestPlatform& tp = runner::ExperimentSession::acquire(
-                 slot, entry.drive, pc, entry.experiment.seed);
-             return tp.run(entry.experiment);
-           });
   }
 
   std::unique_ptr<CheckpointWriter> writer;
   if (!options.checkpoint_path.empty()) {
     writer = std::make_unique<CheckpointWriter>(options.checkpoint_path);
-    rn.set_result_hook(
-        [&spec, w = writer.get()](std::size_t idx, const runner::CampaignRunner::Outcome& out) {
-          if (!runner::is_success(out.status)) return;  // re-run failures next time
-          CheckpointRecord rec;
-          rec.spec_hash = spec.hash;
-          rec.entry_index = idx;
-          rec.seed = spec.entries[idx].experiment.seed;
-          rec.label = out.label;
-          rec.status = out.status;
-          rec.wall_seconds = out.wall_seconds;
-          rec.result = out.result;
-          w->append(rec);
-        });
+    rn.set_result_hook([content_hash, &jobs, w = writer.get()](
+                           std::size_t idx, const runner::CampaignRunner::Outcome& out) {
+      if (!runner::is_success(out.status)) return;  // re-run failures next time
+      CheckpointRecord rec;
+      rec.spec_hash = content_hash;
+      rec.entry_index = idx;
+      rec.seed = jobs[idx].seed;
+      rec.label = out.label;
+      rec.status = out.status;
+      rec.wall_seconds = out.wall_seconds;
+      rec.result = out.result;
+      w->append(rec);
+    });
   }
   return rn.run();
+}
+
+std::vector<runner::CampaignRunner::Outcome> run_campaign(const CampaignSpec& spec,
+                                                          const RunOptions& options) {
+  std::vector<ResumableJob> jobs;
+  jobs.reserve(spec.entries.size());
+  for (const CampaignEntry& entry : spec.entries) {
+    // The worker's slot keeps one device stack alive across entries;
+    // acquire() resets it in place, or rebuilds it on a config change.
+    jobs.push_back({entry.label, entry.experiment.seed,
+                    [&entry, cancel = options.cancel](runner::SessionSlot& slot) {
+                      platform::PlatformConfig pc = entry.platform;
+                      pc.cancel = cancel;
+                      platform::TestPlatform& tp = runner::ExperimentSession::acquire(
+                          slot, entry.drive, pc, entry.experiment.seed);
+                      return tp.run(entry.experiment);
+                    }});
+  }
+  return run_resumable(spec.runner, spec.hash, std::move(jobs), options);
 }
 
 std::vector<CampaignRow> campaign_rows(std::vector<runner::CampaignRunner::Outcome> outcomes) {
@@ -355,9 +354,8 @@ std::vector<CampaignRow> campaign_rows(std::vector<runner::CampaignRunner::Outco
   return rows;
 }
 
-std::vector<CampaignRow> run_campaign_rows(const CampaignSpec& spec,
-                                           runner::ProgressSink* sink) {
-  return campaign_rows(run_campaign(spec, sink));
+std::vector<CampaignRow> run_campaign_rows(const CampaignSpec& spec) {
+  return campaign_rows(run_campaign(spec));
 }
 
 namespace {

@@ -79,48 +79,58 @@ struct ResumeStats {
   std::size_t records_loaded = 0;    ///< parseable records in the file
   std::size_t records_reused = 0;    ///< spliced back in as skipped-cached
   std::size_t malformed_lines = 0;   ///< unparseable lines dropped on load
-  bool truncated_tail = false;       ///< the malformed line was the last one
+  bool truncated_tail = false;       ///< the last line was torn (no newline)
   /// Parseable records ignored because they no longer match this spec
   /// (hash/index/seed mismatch) or carry a non-success status.
   std::size_t stale_records = 0;
 };
 
-/// Execution options for the resilient run_campaign overload.
-struct RunCampaignOptions {
+/// Execution options of a resumable run: run_campaign and torture::explore
+/// honour every field.
+struct RunOptions {
   runner::ProgressSink* sink = nullptr;
   /// JSONL checkpoint file (see spec/checkpoint.hpp). Empty disables
-  /// checkpointing; otherwise every successfully finished entry is appended.
+  /// checkpointing; otherwise every successfully finished job is appended.
   std::string checkpoint_path;
   /// Load `checkpoint_path` first and splice every matching successful
-  /// record back in as a skipped-cached entry instead of re-running it.
-  /// Records are matched by (content hash, entry index, seed); stale records
+  /// record back in as a skipped-cached job instead of re-running it.
+  /// Records are matched by (content hash, job index, seed); stale records
   /// from an edited spec are ignored.
   bool resume = false;
   /// Cooperative cancellation token (signal handler, watchdog). Threaded
-  /// into the runner *and* every entry's simulator.
+  /// into the runner *and* every job's simulator.
   const std::atomic<bool>* cancel = nullptr;
-  /// Force per-entry telemetry (platform.metrics = true) for every entry
-  /// regardless of the spec — the --metrics export path. Campaign rows stay
-  /// bit-identical either way; only ExperimentResult::metrics fills in.
-  bool collect_metrics = false;
   /// Optional host-side registry for runner telemetry (per-worker busy/wait
-  /// time, jobs completed). Wall-clock; kept out of campaign results.
+  /// time, jobs completed) and the checkpoint.* rot counters. Wall-clock;
+  /// kept out of results.
   obs::MetricRegistry* runner_metrics = nullptr;
   /// When non-null and resume is set, filled with what the splice found in
   /// the checkpoint file (reused / malformed / stale counts).
   ResumeStats* resume_stats = nullptr;
 };
 
-/// Execute every entry on runner::CampaignRunner per spec.runner. Outcomes
-/// come back in entry order, bit-identical at any thread count.
-[[nodiscard]] std::vector<runner::CampaignRunner::Outcome> run_campaign(
-    const CampaignSpec& spec, runner::ProgressSink* sink = nullptr);
+/// One unit of resumable work. Its checkpoint record is keyed by (content
+/// hash, position in the job list, seed).
+struct ResumableJob {
+  std::string label;
+  std::uint64_t seed = 0;
+  runner::CampaignRunner::SessionFn fn;
+};
 
-/// Resilient variant: checkpoint/resume + cancellation. With both a
-/// checkpoint path and resume set, the merged outcome sequence is
-/// bit-identical to an uninterrupted run of the same spec.
+/// The resume core under run_campaign and torture::explore: splice the
+/// checkpoint's matching successful records back in, run every other job on
+/// a CampaignRunner per `config`, and append one record per job that
+/// finishes successfully. With both a checkpoint path and resume set, the
+/// merged outcome sequence is bit-identical to an uninterrupted run.
+[[nodiscard]] std::vector<runner::CampaignRunner::Outcome> run_resumable(
+    runner::RunnerConfig config, std::uint64_t content_hash, std::vector<ResumableJob> jobs,
+    const RunOptions& options);
+
+/// Execute every entry on runner::CampaignRunner per spec.runner, one
+/// resumable job per entry keyed by the campaign hash and the entry's seed.
+/// Outcomes come back in entry order, bit-identical at any thread count.
 [[nodiscard]] std::vector<runner::CampaignRunner::Outcome> run_campaign(
-    const CampaignSpec& spec, const RunCampaignOptions& options);
+    const CampaignSpec& spec, const RunOptions& options = {});
 
 /// One finished entry: the summary-table row name, its result and how it
 /// was obtained (fresh, over budget, restored from a checkpoint).
@@ -139,8 +149,7 @@ struct CampaignRow {
     std::vector<runner::CampaignRunner::Outcome> outcomes);
 
 /// run_campaign + campaign_rows.
-[[nodiscard]] std::vector<CampaignRow> run_campaign_rows(
-    const CampaignSpec& spec, runner::ProgressSink* sink = nullptr);
+[[nodiscard]] std::vector<CampaignRow> run_campaign_rows(const CampaignSpec& spec);
 
 /// Render rows as an aligned comparison table: one row per entry, with the
 /// entry label (which carries the figure's x value) first.

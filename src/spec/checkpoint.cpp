@@ -218,7 +218,6 @@ CheckpointFile load_checkpoint(const std::string& path) {
   }
   std::string line;
   std::size_t line_no = 0;
-  std::size_t last_bad = 0;
   while (std::getline(in, line)) {
     ++line_no;
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
@@ -226,13 +225,15 @@ CheckpointFile load_checkpoint(const std::string& path) {
       out.records.push_back(checkpoint_record_from_json(parse(line)));
     } catch (const Error& e) {
       ++out.malformed_lines;
-      last_bad = line_no;
+      // getline hits end-of-file only on a last line without its newline:
+      // append() writes line and newline in one fwrite, so only a torn write
+      // leaves it off.
+      out.truncated_tail = in.eof();
       std::fprintf(stderr,
                    "[checkpoint] warning: %s:%zu unparseable record (%s); entry will re-run\n",
                    path.c_str(), line_no, e.what());
     }
   }
-  out.truncated_tail = out.malformed_lines > 0 && last_bad == line_no;
   return out;
 }
 

@@ -14,7 +14,8 @@
 //   * Atomic appends: each record is rendered to one buffer and handed to
 //     the OS as a single write, then flushed. A SIGKILL can truncate the
 //     final line but never interleave two records; the loader tolerates (and
-//     warns about) a trailing partial line.
+//     warns about) a trailing partial line, told apart from a whole but
+//     malformed line by its missing newline.
 //
 // Only successful entries (is_success: ok / timed-out) are reused on
 // resume; quarantined or cancelled entries re-run. A record with a key or
@@ -55,7 +56,8 @@ struct CheckpointFile {
   /// Lines that failed to parse (a truncated tail from a killed run, or
   /// foreign garbage). Tolerated: the affected entries simply re-run.
   std::size_t malformed_lines = 0;
-  bool truncated_tail = false;  ///< the *last* line was the malformed one
+  /// The last line was malformed *and* lacks its newline: a torn append.
+  bool truncated_tail = false;
 };
 
 /// Load `path`; a missing file is an empty checkpoint, any other IO error

@@ -1,16 +1,12 @@
 #include "torture/explorer.hpp"
 
 #include <algorithm>
-#include <fstream>
-#include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "runner/experiment_session.hpp"
-#include "spec/checkpoint.hpp"
 #include "torture/harness.hpp"
 
 namespace pofi::torture {
@@ -25,7 +21,7 @@ struct ProbeHit {
 };
 
 [[nodiscard]] platform::PlatformConfig run_platform_config(const TortureConfig& cfg,
-                                                           const ExploreOptions& options) {
+                                                           const spec::RunOptions& options) {
   platform::PlatformConfig pc = cfg.platform;
   pc.cancel = options.cancel;
   return pc;
@@ -49,7 +45,7 @@ struct ProbeHit {
 /// slot (kept across probes by the caller).
 [[nodiscard]] std::optional<ProbeHit> probe_prefix(const TortureConfig& base,
                                                    std::uint64_t requests,
-                                                   const ExploreOptions& options,
+                                                   const spec::RunOptions& options,
                                                    runner::SessionSlot& slot) {
   TortureConfig sub = base;
   sub.requests = requests;
@@ -74,7 +70,7 @@ struct ProbeHit {
 
 }  // namespace
 
-ExploreReport explore(const TortureConfig& cfg, const ExploreOptions& options) {
+ExploreReport explore(const TortureConfig& cfg, const spec::RunOptions& options) {
   ExploreReport report;
   const platform::PlatformConfig pc = run_platform_config(cfg, options);
 
@@ -98,61 +94,23 @@ ExploreReport explore(const TortureConfig& cfg, const ExploreOptions& options) {
       (points.size() + cfg.shard_points - 1) / cfg.shard_points;
 
   // --- Fan out across the campaign runner -----------------------------------
-  runner::RunnerConfig runner_config = cfg.runner;
-  if (options.cancel != nullptr) runner_config.cancel = options.cancel;
-  if (options.runner_metrics != nullptr) runner_config.metrics = options.runner_metrics;
-  runner::CampaignRunner rn(runner_config, options.sink);
-
-  const std::uint64_t spec_hash = torture_hash(cfg);
-
-  // Resume: same matching rules as campaign resume (hash, shard index, seed,
-  // success). Shards that found violations resolve kAuditFailed, which is not
-  // a success, so they were never checkpointed and re-run here — the findings
-  // list repopulates from them.
-  std::unordered_map<std::size_t, spec::CheckpointRecord> cached;
-  if (options.resume && !options.checkpoint_path.empty()) {
-    spec::CheckpointFile file = spec::load_checkpoint(options.checkpoint_path);
-    std::size_t stale = 0;
-    for (spec::CheckpointRecord& rec : file.records) {
-      const bool matches = rec.spec_hash == spec_hash && runner::is_success(rec.status) &&
-                           rec.entry_index < shard_count && rec.seed == cfg.seed;
-      if (!matches) {
-        ++stale;
-        continue;
-      }
-      cached.insert_or_assign(static_cast<std::size_t>(rec.entry_index), std::move(rec));
-    }
-    if (options.resume_stats != nullptr) {
-      options.resume_stats->records_loaded = file.records.size();
-      options.resume_stats->records_reused = cached.size();
-      options.resume_stats->malformed_lines = file.malformed_lines;
-      options.resume_stats->truncated_tail = file.truncated_tail;
-      options.resume_stats->stale_records = stale;
-    }
-    if (options.runner_metrics != nullptr) {
-      options.runner_metrics->add(
-          options.runner_metrics->counter("checkpoint.malformed_lines_dropped"),
-          file.malformed_lines);
-      options.runner_metrics->add(
-          options.runner_metrics->counter("checkpoint.stale_records_dropped"), stale);
-    }
-  }
-
+  // One resumable job per shard, keyed by (torture hash, shard index, seed).
+  // Shards that found violations resolve kAuditFailed, which is not a
+  // success, so they are never checkpointed and re-run on resume — the
+  // findings list repopulates from them.
   std::mutex findings_mutex;
   std::vector<TortureFinding>& findings = report.findings;
 
+  std::vector<spec::ResumableJob> jobs;
+  jobs.reserve(shard_count);
   for (std::size_t shard = 0; shard < shard_count; ++shard) {
     const std::size_t begin = shard * cfg.shard_points;
     const std::size_t end = std::min(points.size(), begin + cfg.shard_points);
-    const std::string label = cfg.name + "-shard" + std::to_string(shard) + "[" +
-                              std::to_string(points[begin]) + ".." +
-                              std::to_string(points[end - 1]) + "]";
-    if (auto it = cached.find(shard); it != cached.end()) {
-      rn.add_completed(label, std::move(it->second.result));
-      continue;
-    }
-    rn.add(label, [&cfg, &options, &points, &findings, &findings_mutex, &pilot, label,
-                   begin, end](runner::SessionSlot& slot) {
+    std::string label = cfg.name + "-shard" + std::to_string(shard) + "[" +
+                        std::to_string(points[begin]) + ".." +
+                        std::to_string(points[end - 1]) + "]";
+    auto fn = [&cfg, &options, &points, &findings, &findings_mutex, &pilot, label, begin,
+               end](runner::SessionSlot& slot) {
       platform::ExperimentResult res;
       res.name = label;
       const platform::PlatformConfig shard_pc = run_platform_config(cfg, options);
@@ -181,28 +139,11 @@ ExploreReport explore(const TortureConfig& cfg, const ExploreOptions& options) {
         }
       }
       return res;
-    });
+    };
+    jobs.push_back({std::move(label), cfg.seed, std::move(fn)});
   }
-
-  std::unique_ptr<spec::CheckpointWriter> writer;
-  if (!options.checkpoint_path.empty()) {
-    writer = std::make_unique<spec::CheckpointWriter>(options.checkpoint_path);
-    rn.set_result_hook([spec_hash, seed = cfg.seed, w = writer.get()](
-                           std::size_t idx, const runner::CampaignRunner::Outcome& out) {
-      if (!runner::is_success(out.status)) return;  // violations re-run on resume
-      spec::CheckpointRecord rec;
-      rec.spec_hash = spec_hash;
-      rec.entry_index = idx;
-      rec.seed = seed;
-      rec.label = out.label;
-      rec.status = out.status;
-      rec.wall_seconds = out.wall_seconds;
-      rec.result = out.result;
-      w->append(rec);
-    });
-  }
-
-  report.outcomes = rn.run();
+  report.outcomes =
+      spec::run_resumable(cfg.runner, torture_hash(cfg), std::move(jobs), options);
 
   // --- Aggregate (submission order, so identical at any thread count) -------
   for (std::size_t shard = 0; shard < report.outcomes.size(); ++shard) {
@@ -264,10 +205,6 @@ ExploreReport explore(const TortureConfig& cfg, const ExploreOptions& options) {
       report.repro_requests = hi;
       report.repro_boundary = best->boundary;
       report.repro = to_json(repro);
-      if (!options.repro_path.empty()) {
-        std::ofstream out(options.repro_path, std::ios::binary | std::ios::trunc);
-        out << spec::dump(report.repro) << "\n";
-      }
     }
   }
 

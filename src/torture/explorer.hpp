@@ -7,24 +7,22 @@
 // and fans the points out across runner::CampaignRunner in deterministic
 // seed-sharded groups: each shard is one session-pooled campaign entry that
 // crashes, remounts and audits `shard_points` consecutive lattice points.
-// Shard results checkpoint through the JSONL codec under the torture spec's
-// content hash, so a killed exploration resumes; shards that found
-// violations are deliberately never checkpointed (kAuditFailed is not a
-// success) and re-run on resume, repopulating the findings.
+// Shards run through spec::run_resumable, the campaign path's resume core,
+// and checkpoint under the torture spec's content hash, so a killed
+// exploration resumes; shards that found violations are deliberately never
+// checkpointed (kAuditFailed is not a success) and re-run on resume,
+// repopulating the findings.
 //
 // When violations surface and cfg.shrink is set, the explorer minimises the
 // failing schedule — binary search for the smallest workload prefix that
 // still violates, then the earliest failing boundary within it — and emits a
-// minimal self-contained repro spec whose workload section replays the
-// recorded request prefix verbatim.
+// minimal self-contained repro spec (ExploreReport::repro) whose workload
+// section replays the recorded request prefix verbatim.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "obs/fwd.hpp"
 #include "runner/campaign_runner.hpp"
 #include "spec/campaign.hpp"
 #include "torture/auditor.hpp"
@@ -35,22 +33,6 @@ namespace pofi::torture {
 struct TortureFinding {
   std::uint64_t boundary = 0;  ///< injection point that produced the report
   AuditReport report;
-};
-
-struct ExploreOptions {
-  runner::ProgressSink* sink = nullptr;
-  /// JSONL checkpoint file; empty disables checkpointing.
-  std::string checkpoint_path;
-  /// Splice matching successful shard records back in instead of re-running.
-  bool resume = false;
-  const std::atomic<bool>* cancel = nullptr;
-  /// Host-side registry for exploration telemetry (points explored/injected,
-  /// violations) and checkpoint-rot counters.
-  obs::MetricRegistry* runner_metrics = nullptr;
-  /// Filled with what the resume splice found (see spec::ResumeStats).
-  spec::ResumeStats* resume_stats = nullptr;
-  /// Write the shrunk repro spec to this file (empty keeps it in-memory only).
-  std::string repro_path;
 };
 
 struct ExploreReport {
@@ -76,9 +58,11 @@ struct ExploreReport {
   [[nodiscard]] bool ok() const { return total_violations == 0; }
 };
 
-/// Run one exploration. Throws spec::Error on checkpoint IO problems and
-/// std::runtime_error on a wedged schedule; audit violations are *data*
-/// (reported, shrunk), never exceptions.
-[[nodiscard]] ExploreReport explore(const TortureConfig& cfg, const ExploreOptions& options = {});
+/// Run one exploration: one spec::run_resumable job per shard, keyed by
+/// torture_hash(cfg), the shard index and cfg.seed. Throws spec::Error on
+/// checkpoint IO problems and std::runtime_error on a wedged schedule; audit
+/// violations are *data* (reported, shrunk), never exceptions.
+[[nodiscard]] ExploreReport explore(const TortureConfig& cfg,
+                                    const spec::RunOptions& options = {});
 
 }  // namespace pofi::torture

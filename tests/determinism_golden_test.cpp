@@ -250,7 +250,7 @@ TEST(DeterminismGolden, CheckpointResumeReproducesGoldenHash) {
   std::remove(checkpoint.c_str());
 
   const auto campaign = spec::load_campaign_file(path);
-  spec::RunCampaignOptions options;
+  spec::RunOptions options;
   options.checkpoint_path = checkpoint;
   const auto fresh = spec::run_campaign(campaign, options);
   ASSERT_EQ(fresh.size(), 1U);

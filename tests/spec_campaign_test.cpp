@@ -421,8 +421,9 @@ const char* const kCampaignSpecs[] = {
     "ablation_cutoff_model.json", "ablation_cache_plp.json",
     "ablation_por_recovery.json",
 };
-// Torture docs: crash-point exploration lattices for pofi_run --torture,
-// loaded through torture::load_torture_file rather than load_campaign.
+// Torture docs: crash-point exploration lattices (a "torture" section makes
+// pofi_run --spec run a sweep), loaded through torture::load_torture_file
+// rather than load_campaign.
 const char* const kTortureSpecs[] = {
     "torture_smoke.json",
 };

@@ -210,6 +210,33 @@ TEST(CheckpointFileIo, MidFileGarbageIsSkippedWithoutTruncationFlag) {
   EXPECT_FALSE(file.truncated_tail);  // the *last* line is a good record
 }
 
+// Whole lines that fail to parse are not a torn write, even at the end of the
+// file: a checkpoint whose every record carries the retired "attempts" key
+// drops every line but flags no truncated tail, because each line still ends
+// in the newline that append() writes with it.
+TEST(CheckpointFileIo, CompleteMalformedLastLineIsNotATornTail) {
+  const std::string path = "/tmp/pofi_ckpt_complete_malformed.jsonl";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    for (std::uint64_t i = 0; i < 2; ++i) {
+      CheckpointRecord rec;
+      rec.spec_hash = 1;
+      rec.entry_index = i;
+      rec.result = tricky_result();
+      Value v = to_json(rec);
+      v.set("attempts", std::uint64_t{1});
+      out << canonical(v) << "\n";
+    }
+  }
+  testing::internal::CaptureStderr();
+  const auto file = load_checkpoint(path);
+  (void)testing::internal::GetCapturedStderr();
+  EXPECT_TRUE(file.records.empty());
+  EXPECT_EQ(file.malformed_lines, 2u);
+  EXPECT_FALSE(file.truncated_tail);
+  std::remove(path.c_str());
+}
+
 // --- resume against the real platform stack ---------------------------------
 
 constexpr const char* kCampaignJson = R"({
@@ -244,7 +271,7 @@ TEST(CheckpointResume, ResumedSuiteIsBitIdenticalToUninterruptedRun) {
   ASSERT_EQ(campaign.entries.size(), 3u);
 
   // Uninterrupted baseline, checkpointing as it goes.
-  RunCampaignOptions base_options;
+  RunOptions base_options;
   base_options.checkpoint_path = checkpoint;
   const auto baseline = run_campaign(campaign, base_options);
   ASSERT_EQ(baseline.size(), 3u);
@@ -259,7 +286,7 @@ TEST(CheckpointResume, ResumedSuiteIsBitIdenticalToUninterruptedRun) {
     out << first_line << "\n";
   }
 
-  RunCampaignOptions resume_options;
+  RunOptions resume_options;
   resume_options.checkpoint_path = partial;
   resume_options.resume = true;
   const auto resumed = run_campaign(campaign, resume_options);
@@ -292,7 +319,7 @@ TEST(CheckpointResume, StaleRecordsFromAnEditedSpecAreIgnored) {
   std::remove(checkpoint.c_str());
 
   const auto campaign = load_campaign(parse(kCampaignJson));
-  RunCampaignOptions options;
+  RunOptions options;
   options.checkpoint_path = checkpoint;
   const auto baseline = run_campaign(campaign, options);
   ASSERT_EQ(baseline.size(), 3u);
@@ -320,7 +347,7 @@ TEST(CheckpointResume, ResumeStatsSurfaceWhatTheLoaderDropped) {
   std::remove(checkpoint.c_str());
 
   const auto campaign = load_campaign(parse(kCampaignJson));
-  RunCampaignOptions options;
+  RunOptions options;
   options.checkpoint_path = checkpoint;
   const auto baseline = run_campaign(campaign, options);
   ASSERT_EQ(baseline.size(), 3u);
@@ -354,7 +381,7 @@ TEST(CheckpointResume, RecordsWithAttemptsOrRetriedOkReRun) {
   std::remove(checkpoint.c_str());
 
   const auto campaign = load_campaign(parse(kCampaignJson));
-  RunCampaignOptions options;
+  RunOptions options;
   options.checkpoint_path = checkpoint;
   const auto baseline = run_campaign(campaign, options);
   ASSERT_EQ(baseline.size(), 3u);
@@ -374,7 +401,7 @@ TEST(CheckpointResume, RecordsWithAttemptsOrRetriedOkReRun) {
     out << canonical(with_attempts) << "\n" << canonical(retried) << "\n" << lines[2] << "\n";
   }
 
-  RunCampaignOptions resume_options;
+  RunOptions resume_options;
   resume_options.checkpoint_path = old_format;
   resume_options.resume = true;
   ResumeStats stats;

@@ -149,7 +149,7 @@ TEST(TortureExplorer, ResumeRestoresCleanShardsAndRerunsViolating) {
   const std::string path = temp_path("torture_resume.jsonl");
   std::remove(path.c_str());
 
-  ExploreOptions options;
+  spec::RunOptions options;
   options.checkpoint_path = path;
   const ExploreReport first = explore(cfg, options);
   ASSERT_FALSE(first.findings.empty());
@@ -178,7 +178,7 @@ TEST(TortureExplorer, AuditFailedFlowsThroughJsonlProgress) {
   cfg.break_recovery = true;
   std::ostringstream out;
   runner::JsonlProgress sink(out);
-  ExploreOptions options;
+  spec::RunOptions options;
   options.sink = &sink;
   const ExploreReport report = explore(cfg, options);
   ASSERT_FALSE(report.findings.empty());
