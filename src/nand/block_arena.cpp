@@ -1,9 +1,27 @@
 #include "nand/block_arena.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace pofi::nand {
+
+namespace {
+
+/// Copy the first `n` entries of `from` into `to`, keeping `to`'s capacity.
+template <typename T>
+void assign_prefix(std::vector<T>& to, const std::vector<T>& from, std::size_t n) {
+  to.assign(from.begin(), from.begin() + static_cast<std::ptrdiff_t>(n));
+}
+
+/// Resize `to` to `size` entries and copy `from` (no longer) over its front.
+template <typename T>
+void restore_prefix(std::vector<T>& to, const std::vector<T>& from, std::size_t size) {
+  to.resize(size);
+  std::copy(from.begin(), from.end(), to.begin());
+}
+
+}  // namespace
 
 BlockArena::BlockArena(const Geometry& geometry, std::uint32_t initial_pe_cycles)
     : pages_per_block_(geometry.pages_per_block),
@@ -179,6 +197,79 @@ void BlockArena::reset() {
   content_overflow_.clear();
   lpn_overflow_.clear();
   seq_overflow_.clear();
+}
+
+void BlockArena::snapshot(StateImage& out) const {
+  out.block_index = block_index_;
+  out.slots = slots_;
+  out.erase_count = erase_count_;
+  out.reads_since_erase = reads_since_erase_;
+  out.programs_since_erase = programs_since_erase_;
+  out.next_program_page = next_program_page_;
+  out.flags = flags_;
+  out.lane = lane_;
+  out.upset_count = upset_count_;
+  out.progress_count = progress_count_;
+  out.overflow_count = overflow_count_;
+  // Only the lanes created so far: the rest of the last slab, and any slab
+  // a larger past tenant grew, is unreachable until ensure_lane scrubs it.
+  const std::size_t lanes = lanes_;
+  assign_prefix(out.status, status_, lanes * words_per_lane_);
+  assign_prefix(out.content, content_, lanes * pages_per_block_);
+  assign_prefix(out.oob_lpn, oob_lpn_, lanes * pages_per_block_);
+  assign_prefix(out.oob_seq, oob_seq_, lanes * pages_per_block_);
+  out.free_lanes = free_lanes_;
+  out.lanes = lanes_;
+  out.progress = progress_;
+  out.upsets = upsets_;
+  out.content_overflow = content_overflow_;
+  out.lpn_overflow = lpn_overflow_;
+  out.seq_overflow = seq_overflow_;
+}
+
+void BlockArena::restore(const StateImage& image) {
+  block_index_ = image.block_index;
+  slots_ = image.slots;
+  erase_count_ = image.erase_count;
+  reads_since_erase_ = image.reads_since_erase;
+  programs_since_erase_ = image.programs_since_erase;
+  next_program_page_ = image.next_program_page;
+  flags_ = image.flags;
+  lane_ = image.lane;
+  upset_count_ = image.upset_count;
+  progress_count_ = image.progress_count;
+  overflow_count_ = image.overflow_count;
+  // Size the page lanes to the image's whole slabs (ensure_lane grows them a
+  // slab at a time and assumes the last one is there), then copy the
+  // image's lanes over the front. A live arena of that size resizes in
+  // place; entries past the image's lanes are scrubbed before first use.
+  const std::size_t slab_lanes =
+      (static_cast<std::size_t>(image.lanes) + kSlabBlocks - 1) / kSlabBlocks * kSlabBlocks;
+  restore_prefix(status_, image.status, slab_lanes * words_per_lane_);
+  restore_prefix(content_, image.content, slab_lanes * pages_per_block_);
+  restore_prefix(oob_lpn_, image.oob_lpn, slab_lanes * pages_per_block_);
+  restore_prefix(oob_seq_, image.oob_seq, slab_lanes * pages_per_block_);
+  free_lanes_ = image.free_lanes;
+  lanes_ = image.lanes;
+  progress_ = image.progress;
+  upsets_ = image.upsets;
+  content_overflow_ = image.content_overflow;
+  lpn_overflow_ = image.lpn_overflow;
+  seq_overflow_ = image.seq_overflow;
+}
+
+std::uint32_t BlockArena::first_unerased(Slot s) const {
+  const std::uint32_t lane = lane_[s];
+  if (lane == kNoLane) return pages_per_block_;
+  // Erased is status 0, and ensure_lane zeroes the padding past the last
+  // page, so the first non-zero bit pair is the first unerased page.
+  const std::size_t base = static_cast<std::size_t>(lane) * words_per_lane_;
+  for (std::uint32_t w = 0; w < words_per_lane_; ++w) {
+    if (const std::uint64_t word = status_[base + w]; word != 0) {
+      return w * 32 + static_cast<std::uint32_t>(std::countr_zero(word)) / 2;
+    }
+  }
+  return pages_per_block_;
 }
 
 Page BlockArena::snapshot(Slot s, std::uint32_t pib) const {

@@ -124,6 +124,27 @@ class BlockArena {
     return it == upsets_.end() ? 0 : it->second;
   }
 
+  /// Status, content and OOB of one page, read straight from the lanes; a
+  /// lane-less block reads erased. Touches no side table unless a value
+  /// took the overflow marker.
+  [[nodiscard]] PageFields fields(Slot s, std::uint32_t pib) const {
+    const std::uint32_t lane = lane_[s];
+    if (lane == kNoLane) return PageFields{};
+    const std::size_t idx = static_cast<std::size_t>(lane) * pages_per_block_ + pib;
+    const std::uint64_t word = status_[lane * words_per_lane_ + (pib >> 5)];
+    PageFields f;
+    f.status = static_cast<PageStatus>((word >> ((pib & 31U) * 2)) & 3U);
+    f.content = widen(content_[idx], content_overflow_, s, pib, kErasedContent);
+    f.oob.lpn = widen(oob_lpn_[idx], lpn_overflow_, s, pib, ~0ULL);
+    f.oob.seq = widen(oob_seq_[idx], seq_overflow_, s, pib, 0);
+    return f;
+  }
+
+  /// First page of the block that is not erased, or pages_per_block when
+  /// all are. A lane-less block answers without a scan; otherwise the scan
+  /// reads the packed status words, 32 pages a word.
+  [[nodiscard]] std::uint32_t first_unerased(Slot s) const;
+
   /// AoS view of one page, assembled from the lanes (peek/debug path).
   [[nodiscard]] Page snapshot(Slot s, std::uint32_t pib) const;
 
@@ -153,10 +174,11 @@ class BlockArena {
   /// recycled lanes.
   void reset();
 
-  /// Full copyable state of the arena. Captured with bulk lane copies; the
-  /// image's containers are reused across capture cycles (vector/map
-  /// assignment keeps capacity/buckets), so warmed snapshots allocate
-  /// nothing.
+  /// Full copyable state of the arena. Captured with bulk lane copies of the
+  /// `lanes` created so far (status words, content, OOB lpn/seq hold exactly
+  /// `lanes` blocks' worth, not the rest of their slab); the image's
+  /// containers are reused across capture cycles (vector/map assignment
+  /// keeps capacity/buckets), so warmed snapshots allocate nothing.
   struct StateImage {
     std::vector<Slot> block_index;
     std::size_t slots = 0;
@@ -180,57 +202,12 @@ class BlockArena {
     std::unordered_map<std::uint64_t, std::uint64_t> content_overflow;
     std::unordered_map<std::uint64_t, std::uint64_t> lpn_overflow;
     std::unordered_map<std::uint64_t, std::uint64_t> seq_overflow;
+
+    bool operator==(const StateImage&) const = default;
   };
 
-  void snapshot(StateImage& out) const {
-    out.block_index = block_index_;
-    out.slots = slots_;
-    out.erase_count = erase_count_;
-    out.reads_since_erase = reads_since_erase_;
-    out.programs_since_erase = programs_since_erase_;
-    out.next_program_page = next_program_page_;
-    out.flags = flags_;
-    out.lane = lane_;
-    out.upset_count = upset_count_;
-    out.progress_count = progress_count_;
-    out.overflow_count = overflow_count_;
-    out.status = status_;
-    out.content = content_;
-    out.oob_lpn = oob_lpn_;
-    out.oob_seq = oob_seq_;
-    out.free_lanes = free_lanes_;
-    out.lanes = lanes_;
-    out.progress = progress_;
-    out.upsets = upsets_;
-    out.content_overflow = content_overflow_;
-    out.lpn_overflow = lpn_overflow_;
-    out.seq_overflow = seq_overflow_;
-  }
-
-  void restore(const StateImage& image) {
-    block_index_ = image.block_index;
-    slots_ = image.slots;
-    erase_count_ = image.erase_count;
-    reads_since_erase_ = image.reads_since_erase;
-    programs_since_erase_ = image.programs_since_erase;
-    next_program_page_ = image.next_program_page;
-    flags_ = image.flags;
-    lane_ = image.lane;
-    upset_count_ = image.upset_count;
-    progress_count_ = image.progress_count;
-    overflow_count_ = image.overflow_count;
-    status_ = image.status;
-    content_ = image.content;
-    oob_lpn_ = image.oob_lpn;
-    oob_seq_ = image.oob_seq;
-    free_lanes_ = image.free_lanes;
-    lanes_ = image.lanes;
-    progress_ = image.progress;
-    upsets_ = image.upsets;
-    content_overflow_ = image.content_overflow;
-    lpn_overflow_ = image.lpn_overflow;
-    seq_overflow_ = image.seq_overflow;
-  }
+  void snapshot(StateImage& out) const;
+  void restore(const StateImage& image);
 
  private:
   static constexpr std::uint32_t kNoLane = ~std::uint32_t{0};

@@ -187,6 +187,20 @@ class NandChip {
   /// per-chip snapshot slot: it stays valid (same address) until the next
   /// peek on this die, which overwrites it.
   [[nodiscard]] const Page* peek(Ppn ppn) const;
+  /// peek() without the Page: status, content and OOB of page `pib` of
+  /// block `b`, from the arena lanes. A never-touched block reads erased
+  /// (where peek() returns nullptr).
+  [[nodiscard]] PageFields page_fields(BlockId b, std::uint32_t pib) const {
+    const BlockArena::Slot slot = arena_.find(b);
+    return slot == BlockArena::kNoSlot ? PageFields{} : arena_.fields(slot, pib);
+  }
+  /// First page of block `b` that is not erased, or pages_per_block when
+  /// every page is (a never-touched or lane-less block answers at once).
+  [[nodiscard]] std::uint32_t first_unerased_page(BlockId b) const {
+    const BlockArena::Slot slot = arena_.find(b);
+    return slot == BlockArena::kNoSlot ? config_.geometry.pages_per_block
+                                       : arena_.first_unerased(slot);
+  }
   /// Synchronous read through the full error/ECC path, bypassing timing.
   /// Used by tests; the production path is the async read().
   [[nodiscard]] ReadResult read_now(Ppn ppn);

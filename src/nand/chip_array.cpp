@@ -53,6 +53,19 @@ const Page* ChipArray::peek(Ppn ppn) const {
   return chips_[channel_of_ppn(ppn)]->peek(local_ppn(ppn));
 }
 
+PageFields ChipArray::page_fields(Ppn ppn) const {
+  const std::uint32_t ppb = effective_geometry_.pages_per_block;
+  const BlockId b = ppn / ppb;
+  const auto pib = static_cast<std::uint32_t>(ppn - b * ppb);
+  return chips_[b % config_.channels]->page_fields(b / config_.channels, pib);
+}
+
+std::optional<Ppn> ChipArray::first_unerased_page(BlockId b) const {
+  const std::uint32_t pib = chips_[channel_of_block(b)]->first_unerased_page(local_block(b));
+  if (pib == effective_geometry_.pages_per_block) return std::nullopt;
+  return effective_geometry_.first_page(b) + pib;
+}
+
 ReadResult ChipArray::read_now(Ppn ppn) {
   return chips_[channel_of_ppn(ppn)]->read_now(local_ppn(ppn));
 }

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "nand/chip.hpp"
@@ -87,6 +88,16 @@ class ChipArray {
 
   // --- Inspection (global addressing) ----------------------------------------
   [[nodiscard]] const Page* peek(Ppn ppn) const;
+  /// peek() for audits: decodes `ppn` once into block, page in block and
+  /// die, then reads status, content and OOB straight from that die's lanes.
+  /// Builds no Page and leaves every die's peek() slot alone. A page of a
+  /// never-touched block, or past the geometry, reads erased (where peek()
+  /// returns nullptr).
+  [[nodiscard]] PageFields page_fields(Ppn ppn) const;
+  /// Global PPN of the first page of block `b` that is not erased, or
+  /// nullopt when every page is; a block without a page lane (never
+  /// programmed since its last erase) answers without a scan.
+  [[nodiscard]] std::optional<Ppn> first_unerased_page(BlockId b) const;
   [[nodiscard]] ReadResult read_now(Ppn ppn);
   [[nodiscard]] std::uint32_t erase_count(BlockId b) const;
   [[nodiscard]] bool is_bad(BlockId b) const;

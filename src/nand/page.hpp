@@ -42,6 +42,16 @@ struct Oob {
   [[nodiscard]] bool valid() const { return lpn != ~0ULL; }
 };
 
+/// The fields of a page a consistency audit reads on every visit: status,
+/// content tag and OOB. Unlike `Page` it carries none of the fault-site side
+/// data (ISPP progress, upset errors), so reading it costs no side-table
+/// lookup. Default-constructed, it is an erased page.
+struct PageFields {
+  PageStatus status = PageStatus::kErased;
+  std::uint64_t content = kErasedContent;
+  Oob oob;
+};
+
 /// AoS view of one page's state. Storage lives in the chip's BlockArena as
 /// struct-of-arrays lanes; `Page` is the assembled snapshot handed out by
 /// inspection paths (NandChip::peek) and tests.

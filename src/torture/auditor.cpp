@@ -1,6 +1,7 @@
 #include "torture/auditor.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <tuple>
 
@@ -53,20 +54,18 @@ void InvariantAuditor::check_membership(AuditReport& report, ftl::BlockId block,
 
 void InvariantAuditor::check_free_pages(AuditReport& report, const nand::ChipArray& chip,
                                         ftl::BlockId block, std::uint32_t free_entries) {
-  // Only materialised blocks get here: an untouched block has no arena slot
-  // and is erased by definition. A free one must be erased end to end.
-  const nand::Geometry& geom = chip.geometry();
-  for (std::uint32_t p = 0; p < geom.pages_per_block; ++p) {
-    const ftl::Ppn ppn = geom.first_page(block) + p;
-    const nand::Page* page = chip.peek(ppn);
-    if (page != nullptr && page->status != nand::PageStatus::kErased) {
-      for (std::uint32_t i = 0; i < free_entries; ++i) {
-        add(report, InvariantKind::kAllocatorArenaMismatch, ftl::kUnmappedLpn, ppn, block,
-            "free block " + std::to_string(block) + " holds a " +
-                std::string(nand::to_string(page->status)) + " page");
-      }
-      return;  // one finding per block is enough to localise it
-    }
+  // A free block must be erased end to end. An untouched block has no arena
+  // slot and a block unprogrammed since its erase has no page lane: both
+  // are erased by definition and answer without a scan.
+  const std::optional<ftl::Ppn> ppn = chip.first_unerased_page(block);
+  if (!ppn.has_value()) return;
+  const nand::PageStatus status = chip.page_fields(*ppn).status;
+  // One finding per free-pool entry, at the first unerased page: enough to
+  // localise it.
+  for (std::uint32_t i = 0; i < free_entries; ++i) {
+    add(report, InvariantKind::kAllocatorArenaMismatch, ftl::kUnmappedLpn, *ppn, block,
+        "free block " + std::to_string(block) + " holds a " +
+            std::string(nand::to_string(status)) + " page");
   }
 }
 
@@ -89,8 +88,8 @@ AuditReport InvariantAuditor::audit(const ssd::Ssd& ssd,
   map.for_each_mapping([&](ftl::Lpn lpn, ftl::Ppn ppn) {
     ++report.mappings_checked;
     const ftl::BlockId block = geom.block_of(ppn);
-    // A mapping past the geometry has no block to count against; the peek
-    // below reports it as pointing at a never-programmed page.
+    // A mapping past the geometry has no block to count against; the page
+    // read below reports it as pointing at a never-programmed page.
     if (block < total_blocks) ++counted_[block];
 
     if (const ftl::Lpn reverse = ftl.reverse_lpn(ppn); reverse != lpn) {
@@ -103,25 +102,25 @@ AuditReport InvariantAuditor::audit(const ssd::Ssd& ssd,
       }
     }
 
-    const nand::Page* page = chip.peek(ppn);
-    if (page == nullptr || page->status == nand::PageStatus::kErased) {
+    const nand::PageFields page = chip.page_fields(ppn);
+    if (page.status == nand::PageStatus::kErased) {
       add(report, InvariantKind::kJournalReplayIncomplete, lpn, ppn, block,
           "mapping points at an erased/never-programmed page");
       return;
     }
     // Partial/corrupt pages are the paper's data-failure channel, not a
     // replay bug; their OOB shares the page's fate and proves nothing.
-    if (page->status != nand::PageStatus::kValid) return;
-    const bool foreign = page->oob.lpn != lpn;
-    if (!foreign && page->oob.seq <= horizon) return;
+    if (page.status != nand::PageStatus::kValid) return;
+    const bool foreign = page.oob.lpn != lpn;
+    if (!foreign && page.oob.seq <= horizon) return;
     if (map.entry_volatile(lpn)) return;  // not journaled yet: no horizon claim
     if (foreign) {
       add(report, InvariantKind::kJournalReplayIncomplete, lpn, ppn, block,
           "persisted mapping points at a page stamped for lpn " +
-              std::to_string(page->oob.lpn));
+              std::to_string(page.oob.lpn));
     } else {
       add(report, InvariantKind::kJournalReplayIncomplete, lpn, ppn, block,
-          "persisted mapping carries seq " + std::to_string(page->oob.seq) +
+          "persisted mapping carries seq " + std::to_string(page.oob.seq) +
               " > journal horizon " + std::to_string(horizon));
     }
   });
@@ -147,18 +146,30 @@ AuditReport InvariantAuditor::audit(const ssd::Ssd& ssd,
     first = i;
   }
 
-  // --- I3: allocator free/active/sealed sets, as per-block counts -----------
+  // --- I3: allocator free/active/sealed sets, as per-block tallies ---------
+  // tally_[b] counts b's allocator entries: free-pool ones in the low half,
+  // active and sealed ones in the high half. A clean block has at most one
+  // entry, and a free one counts no valid page.
   const ftl::BlockAllocator& alloc = ftl.allocator();
-  members_.assign(total_blocks, Membership{});
+  tally_.assign(total_blocks, 0);
+  std::uint64_t* const tally = tally_.data();
   strays_.clear();
   auto note = [&](ftl::BlockId b, AllocSet set) {
     if (b < total_blocks) {
-      members_[b].add(set);
+      tally[b] += set == AllocSet::kFree ? 1 : kTallyInUse;
     } else {
       strays_.emplace_back(b, set);
     }
   };
-  alloc.for_each_free_block([&](ftl::BlockId b) { note(b, AllocSet::kFree); });
+  // The free pool holds nearly every block of a young drive: tally it
+  // inline, without a call per entry.
+  alloc.for_each_free_block([&](ftl::BlockId b) {
+    if (b < total_blocks) {
+      ++tally[b];
+    } else {
+      strays_.emplace_back(b, AllocSet::kFree);
+    }
+  });
   for (std::size_t s = 0; s < ftl::kStreamCount; ++s) {
     for (std::uint32_t plane = 0; plane < geom.planes; ++plane) {
       if (const auto b = alloc.active_block(static_cast<ftl::Stream>(s), plane)) {
@@ -168,9 +179,23 @@ AuditReport InvariantAuditor::audit(const ssd::Ssd& ssd,
   }
   for (const ftl::BlockId b : alloc.sealed_blocks()) note(b, AllocSet::kSealed);
 
-  // --- I2 + I3: one pass over the per-block counters ------------------------
+  // --- I2 + I3: the dense per-block arrays ---------------------------------
+  // The fast pass makes no call and writes only locals, so it runs from
+  // registers: it counts the blocks in use and notes whether any block's
+  // walked and believed counts disagree or its tally breaks a membership
+  // rule. Only then does the exact pass run; it recounts a misfiled block's
+  // active and sealed entries set by set.
+  const std::uint32_t* const counted = counted_.data();
+  std::uint64_t checked = 0;
+  bool flagged = false;
   for (ftl::BlockId b = 0; b < total_blocks; ++b) {
-    const std::uint32_t walked = counted_[b];
+    const std::uint32_t believed = ftl.valid_count(b);
+    checked += (counted[b] | believed) != 0 ? 1 : 0;
+    flagged |= (counted[b] != believed) | misfiled(tally[b], believed);
+  }
+  report.blocks_checked = checked;
+  for (ftl::BlockId b = 0; flagged && b < total_blocks; ++b) {
+    const std::uint32_t walked = counted[b];
     const std::uint32_t believed = ftl.valid_count(b);
     if (walked != believed) {
       add(report, InvariantKind::kMapValidCountMismatch, ftl::kUnmappedLpn,
@@ -178,15 +203,22 @@ AuditReport InvariantAuditor::audit(const ssd::Ssd& ssd,
           "block " + std::to_string(b) + " valid_count=" + std::to_string(believed) +
               " but the map holds " + std::to_string(walked) + " live page(s)");
     }
-    if (walked != 0 || believed != 0) ++report.blocks_checked;
-    const Membership& m = members_[b];
-    if (m.free + m.active + m.sealed > 1 || (m.free != 0 && believed != 0)) {
+    if (misfiled(tally[b], believed)) {
+      Membership m;
+      m.free = free_entries(tally[b]);
+      for (std::size_t s = 0; s < ftl::kStreamCount; ++s) {
+        for (std::uint32_t plane = 0; plane < geom.planes; ++plane) {
+          if (alloc.active_block(static_cast<ftl::Stream>(s), plane) == b) ++m.active;
+        }
+      }
+      const std::vector<ftl::BlockId>& sealed = alloc.sealed_blocks();
+      m.sealed = static_cast<std::uint32_t>(std::count(sealed.begin(), sealed.end(), b));
       check_membership(report, b, m, believed);
     }
   }
   chip.for_each_materialized_block([&](ftl::BlockId b) {
-    if (b < total_blocks && members_[b].free != 0) {
-      check_free_pages(report, chip, b, members_[b].free);
+    if (b < total_blocks && free_entries(tally[b]) != 0) {
+      check_free_pages(report, chip, b, free_entries(tally[b]));
     }
   });
   std::sort(strays_.begin(), strays_.end());
@@ -195,7 +227,7 @@ AuditReport InvariantAuditor::audit(const ssd::Ssd& ssd,
     Membership m;
     for (; i < strays_.size() && strays_[i].first == b; ++i) m.add(strays_[i].second);
     check_membership(report, b, m, ftl.valid_count(b));
-    if (m.free != 0 && chip.materialized(b)) check_free_pages(report, chip, b, m.free);
+    if (m.free != 0) check_free_pages(report, chip, b, m.free);
   }
 
   // --- I5: every ACKed write is durable or declared lost --------------------
@@ -209,16 +241,16 @@ AuditReport InvariantAuditor::audit(const ssd::Ssd& ssd,
       if (expected == nand::kErasedContent) return;
       ++report.acked_pages_checked;
       const auto ppn = map.lookup(lpn);
-      const nand::Page* page = ppn.has_value() ? chip.peek(*ppn) : nullptr;
-      const std::uint64_t on_media =
-          page == nullptr ? nand::kErasedContent : page->content;
-      if (ppn.has_value() && page != nullptr && on_media == expected &&
-          page->status == nand::PageStatus::kValid) {
-        return;  // durable
+      if (ppn.has_value()) {
+        const nand::PageFields page = chip.page_fields(*ppn);
+        if (page.status == nand::PageStatus::kValid && page.content == expected) {
+          return;  // durable
+        }
       }
       // Not durable: acceptable only when classified into the paper's
       // taxonomy — FWA (map revert), declared cache loss, or media damage
       // (data failure). Anything else is a silent loss.
+      const nand::Page* page = ppn.has_value() ? chip.peek(*ppn) : nullptr;
       const bool declared_fwa = sorted_contains(reverted, lpn);
       const bool declared_cache_loss = sorted_contains(dropped, lpn);
       const bool damaged =

@@ -68,12 +68,14 @@ struct AuditReport {
   [[nodiscard]] bool ok() const { return violations.empty(); }
 };
 
-/// Cost model: one pass over the L2P mappings, one over the shadow store's
-/// acked pages, one page scan per free block the NAND arena has
-/// materialised, and a pass of flat per-block counters over the block range
-/// (no hashing, sorting or NAND access per block). Scratch buffers live in
-/// the auditor and keep their capacity, so a warm auditor allocates only for
-/// the violations it reports.
+/// Cost model: one pass over the L2P mappings and one over the shadow
+/// store's acked pages, each page read decoded once from the NAND lanes
+/// (ChipArray::page_fields); a status-word scan per free block the NAND
+/// arena holds page lanes for; and one call-free pass of flat per-block
+/// counters over the block range (no hashing, sorting or NAND access per
+/// block), followed by an exact pass only when it flags a block. Scratch
+/// buffers live in the auditor and keep their capacity, so a warm auditor
+/// allocates only for the violations it reports.
 class InvariantAuditor {
  public:
   /// Audit a mounted (ready) device. `shadow` supplies the host's view of
@@ -91,7 +93,8 @@ class InvariantAuditor {
  private:
   enum class AllocSet : std::uint8_t { kFree, kActive, kSealed };
   /// How often a block appears in each allocator set (free heaps, open
-  /// cursors, sealed list). A healthy block is in at most one, once.
+  /// cursors, sealed list). A healthy block is in at most one, once. Built
+  /// only for a block whose tally_ breaks that rule, and for strays.
   struct Membership {
     std::uint32_t free = 0;
     std::uint32_t active = 0;
@@ -110,10 +113,23 @@ class InvariantAuditor {
   static void check_free_pages(AuditReport& report, const nand::ChipArray& chip,
                                ftl::BlockId block, std::uint32_t free_entries);
 
+  /// One active or sealed entry in a tally_ slot; a free-pool entry is 1.
+  static constexpr std::uint64_t kTallyInUse = std::uint64_t{1} << 32;
+  [[nodiscard]] static std::uint32_t free_entries(std::uint64_t tally) {
+    return static_cast<std::uint32_t>(tally);
+  }
+  /// Whether a block breaks a membership rule: more than one allocator
+  /// entry, or free while the FTL believes it holds valid pages. Bitwise,
+  /// so the per-block fast pass stays branch-free.
+  [[nodiscard]] static bool misfiled(std::uint64_t tally, std::uint32_t believed) {
+    const std::uint32_t free = free_entries(tally);
+    return (free + (tally >> 32) > 1) | ((free != 0) & (believed != 0));
+  }
+
   /// Owners of the PPNs a reverse-map mismatch names, PPN-sorted.
   std::vector<std::pair<ftl::Ppn, ftl::Lpn>> owners_;
   std::vector<std::uint32_t> counted_;  ///< live mappings per block
-  std::vector<Membership> members_;     ///< per block in the geometry
+  std::vector<std::uint64_t> tally_;    ///< allocator entries per block
   /// Allocator entries naming a block past the geometry (only a corrupted
   /// allocator holds one): checked like the rest, without a dense slot.
   std::vector<std::pair<ftl::BlockId, AllocSet>> strays_;

@@ -18,7 +18,9 @@
 // lost-ACKed-write check needs.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -87,12 +89,10 @@ struct SchedulePilot {
   /// Latest checkpoint at or before `boundary`; nullptr when none exists
   /// (caller falls back to a full replay).
   [[nodiscard]] const HarnessSnapshot* nearest_at_or_before(std::uint64_t boundary) const {
-    const HarnessSnapshot* best = nullptr;
-    for (const HarnessSnapshot& s : snapshots) {
-      if (s.boundary > boundary) break;
-      best = &s;
-    }
-    return best;
+    const auto after = std::upper_bound(
+        snapshots.begin(), snapshots.end(), boundary,
+        [](std::uint64_t k, const HarnessSnapshot& s) { return k < s.boundary; });
+    return after == snapshots.begin() ? nullptr : &*std::prev(after);
   }
 };
 

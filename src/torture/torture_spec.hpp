@@ -61,8 +61,12 @@ struct TortureConfig {
   /// Pilot checkpoint cadence: capture a device-state snapshot at the first
   /// quiescent boundary at least this many events past the previous capture.
   /// Pure wall-clock knob — excluded from torture_hash, verdicts identical
-  /// at any value.
-  std::uint64_t snapshot_interval = 256;
+  /// at any value. 64 is the fastest cadence on perfbench's crash_sweep
+  /// whose pilot fits in the memory of a sparser one: images copy only the
+  /// NAND lanes a die created, so a restore is cheap next to the residual
+  /// replay, while at 32 the pilot's images take peak RSS from about 15 MiB
+  /// to 22 MiB.
+  std::uint64_t snapshot_interval = 64;
 
   runner::RunnerConfig runner;
 };

@@ -10,6 +10,7 @@
 //   POFI_PRINT_GOLDEN=1 ./determinism_golden_test
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
@@ -392,6 +393,75 @@ TEST(DeterminismGolden, SnapshotRestoreIsIdentity) {
   }
   EXPECT_EQ(device_fingerprint(dirty), device_fingerprint(full))
       << "restored crash run drifted from the full replay";
+}
+
+// A pilot image holds only the page lanes its dies had created. Restored onto
+// a platform whose arena grew more slabs than that (another, larger run), or
+// onto a fresh one that never bound a lane, the crash run must still land on
+// the full replay's machine state.
+TEST(DeterminismGolden, CompactImageRestoresOntoLargerAndFreshArenas) {
+  torture::TortureConfig cfg;
+  cfg.name = "compact-image";
+  cfg.seed = 42;
+  ssd::PresetOptions opts;
+  opts.capacity_override_gb = 1;
+  cfg.drive = ssd::make_preset(ssd::VendorModel::kA, opts);
+  cfg.drive.mount_delay = sim::Duration::ms(50);
+  cfg.workload.wss_pages = 4096;
+  cfg.workload.min_pages = 1;
+  cfg.workload.max_pages = 16;
+  cfg.workload.write_fraction = 0.8;
+  cfg.requests = 24;
+  cfg.pace_iops = 2000.0;
+  cfg.platform.trace_enabled = true;
+  cfg.platform.metrics = true;
+
+  torture::CrashHarness harness(cfg);
+  torture::SchedulePilot pilot;
+  TestPlatform piloted(cfg.drive, cfg.platform, cfg.seed);
+  const std::uint64_t schedule = harness.run_pilot(piloted, pilot, 64);
+  const std::uint64_t boundary = schedule / 2;
+  const torture::HarnessSnapshot* snap = pilot.nearest_at_or_before(boundary);
+  ASSERT_NE(snap, nullptr);
+  std::uint32_t image_lanes = 0;
+  for (const auto& die : snap->platform.ssd.chip.dies) {
+    image_lanes = std::max(image_lanes, die.arena.lanes);
+  }
+  ASSERT_LT(image_lanes, 32u) << "the image must fit in one slab per die";
+
+  torture::CrashHarness full_harness(cfg);
+  TestPlatform full(cfg.drive, cfg.platform, cfg.seed);
+  const torture::CrashOutcome ref = full_harness.run_crash_point(full, boundary);
+
+  // Large sequential writes bind well over a slab of lanes on every die.
+  torture::TortureConfig heavy = cfg;
+  heavy.workload.wss_pages = 65536;
+  heavy.workload.min_pages = 256;
+  heavy.workload.max_pages = 256;
+  heavy.workload.write_fraction = 1.0;
+  heavy.requests = 240;
+  torture::CrashHarness heavy_harness(heavy);
+  TestPlatform larger(cfg.drive, cfg.platform, /*seed=*/999);
+  (void)heavy_harness.measure_schedule(larger);
+  TestPlatform::StateImage grown;
+  larger.snapshot(grown);
+  std::uint32_t grown_lanes = ~0U;
+  for (const auto& die : grown.ssd.chip.dies) {
+    grown_lanes = std::min(grown_lanes, die.arena.lanes);
+  }
+  ASSERT_GT(grown_lanes, 32u) << "every die of the larger platform holds a second slab";
+
+  TestPlatform fresh(cfg.drive, cfg.platform, /*seed=*/5);
+  for (TestPlatform* target : {&larger, &fresh}) {
+    const torture::CrashOutcome got =
+        harness.run_crash_point_from(*target, pilot, *snap, boundary);
+    EXPECT_EQ(got.injected, ref.injected);
+    ASSERT_EQ(got.report.violations.size(), ref.report.violations.size());
+    EXPECT_EQ(got.report.mappings_checked, ref.report.mappings_checked);
+    EXPECT_EQ(got.report.acked_pages_checked, ref.report.acked_pages_checked);
+    EXPECT_EQ(device_fingerprint(*target), device_fingerprint(full))
+        << (target == &larger ? "larger" : "fresh") << " arena drifted from the full replay";
+  }
 }
 
 // Same seed, two fresh platforms: rows and traces must be bit-identical.

@@ -96,11 +96,12 @@ TEST(TortureExplorer, BrokenRecoveryIsCaughtAndShrunk) {
   // Pinned shrink result: any change to the pilot, the restore path or the
   // shrinker that moves the repro shows up here. torture_hash covers the
   // exploration lattice; the full-document hash also covers the emitted
-  // runner section (threads, fail_fast, campaign_timeout_seconds).
+  // runner section (threads, fail_fast, campaign_timeout_seconds) and the
+  // snapshot cadence the repro inherits (the default, 64).
   EXPECT_EQ(report.repro_requests, 1u);
   EXPECT_EQ(report.repro_boundary, 72u);
   EXPECT_EQ(spec::hash_string(torture_hash(repro)), "fnv1a:74afd2516a50254e");
-  EXPECT_EQ(spec::hash_string(spec::content_hash(report.repro)), "fnv1a:b1ce6132ba4048f0");
+  EXPECT_EQ(spec::hash_string(spec::content_hash(report.repro)), "fnv1a:910612a516c217e7");
 }
 
 // The emitted repro is self-contained and thread-count independent: explored
