@@ -19,8 +19,8 @@ cmake --build build -j "${JOBS}"
 ctest --test-dir build --output-on-failure -j "${JOBS}"
 
 # Longer randomized soak of the spec JSON layer than the 200-iteration ctest
-# default: round-trip and mutation fuzzing stay deterministic (fixed seeds),
-# only the iteration count grows.
+# default: round-trip, parser-mutation and codec-mutation fuzzing stay
+# deterministic (fixed seeds), only the iteration count grows.
 echo "==> spec fuzz soak (POFI_FUZZ_ITERS=${POFI_FUZZ_ITERS:-5000})"
 POFI_FUZZ_ITERS="${POFI_FUZZ_ITERS:-5000}" ./build/tests/spec_fuzz_test
 

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "ftl/types.hpp"
+#include "sim/enum_names.hpp"
 
 namespace pofi::ftl {
 
@@ -42,13 +43,11 @@ enum class MappingPolicy : std::uint8_t {
   kHybridExtent,  ///< dense sequential regions coalesce into extent entries
 };
 
-[[nodiscard]] constexpr const char* to_string(MappingPolicy p) {
-  switch (p) {
-    case MappingPolicy::kPageLevel: return "page-level";
-    case MappingPolicy::kHybridExtent: return "hybrid-extent";
-  }
-  return "?";
+[[nodiscard]] constexpr auto enum_names(MappingPolicy) {
+  return std::to_array<sim::EnumName<MappingPolicy>>(
+      {{MappingPolicy::kPageLevel, "page-level"}, {MappingPolicy::kHybridExtent, "hybrid-extent"}});
 }
+[[nodiscard]] constexpr const char* to_string(MappingPolicy p) { return sim::enum_name(p); }
 
 /// One reverted update, reported to the FTL so physical-page accounting
 /// (valid counts, reverse map) can be repaired after a power loss.

@@ -157,15 +157,6 @@ std::unique_ptr<EccScheme> make_ecc(EccKind kind) {
   return std::make_unique<BchEcc>();
 }
 
-const char* to_string(EccKind kind) {
-  switch (kind) {
-    case EccKind::kNone: return "none";
-    case EccKind::kBch: return "BCH";
-    case EccKind::kLdpc: return "LDPC";
-  }
-  return "?";
-}
-
 // ------------------------------------------------- Hamming (72,64) SEC-DED
 //
 // Codeword positions 1..71; positions that are powers of two hold the seven

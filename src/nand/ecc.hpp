@@ -15,6 +15,7 @@
 #include <memory>
 #include <string>
 
+#include "sim/enum_names.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
 
@@ -100,8 +101,12 @@ class LdpcEcc final : public EccScheme {
 };
 
 enum class EccKind { kNone, kBch, kLdpc };
+[[nodiscard]] constexpr auto enum_names(EccKind) {
+  return std::to_array<sim::EnumName<EccKind>>(
+      {{EccKind::kNone, "none"}, {EccKind::kBch, "BCH"}, {EccKind::kLdpc, "LDPC"}});
+}
+[[nodiscard]] constexpr const char* to_string(EccKind kind) { return sim::enum_name(kind); }
 [[nodiscard]] std::unique_ptr<EccScheme> make_ecc(EccKind kind);
-[[nodiscard]] const char* to_string(EccKind kind);
 
 /// Regularised lower incomplete gamma based Poisson CDF P(X <= k | lambda),
 /// exposed for tests and for BchEcc.

@@ -7,6 +7,8 @@
 
 #include <cstdint>
 
+#include "sim/enum_names.hpp"
+
 namespace pofi::nand {
 
 using Ppn = std::uint64_t;      ///< physical page number (chip-global)
@@ -70,14 +72,11 @@ enum class CellTech : std::uint8_t { kSlc, kMlc, kTlc };
   return 1;
 }
 
-[[nodiscard]] constexpr const char* to_string(CellTech t) {
-  switch (t) {
-    case CellTech::kSlc: return "SLC";
-    case CellTech::kMlc: return "MLC";
-    case CellTech::kTlc: return "TLC";
-  }
-  return "?";
+[[nodiscard]] constexpr auto enum_names(CellTech) {
+  return std::to_array<sim::EnumName<CellTech>>(
+      {{CellTech::kSlc, "SLC"}, {CellTech::kMlc, "MLC"}, {CellTech::kTlc, "TLC"}});
 }
+[[nodiscard]] constexpr const char* to_string(CellTech t) { return sim::enum_name(t); }
 
 /// Role a page plays on its wordline. Upper/extra pages are the slow, late
 /// programming passes whose interruption corrupts already-programmed lower

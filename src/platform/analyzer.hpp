@@ -20,6 +20,7 @@
 
 #include "blk/queue.hpp"
 #include "platform/shadow_store.hpp"
+#include "sim/enum_names.hpp"
 #include "sim/simulator.hpp"
 #include "workload/data_packet.hpp"
 
@@ -27,14 +28,12 @@ namespace pofi::platform {
 
 enum class FailureType : std::uint8_t { kDataFailure, kFwa, kIoError };
 
-[[nodiscard]] constexpr const char* to_string(FailureType t) {
-  switch (t) {
-    case FailureType::kDataFailure: return "data-failure";
-    case FailureType::kFwa: return "FWA";
-    case FailureType::kIoError: return "io-error";
-  }
-  return "?";
+[[nodiscard]] constexpr auto enum_names(FailureType) {
+  return std::to_array<sim::EnumName<FailureType>>({{FailureType::kDataFailure, "data-failure"},
+                                                    {FailureType::kFwa, "FWA"},
+                                                    {FailureType::kIoError, "io-error"}});
 }
+[[nodiscard]] constexpr const char* to_string(FailureType t) { return sim::enum_name(t); }
 
 struct FailureRecord {
   std::uint64_t packet_id = 0;

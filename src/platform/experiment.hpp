@@ -12,6 +12,7 @@
 
 #include "obs/snapshot.hpp"
 #include "platform/analyzer.hpp"
+#include "sim/enum_names.hpp"
 #include "sim/time.hpp"
 #include "workload/workload.hpp"
 
@@ -24,6 +25,13 @@ enum class FaultMode : std::uint8_t {
   /// §IV-A: one write, wait for its ACK, cut power a fixed delay later.
   kFixedDelayAfterAck,
 };
+
+[[nodiscard]] constexpr auto enum_names(FaultMode) {
+  return std::to_array<sim::EnumName<FaultMode>>(
+      {{FaultMode::kRandomDuringWorkload, "random-during-workload"},
+       {FaultMode::kFixedDelayAfterAck, "fixed-delay-after-ack"}});
+}
+[[nodiscard]] constexpr const char* to_string(FaultMode m) { return sim::enum_name(m); }
 
 struct ExperimentSpec {
   std::string name = "experiment";

@@ -9,6 +9,10 @@ namespace pofi::platform {
 
 namespace {
 
+// ACK-to-fault histogram of lost requests: 0-1000 ms in 100 ms bins.
+constexpr double kHistogramMaxMs = 1000.0;
+constexpr std::size_t kHistogramBins = 10;
+
 void appendf(std::string& out, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
 void appendf(std::string& out, const char* fmt, ...) {
   char buf[256];
@@ -51,43 +55,38 @@ std::string format_report(const ExperimentResult& r, const ReportOptions& option
           static_cast<unsigned long long>(r.verified_ok));
   appendf(out, "  data loss per fault : %.2f\n", r.data_failures_per_fault());
 
-  if (options.include_interval_histogram) {
-    stats::Histogram hist(0.0, options.histogram_max_ms, options.histogram_bins);
-    std::uint64_t losses = 0;
-    for (const auto& f : r.failures) {
-      if (f.type == FailureType::kIoError || f.ack_to_fault_ms < 0.0) continue;
-      hist.add(f.ack_to_fault_ms);
-      ++losses;
+  stats::Histogram hist(0.0, kHistogramMaxMs, kHistogramBins);
+  std::uint64_t losses = 0;
+  for (const auto& f : r.failures) {
+    if (f.type == FailureType::kIoError || f.ack_to_fault_ms < 0.0) continue;
+    hist.add(f.ack_to_fault_ms);
+    ++losses;
+  }
+  if (losses > 0) {
+    out += "\nACK-to-fault interval of lost requests (SecIV-A)\n";
+    const double bin_ms = kHistogramMaxMs / kHistogramBins;
+    for (std::size_t b = 0; b < hist.bins().size(); ++b) {
+      appendf(out, "  %4.0f-%4.0f ms  %-5llu ", b * bin_ms, (b + 1) * bin_ms,
+              static_cast<unsigned long long>(hist.bins()[b]));
+      const auto stars = static_cast<int>(40.0 * static_cast<double>(hist.bins()[b]) /
+                                          static_cast<double>(losses));
+      for (int s = 0; s < stars; ++s) out += '*';
+      out += '\n';
     }
-    if (losses > 0) {
-      out += "\nACK-to-fault interval of lost requests (SecIV-A)\n";
-      const double bin_ms = options.histogram_max_ms / options.histogram_bins;
-      for (std::size_t b = 0; b < hist.bins().size(); ++b) {
-        appendf(out, "  %4.0f-%4.0f ms  %-5llu ", b * bin_ms, (b + 1) * bin_ms,
-                static_cast<unsigned long long>(hist.bins()[b]));
-        const auto stars =
-            static_cast<int>(40.0 * static_cast<double>(hist.bins()[b]) /
-                             static_cast<double>(losses));
-        for (int s = 0; s < stars; ++s) out += '*';
-        out += '\n';
-      }
-      appendf(out, "  p95 interval: %.0f ms\n", hist.quantile(0.95));
-    }
+    appendf(out, "  p95 interval: %.0f ms\n", hist.quantile(0.95));
   }
 
-  if (options.include_mechanisms) {
-    out += "\nmechanism counters\n";
-    appendf(out, "  dirty cache pages lost    : %llu\n",
-            static_cast<unsigned long long>(r.cache_dirty_lost));
-    appendf(out, "  map updates reverted      : %llu\n",
-            static_cast<unsigned long long>(r.map_updates_reverted));
-    appendf(out, "  interrupted programs      : %llu\n",
-            static_cast<unsigned long long>(r.interrupted_programs));
-    appendf(out, "  paired-page upsets        : %llu\n",
-            static_cast<unsigned long long>(r.paired_page_upsets));
-    appendf(out, "  uncorrectable reads (ECC) : %llu\n",
-            static_cast<unsigned long long>(r.uncorrectable_reads));
-  }
+  out += "\nmechanism counters\n";
+  appendf(out, "  dirty cache pages lost    : %llu\n",
+          static_cast<unsigned long long>(r.cache_dirty_lost));
+  appendf(out, "  map updates reverted      : %llu\n",
+          static_cast<unsigned long long>(r.map_updates_reverted));
+  appendf(out, "  interrupted programs      : %llu\n",
+          static_cast<unsigned long long>(r.interrupted_programs));
+  appendf(out, "  paired-page upsets        : %llu\n",
+          static_cast<unsigned long long>(r.paired_page_upsets));
+  appendf(out, "  uncorrectable reads (ECC) : %llu\n",
+          static_cast<unsigned long long>(r.uncorrectable_reads));
 
   if (!options.spec_hash.empty() || !options.version.empty()) {
     out += "\nprovenance\n";

@@ -13,10 +13,6 @@
 namespace pofi::platform {
 
 struct ReportOptions {
-  bool include_interval_histogram = true;
-  double histogram_max_ms = 1000.0;
-  std::size_t histogram_bins = 10;
-  bool include_mechanisms = true;
   /// Provenance stamp: the campaign spec's canonical content hash
   /// ("fnv1a:...") and the pofi build version. Omitted from the report when
   /// left empty.

@@ -108,13 +108,5 @@ std::unique_ptr<DischargeModel> make_discharge_model(DischargeKind kind) {
   return std::make_unique<PowerLawDischarge>();
 }
 
-const char* to_string(DischargeKind kind) {
-  switch (kind) {
-    case DischargeKind::kPowerLaw: return "power-law";
-    case DischargeKind::kExponential: return "exponential";
-    case DischargeKind::kInstant: return "instant";
-  }
-  return "?";
-}
 
 }  // namespace pofi::psu

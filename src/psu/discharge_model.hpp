@@ -12,6 +12,7 @@
 #include <memory>
 #include <string>
 
+#include "sim/enum_names.hpp"
 #include "sim/time.hpp"
 
 namespace pofi::psu {
@@ -113,7 +114,12 @@ class InstantCutoff final : public DischargeModel {
 
 enum class DischargeKind { kPowerLaw, kExponential, kInstant };
 
+[[nodiscard]] constexpr auto enum_names(DischargeKind) {
+  return std::to_array<sim::EnumName<DischargeKind>>({{DischargeKind::kPowerLaw, "power-law"},
+                                                      {DischargeKind::kExponential, "exponential"},
+                                                      {DischargeKind::kInstant, "instant"}});
+}
+[[nodiscard]] constexpr const char* to_string(DischargeKind kind) { return sim::enum_name(kind); }
 [[nodiscard]] std::unique_ptr<DischargeModel> make_discharge_model(DischargeKind kind);
-[[nodiscard]] const char* to_string(DischargeKind kind);
 
 }  // namespace pofi::psu

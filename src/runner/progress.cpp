@@ -4,19 +4,6 @@
 
 namespace pofi::runner {
 
-bool status_from_string(std::string_view name, CampaignStatus& out) {
-  for (const CampaignStatus s :
-       {CampaignStatus::kPending, CampaignStatus::kOk, CampaignStatus::kFailed,
-        CampaignStatus::kTimedOut, CampaignStatus::kQuarantined, CampaignStatus::kCancelled,
-        CampaignStatus::kSkipped, CampaignStatus::kSkippedCached, CampaignStatus::kAuditFailed}) {
-    if (name == to_string(s)) {
-      out = s;
-      return true;
-    }
-  }
-  return false;
-}
-
 void ConsoleProgress::on_event(const ProgressEvent& e) {
   switch (e.phase) {
     case CampaignPhase::kQueued:

@@ -16,6 +16,8 @@
 #include <string>
 #include <string_view>
 
+#include "sim/enum_names.hpp"
+
 namespace pofi::runner {
 
 enum class CampaignPhase : std::uint8_t { kQueued, kStarted, kFinished };
@@ -44,24 +46,26 @@ enum class CampaignStatus : std::uint8_t {
   return "?";
 }
 
-[[nodiscard]] constexpr const char* to_string(CampaignStatus s) {
-  switch (s) {
-    case CampaignStatus::kPending: return "pending";
-    case CampaignStatus::kOk: return "ok";
-    case CampaignStatus::kFailed: return "failed";
-    case CampaignStatus::kTimedOut: return "timed-out";
-    case CampaignStatus::kQuarantined: return "quarantined";
-    case CampaignStatus::kCancelled: return "cancelled";
-    case CampaignStatus::kSkipped: return "skipped";
-    case CampaignStatus::kSkippedCached: return "skipped-cached";
-    case CampaignStatus::kAuditFailed: return "audit-failed";
-  }
-  return "?";
+[[nodiscard]] constexpr auto enum_names(CampaignStatus) {
+  return std::to_array<sim::EnumName<CampaignStatus>>({
+      {CampaignStatus::kPending, "pending"},
+      {CampaignStatus::kOk, "ok"},
+      {CampaignStatus::kFailed, "failed"},
+      {CampaignStatus::kTimedOut, "timed-out"},
+      {CampaignStatus::kQuarantined, "quarantined"},
+      {CampaignStatus::kCancelled, "cancelled"},
+      {CampaignStatus::kSkipped, "skipped"},
+      {CampaignStatus::kSkippedCached, "skipped-cached"},
+      {CampaignStatus::kAuditFailed, "audit-failed"},
+  });
 }
+[[nodiscard]] constexpr const char* to_string(CampaignStatus s) { return sim::enum_name(s); }
 
 /// Parse a to_string(CampaignStatus) form back; returns false on unknown
 /// names (checkpoint files from other builds degrade gracefully).
-[[nodiscard]] bool status_from_string(std::string_view name, CampaignStatus& out);
+[[nodiscard]] constexpr bool status_from_string(std::string_view name, CampaignStatus& out) {
+  return sim::enum_from_name(name, out);
+}
 
 /// States whose ExperimentResult is complete and trustworthy. kTimedOut
 /// counts: the campaign finished, it just blew its wall-clock budget.

@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "spec/codec.hpp"
+#include "spec/fields.hpp"
 #include "spec/obs_json.hpp"
 
 namespace pofi::spec {
@@ -15,143 +16,78 @@ namespace {
 constexpr double kDoubleLo = -1e300;
 constexpr double kDoubleHi = 1e300;
 
-Value to_json(const platform::FailureRecord& f) {
-  Value v = Value::object();
-  v.set("packet_id", f.packet_id);
-  v.set("type", platform::to_string(f.type));
-  v.set("fault_index", std::uint64_t{f.fault_index});
-  v.set("ack_to_fault_ms", f.ack_to_fault_ms);
-  v.set("pages_garbage", std::uint64_t{f.pages_garbage});
-  v.set("pages_reverted", std::uint64_t{f.pages_reverted});
-  v.set("op", workload::to_string(f.op));
-  return v;
-}
+using fields::Choice;
+using fields::Integer;
+using fields::Items;
+using fields::Real;
+using fields::Text;
 
-platform::FailureRecord failure_from_json(const Value& v) {
-  platform::FailureRecord f;
-  for_each_member(v, "failure record", [&](const std::string& key, const Value& m) {
-    if (key == "packet_id") {
-      f.packet_id = read_u64(m, key);
-    } else if (key == "type") {
-      const std::string s = read_string(m, key);
-      if (s == "data-failure") f.type = platform::FailureType::kDataFailure;
-      else if (s == "FWA") f.type = platform::FailureType::kFwa;
-      else if (s == "io-error") f.type = platform::FailureType::kIoError;
-      else throw Error("unknown failure type \"" + s + "\"", m.line, m.col, key);
-    } else if (key == "fault_index") {
-      f.fault_index = read_u32(m, key);
-    } else if (key == "ack_to_fault_ms") {
-      f.ack_to_fault_ms = read_double(m, key, kDoubleLo, kDoubleHi);
-    } else if (key == "pages_garbage") {
-      f.pages_garbage = read_u32(m, key);
-    } else if (key == "pages_reverted") {
-      f.pages_reverted = read_u32(m, key);
-    } else if (key == "op") {
-      const std::string s = read_string(m, key);
-      if (s == "read") f.op = workload::OpType::kRead;
-      else if (s == "write") f.op = workload::OpType::kWrite;
-      else throw Error("unknown op \"" + s + "\"", m.line, m.col, key);
-    } else {
-      return false;
-    }
-    return true;
-  });
-  return f;
-}
+using platform::FailureRecord;
+constexpr fields::List kFailure{"failure record",
+                                Integer{"packet_id", &FailureRecord::packet_id},
+                                Choice{"type", &FailureRecord::type},
+                                Integer{"fault_index", &FailureRecord::fault_index},
+                                Real{"ack_to_fault_ms", &FailureRecord::ack_to_fault_ms,
+                                     kDoubleLo, kDoubleHi},
+                                Integer{"pages_garbage", &FailureRecord::pages_garbage},
+                                Integer{"pages_reverted", &FailureRecord::pages_reverted},
+                                Choice{"op", &FailureRecord::op}};
+
+/// "audit_violations" is omitted when zero (only torture runs produce
+/// violations, so ordinary checkpoints stay byte-identical to pre-torture
+/// ones) and "metrics" when empty (metrics-off checkpoints stay identical to
+/// pre-obs ones, and resume works across the two modes).
+using platform::ExperimentResult;
+constexpr fields::List kResult{
+    "experiment result",
+    Text{"name", &ExperimentResult::name},
+    Integer{"requests_submitted", &ExperimentResult::requests_submitted},
+    Integer{"write_acks", &ExperimentResult::write_acks},
+    Integer{"reads_completed", &ExperimentResult::reads_completed},
+    Integer{"faults_injected", &ExperimentResult::faults_injected},
+    Integer{"data_failures", &ExperimentResult::data_failures},
+    Integer{"fwa_failures", &ExperimentResult::fwa_failures},
+    Integer{"io_errors", &ExperimentResult::io_errors},
+    Integer{"verified_ok", &ExperimentResult::verified_ok},
+    Integer{"read_mismatches", &ExperimentResult::read_mismatches},
+    Real{"requested_iops", &ExperimentResult::requested_iops, kDoubleLo, kDoubleHi},
+    Real{"responded_iops", &ExperimentResult::responded_iops, kDoubleLo, kDoubleHi},
+    Real{"mean_latency_us", &ExperimentResult::mean_latency_us, kDoubleLo, kDoubleHi},
+    Real{"max_latency_us", &ExperimentResult::max_latency_us, kDoubleLo, kDoubleHi},
+    Real{"active_seconds", &ExperimentResult::active_seconds, kDoubleLo, kDoubleHi},
+    Real{"sim_seconds", &ExperimentResult::sim_seconds, kDoubleLo, kDoubleHi},
+    Integer{"cache_dirty_lost", &ExperimentResult::cache_dirty_lost},
+    Integer{"interrupted_programs", &ExperimentResult::interrupted_programs},
+    Integer{"paired_page_upsets", &ExperimentResult::paired_page_upsets},
+    Integer{"map_updates_reverted", &ExperimentResult::map_updates_reverted},
+    Integer{"uncorrectable_reads", &ExperimentResult::uncorrectable_reads},
+    Integer{"audit_violations", &ExperimentResult::audit_violations},
+    Items{"failures", &ExperimentResult::failures, &kFailure}};
+
+/// "spec" (the fnv1a: hash) and "result" (required) are hand-written
+/// around the list.
+constexpr fields::List kRecord{"checkpoint record",
+                               Integer{"entry", &CheckpointRecord::entry_index},
+                               Integer{"seed", &CheckpointRecord::seed},
+                               Text{"label", &CheckpointRecord::label},
+                               Choice{"status", &CheckpointRecord::status},
+                               Real{"wall_seconds", &CheckpointRecord::wall_seconds, 0.0,
+                                    kDoubleHi}};
 
 }  // namespace
 
-Value to_json(const platform::ExperimentResult& r) {
-  Value v = Value::object();
-  v.set("name", r.name);
-  v.set("requests_submitted", r.requests_submitted);
-  v.set("write_acks", r.write_acks);
-  v.set("reads_completed", r.reads_completed);
-  v.set("faults_injected", std::uint64_t{r.faults_injected});
-  v.set("data_failures", r.data_failures);
-  v.set("fwa_failures", r.fwa_failures);
-  v.set("io_errors", r.io_errors);
-  v.set("verified_ok", r.verified_ok);
-  v.set("read_mismatches", r.read_mismatches);
-  v.set("requested_iops", r.requested_iops);
-  v.set("responded_iops", r.responded_iops);
-  v.set("mean_latency_us", r.mean_latency_us);
-  v.set("max_latency_us", r.max_latency_us);
-  v.set("active_seconds", r.active_seconds);
-  v.set("sim_seconds", r.sim_seconds);
-  v.set("cache_dirty_lost", r.cache_dirty_lost);
-  v.set("interrupted_programs", r.interrupted_programs);
-  v.set("paired_page_upsets", r.paired_page_upsets);
-  v.set("map_updates_reverted", r.map_updates_reverted);
-  v.set("uncorrectable_reads", r.uncorrectable_reads);
-  // Only torture runs produce violations; omitting the zero keeps ordinary
-  // checkpoints byte-identical to pre-torture ones.
-  if (r.audit_violations != 0) v.set("audit_violations", r.audit_violations);
-  Value failures = Value::array();
-  for (const auto& f : r.failures) failures.push_back(to_json(f));
-  v.set("failures", std::move(failures));
-  // Telemetry rides along only when collected: metrics-off checkpoints stay
-  // byte-identical to pre-obs ones, and resume across the two modes works.
+Value to_json(const ExperimentResult& r) {
+  Value v = kResult.write(r);
+  if (r.audit_violations == 0) fields::erase(v, "audit_violations");
   if (!r.metrics.empty()) v.set("metrics", to_json(r.metrics));
   return v;
 }
 
-platform::ExperimentResult result_from_json(const Value& v) {
-  platform::ExperimentResult r;
-  for_each_member(v, "experiment result", [&](const std::string& key, const Value& m) {
-    if (key == "name") {
-      r.name = read_string(m, key);
-    } else if (key == "requests_submitted") {
-      r.requests_submitted = read_u64(m, key);
-    } else if (key == "write_acks") {
-      r.write_acks = read_u64(m, key);
-    } else if (key == "reads_completed") {
-      r.reads_completed = read_u64(m, key);
-    } else if (key == "faults_injected") {
-      r.faults_injected = read_u32(m, key);
-    } else if (key == "data_failures") {
-      r.data_failures = read_u64(m, key);
-    } else if (key == "fwa_failures") {
-      r.fwa_failures = read_u64(m, key);
-    } else if (key == "io_errors") {
-      r.io_errors = read_u64(m, key);
-    } else if (key == "verified_ok") {
-      r.verified_ok = read_u64(m, key);
-    } else if (key == "read_mismatches") {
-      r.read_mismatches = read_u64(m, key);
-    } else if (key == "requested_iops") {
-      r.requested_iops = read_double(m, key, kDoubleLo, kDoubleHi);
-    } else if (key == "responded_iops") {
-      r.responded_iops = read_double(m, key, kDoubleLo, kDoubleHi);
-    } else if (key == "mean_latency_us") {
-      r.mean_latency_us = read_double(m, key, kDoubleLo, kDoubleHi);
-    } else if (key == "max_latency_us") {
-      r.max_latency_us = read_double(m, key, kDoubleLo, kDoubleHi);
-    } else if (key == "active_seconds") {
-      r.active_seconds = read_double(m, key, kDoubleLo, kDoubleHi);
-    } else if (key == "sim_seconds") {
-      r.sim_seconds = read_double(m, key, kDoubleLo, kDoubleHi);
-    } else if (key == "cache_dirty_lost") {
-      r.cache_dirty_lost = read_u64(m, key);
-    } else if (key == "interrupted_programs") {
-      r.interrupted_programs = read_u64(m, key);
-    } else if (key == "paired_page_upsets") {
-      r.paired_page_upsets = read_u64(m, key);
-    } else if (key == "map_updates_reverted") {
-      r.map_updates_reverted = read_u64(m, key);
-    } else if (key == "uncorrectable_reads") {
-      r.uncorrectable_reads = read_u64(m, key);
-    } else if (key == "audit_violations") {
-      r.audit_violations = read_u64(m, key);
-    } else if (key == "failures") {
-      if (!m.is_array()) throw Error("expected an array", m.line, m.col, key);
-      r.failures.reserve(m.items().size());
-      for (const Value& f : m.items()) r.failures.push_back(failure_from_json(f));
-    } else if (key == "metrics") {
-      r.metrics = snapshot_from_json(m);
-    } else {
-      return false;
-    }
+ExperimentResult result_from_json(const Value& v) {
+  ExperimentResult r;
+  kResult.read(r, v, [&](const std::string& key, const Value& m) {
+    if (key != "metrics") return false;
+    r.metrics = snapshot_from_json(m);
     return true;
   });
   return r;
@@ -160,11 +96,7 @@ platform::ExperimentResult result_from_json(const Value& v) {
 Value to_json(const CheckpointRecord& rec) {
   Value v = Value::object();
   v.set("spec", hash_string(rec.spec_hash));
-  v.set("entry", rec.entry_index);
-  v.set("seed", rec.seed);
-  v.set("label", rec.label);
-  v.set("status", runner::to_string(rec.status));
-  v.set("wall_seconds", rec.wall_seconds);
+  kRecord.write(rec, v);
   v.set("result", to_json(rec.result));
   return v;
 }
@@ -172,7 +104,7 @@ Value to_json(const CheckpointRecord& rec) {
 CheckpointRecord checkpoint_record_from_json(const Value& v) {
   CheckpointRecord rec;
   bool saw_result = false;
-  for_each_member(v, "checkpoint record", [&](const std::string& key, const Value& m) {
+  kRecord.read(rec, v, [&](const std::string& key, const Value& m) {
     if (key == "spec") {
       const std::string s = read_string(m, key);
       constexpr std::string_view kPrefix = "fnv1a:";
@@ -184,19 +116,6 @@ CheckpointRecord checkpoint_record_from_json(const Value& v) {
       if (end == nullptr || *end != '\0') {
         throw Error("malformed content hash \"" + s + "\"", m.line, m.col, key);
       }
-    } else if (key == "entry") {
-      rec.entry_index = read_u64(m, key);
-    } else if (key == "seed") {
-      rec.seed = read_u64(m, key);
-    } else if (key == "label") {
-      rec.label = read_string(m, key);
-    } else if (key == "status") {
-      const std::string s = read_string(m, key);
-      if (!runner::status_from_string(s, rec.status)) {
-        throw Error("unknown entry status \"" + s + "\"", m.line, m.col, key);
-      }
-    } else if (key == "wall_seconds") {
-      rec.wall_seconds = read_double(m, key, 0.0, kDoubleHi);
     } else if (key == "result") {
       rec.result = result_from_json(m);
       saw_result = true;

@@ -12,8 +12,15 @@
 //   * Durations carry their unit in the key name ("hold_time_ms",
 //     "command_latency_us") and round-trip losslessly for any value below
 //     ~11 simulated days.
+//   * Enum-valued keys accept the spellings of the enum's enum_names table
+//     (sim/enum_names.hpp); a bad one lists them all ("expected one of").
 //   * to_json(cfg) emits every field, so dump(to_json(cfg)) is the complete,
-//     canonical record of a configuration.
+//     canonical record of a configuration. The exceptions are keys left at
+//     their default that would change meaning if spelled out: "seed" (see
+//     ExperimentSpec below) and an empty workload "replay".
+//   * Each struct's keys are written once, in a field list (spec/fields.hpp)
+//     in codec.cpp that both to_json and apply_json walk: to_json emits keys
+//     in list order, apply_json reads the object's members in file order.
 #pragma once
 
 #include <functional>

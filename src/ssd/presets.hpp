@@ -11,20 +11,18 @@
 #include <string>
 #include <vector>
 
+#include "sim/enum_names.hpp"
 #include "ssd/ssd.hpp"
 
 namespace pofi::ssd {
 
 enum class VendorModel : std::uint8_t { kA, kB, kC };
 
-[[nodiscard]] constexpr const char* to_string(VendorModel m) {
-  switch (m) {
-    case VendorModel::kA: return "A";
-    case VendorModel::kB: return "B";
-    case VendorModel::kC: return "C";
-  }
-  return "?";
+[[nodiscard]] constexpr auto enum_names(VendorModel) {
+  return std::to_array<sim::EnumName<VendorModel>>(
+      {{VendorModel::kA, "A"}, {VendorModel::kB, "B"}, {VendorModel::kC, "C"}});
 }
+[[nodiscard]] constexpr const char* to_string(VendorModel m) { return sim::enum_name(m); }
 
 struct PresetOptions {
   bool cache_enabled = true;

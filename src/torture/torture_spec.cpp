@@ -1,6 +1,7 @@
 #include "torture/torture_spec.hpp"
 
 #include "spec/codec.hpp"
+#include "spec/fields.hpp"
 
 namespace pofi::torture {
 
@@ -9,66 +10,65 @@ using spec::Value;
 
 namespace {
 
-void apply_torture_section(TortureConfig& cfg, const Value& v) {
-  spec::for_each_member(v, "torture section", [&](const std::string& key, const Value& m) {
-    if (key == "requests") {
-      cfg.requests = spec::read_u64(m, key, 1);
-    } else if (key == "pace_iops") {
-      cfg.pace_iops = spec::read_double(m, key, 1e-3, 1e9);
-    } else if (key == "window_first") {
-      cfg.window_first = spec::read_u64(m, key);
-    } else if (key == "window_count") {
-      cfg.window_count = spec::read_u64(m, key);
-    } else if (key == "stride") {
-      cfg.stride = spec::read_u64(m, key, 1);
-    } else if (key == "shard_points") {
-      cfg.shard_points = spec::read_u64(m, key, 1);
-    } else if (key == "injection") {
-      const std::string s = spec::read_string(m, key);
-      if (s == "immediate") cfg.injection = Injection::kImmediateCut;
-      else if (s == "command") cfg.injection = Injection::kCommandOff;
-      else throw Error("unknown injection mode \"" + s + "\"", m.line, m.col, key);
-    } else if (key == "break_recovery") {
-      cfg.break_recovery = spec::read_bool(m, key);
-    } else if (key == "shrink") {
-      cfg.shrink = spec::read_bool(m, key);
-    } else if (key == "snapshot_interval") {
-      cfg.snapshot_interval = spec::read_u64(m, key, 1);
-    } else {
-      return false;
-    }
-    return true;
-  });
-}
+using spec::fields::Choice;
+using spec::fields::Flag;
+using spec::fields::Integer;
+using spec::fields::Nested;
+using spec::fields::Real;
+using spec::fields::Text;
+
+/// "drive": the preset form or a full SsdConfig (spec::drive_from_json).
+struct DriveField {
+  std::string_view key;
+  void read(TortureConfig& cfg, const std::string&, const Value& v) const {
+    cfg.drive = spec::drive_from_json(v);
+  }
+  void write(const TortureConfig& cfg, Value& out) const {
+    out.set(key, spec::to_json(cfg.drive));
+  }
+};
+
+constexpr spec::fields::List kSection{
+    "torture section",
+    Integer{"requests", &TortureConfig::requests, 1},
+    Real{"pace_iops", &TortureConfig::pace_iops, 1e-3, 1e9},
+    Integer{"window_first", &TortureConfig::window_first},
+    Integer{"window_count", &TortureConfig::window_count},
+    Integer{"stride", &TortureConfig::stride, 1},
+    Integer{"shard_points", &TortureConfig::shard_points, 1},
+    Choice{"injection", &TortureConfig::injection},
+    Flag{"break_recovery", &TortureConfig::break_recovery},
+    Flag{"shrink", &TortureConfig::shrink},
+    Integer{"snapshot_interval", &TortureConfig::snapshot_interval, 1}};
+
+/// "torture": a nested object whose keys are TortureConfig's own members.
+struct SectionField {
+  std::string_view key;
+  void read(TortureConfig& cfg, const std::string&, const Value& v) const {
+    kSection.read(cfg, v);
+  }
+  void write(const TortureConfig& cfg, Value& out) const { out.set(key, kSection.write(cfg)); }
+};
+
+/// "drive" is required; load_torture checks for it after the read.
+constexpr spec::fields::List kTorture{"torture spec",
+                                      Text{"name", &TortureConfig::name},
+                                      Integer{"seed", &TortureConfig::seed},
+                                      DriveField{"drive"},
+                                      Nested{"platform", &TortureConfig::platform},
+                                      Nested{"workload", &TortureConfig::workload},
+                                      SectionField{"torture"},
+                                      Nested{"runner", &TortureConfig::runner}};
 
 }  // namespace
 
 TortureConfig load_torture(const Value& doc) {
   if (!doc.is_object()) throw Error("torture spec must be an object", doc.line, doc.col);
   TortureConfig cfg;
-  bool saw_drive = false;
-  spec::for_each_member(doc, "torture spec", [&](const std::string& key, const Value& m) {
-    if (key == "name") {
-      cfg.name = spec::read_string(m, key);
-    } else if (key == "seed") {
-      cfg.seed = spec::read_u64(m, key);
-    } else if (key == "drive") {
-      cfg.drive = spec::drive_from_json(m);
-      saw_drive = true;
-    } else if (key == "platform") {
-      spec::apply_json(cfg.platform, m);
-    } else if (key == "workload") {
-      spec::apply_json(cfg.workload, m);
-    } else if (key == "torture") {
-      apply_torture_section(cfg, m);
-    } else if (key == "runner") {
-      spec::apply_json(cfg.runner, m);
-    } else {
-      return false;
-    }
-    return true;
-  });
-  if (!saw_drive) throw Error("torture spec has no \"drive\"", doc.line, doc.col, "drive");
+  kTorture.read(cfg, doc);
+  if (doc.find("drive") == nullptr) {
+    throw Error("torture spec has no \"drive\"", doc.line, doc.col, "drive");
+  }
   spec::check_workload_fits(cfg.workload, cfg.drive, doc);
   return cfg;
 }
@@ -77,28 +77,7 @@ TortureConfig load_torture_file(const std::string& path) {
   return load_torture(spec::parse_file(path));
 }
 
-Value to_json(const TortureConfig& cfg) {
-  Value v = Value::object();
-  v.set("name", cfg.name);
-  v.set("seed", cfg.seed);
-  v.set("drive", spec::to_json(cfg.drive));
-  v.set("platform", spec::to_json(cfg.platform));
-  v.set("workload", spec::to_json(cfg.workload));
-  Value t = Value::object();
-  t.set("requests", cfg.requests);
-  t.set("pace_iops", cfg.pace_iops);
-  t.set("window_first", cfg.window_first);
-  t.set("window_count", cfg.window_count);
-  t.set("stride", cfg.stride);
-  t.set("shard_points", cfg.shard_points);
-  t.set("injection", to_string(cfg.injection));
-  t.set("break_recovery", cfg.break_recovery);
-  t.set("shrink", cfg.shrink);
-  t.set("snapshot_interval", cfg.snapshot_interval);
-  v.set("torture", std::move(t));
-  v.set("runner", spec::to_json(cfg.runner));
-  return v;
-}
+Value to_json(const TortureConfig& cfg) { return kTorture.write(cfg); }
 
 std::uint64_t torture_hash(const TortureConfig& cfg) {
   // Same convention as campaign specs: the hash covers torture *content*
@@ -107,22 +86,9 @@ std::uint64_t torture_hash(const TortureConfig& cfg) {
   // snapshot_interval: checkpoint cadence changes wall-clock, never verdicts,
   // so it is stripped from the nested torture section before hashing.
   Value doc = to_json(cfg);
-  Value hashed = Value::object();
-  spec::for_each_member(doc, "torture spec", [&](const std::string& key, const Value& m) {
-    if (key == "runner") return true;
-    if (key == "torture") {
-      Value t = Value::object();
-      spec::for_each_member(m, "torture section", [&](const std::string& tk, const Value& tm) {
-        if (tk != "snapshot_interval") t.set(tk, tm);
-        return true;
-      });
-      hashed.set(key, std::move(t));
-      return true;
-    }
-    hashed.set(key, m);
-    return true;
-  });
-  return spec::content_hash(hashed);
+  spec::fields::erase(doc, "runner");
+  spec::fields::erase(*doc.find("torture"), "snapshot_interval");
+  return spec::content_hash(doc);
 }
 
 }  // namespace pofi::torture

@@ -14,6 +14,7 @@
 
 #include "platform/test_platform.hpp"
 #include "runner/runner_config.hpp"
+#include "sim/enum_names.hpp"
 #include "spec/value.hpp"
 #include "ssd/presets.hpp"
 #include "workload/workload.hpp"
@@ -26,9 +27,11 @@ enum class Injection : std::uint8_t {
   kCommandOff,    ///< realistic path: Off command through the Arduino bridge
 };
 
-[[nodiscard]] constexpr const char* to_string(Injection i) {
-  return i == Injection::kImmediateCut ? "immediate" : "command";
+[[nodiscard]] constexpr auto enum_names(Injection) {
+  return std::to_array<sim::EnumName<Injection>>(
+      {{Injection::kImmediateCut, "immediate"}, {Injection::kCommandOff, "command"}});
 }
+[[nodiscard]] constexpr const char* to_string(Injection i) { return sim::enum_name(i); }
 
 struct TortureConfig {
   std::string name = "torture";

@@ -13,15 +13,17 @@
 #include <vector>
 
 #include "ftl/types.hpp"
+#include "sim/enum_names.hpp"
 #include "sim/time.hpp"
 
 namespace pofi::workload {
 
 enum class OpType : std::uint8_t { kRead, kWrite };
 
-[[nodiscard]] constexpr const char* to_string(OpType t) {
-  return t == OpType::kRead ? "read" : "write";
+[[nodiscard]] constexpr auto enum_names(OpType) {
+  return std::to_array<sim::EnumName<OpType>>({{OpType::kRead, "read"}, {OpType::kWrite, "write"}});
 }
+[[nodiscard]] constexpr const char* to_string(OpType t) { return sim::enum_name(t); }
 
 struct DataPacket {
   // ----- header (Fig. 2) ----------------------------------------------------

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "ftl/types.hpp"
+#include "sim/enum_names.hpp"
 #include "sim/rng.hpp"
 #include "workload/data_packet.hpp"
 
@@ -20,23 +21,23 @@ namespace pofi::workload {
 
 enum class AccessPattern : std::uint8_t { kUniformRandom, kSequential };
 
-[[nodiscard]] constexpr const char* to_string(AccessPattern p) {
-  return p == AccessPattern::kUniformRandom ? "random" : "sequential";
+[[nodiscard]] constexpr auto enum_names(AccessPattern) {
+  return std::to_array<sim::EnumName<AccessPattern>>(
+      {{AccessPattern::kUniformRandom, "random"}, {AccessPattern::kSequential, "sequential"}});
 }
+[[nodiscard]] constexpr const char* to_string(AccessPattern p) { return sim::enum_name(p); }
 
 /// Dependent-pair sequences of §IV-G.
 enum class SequenceMode : std::uint8_t { kNone, kRAR, kRAW, kWAR, kWAW };
 
-[[nodiscard]] constexpr const char* to_string(SequenceMode m) {
-  switch (m) {
-    case SequenceMode::kNone: return "none";
-    case SequenceMode::kRAR: return "RAR";
-    case SequenceMode::kRAW: return "RAW";
-    case SequenceMode::kWAR: return "WAR";
-    case SequenceMode::kWAW: return "WAW";
-  }
-  return "?";
+[[nodiscard]] constexpr auto enum_names(SequenceMode) {
+  return std::to_array<sim::EnumName<SequenceMode>>({{SequenceMode::kNone, "none"},
+                                                     {SequenceMode::kRAR, "RAR"},
+                                                     {SequenceMode::kRAW, "RAW"},
+                                                     {SequenceMode::kWAR, "WAR"},
+                                                     {SequenceMode::kWAW, "WAW"}});
 }
+[[nodiscard]] constexpr const char* to_string(SequenceMode m) { return sim::enum_name(m); }
 
 /// One request to be materialised into a DataPacket.
 struct RequestSpec {
@@ -60,7 +61,7 @@ struct WorkloadConfig {
   /// Open-loop request rate; 0 keeps the platform in closed-loop mode.
   double target_iops = 0.0;
   /// Trace replay: when non-empty the generator cycles through these specs
-  /// verbatim (see workload/trace_replay.hpp) and every synthetic knob
+  /// verbatim (the spec's "workload.replay" array) and every synthetic knob
   /// above except target_iops is ignored.
   std::vector<RequestSpec> replay;
 

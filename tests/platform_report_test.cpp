@@ -49,15 +49,6 @@ TEST(Report, IncludesIntervalHistogram) {
   EXPECT_NE(out.find("p95 interval"), std::string::npos);
 }
 
-TEST(Report, HistogramCanBeDisabled) {
-  ReportOptions opts;
-  opts.include_interval_histogram = false;
-  opts.include_mechanisms = false;
-  const std::string out = format_report(sample_result(), opts);
-  EXPECT_EQ(out.find("ACK-to-fault interval"), std::string::npos);
-  EXPECT_EQ(out.find("mechanism counters"), std::string::npos);
-}
-
 TEST(Report, EmptyCampaignRendersCleanly) {
   ExperimentResult r;
   r.name = "empty";

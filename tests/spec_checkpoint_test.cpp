@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "off_default.hpp"
 #include "spec/campaign.hpp"
 #include "spec/codec.hpp"
 
@@ -79,6 +80,59 @@ TEST(CheckpointCodec, ExperimentResultRoundTripIsBitExact) {
   EXPECT_EQ(back.failures[0].ack_to_fault_ms, -1.0);
   EXPECT_EQ(back.failures[1].ack_to_fault_ms, 0.1 + 0.2);
   EXPECT_EQ(back.failures[0].op, workload::OpType::kRead);
+}
+
+/// A record whose every field, down to each failure and metrics element,
+/// is off its default.
+CheckpointRecord off_default_record() {
+  CheckpointRecord rec;
+  rec.spec_hash = 0x0123456789ABCDEFULL;
+  rec.entry_index = 3;
+  rec.seed = 99;
+  rec.label = "off-default";
+  rec.status = runner::CampaignStatus::kTimedOut;
+  rec.wall_seconds = 2.5;
+  rec.result = tricky_result();
+  rec.result.read_mismatches = 4;
+  rec.result.failures[0].ack_to_fault_ms = 1.5;
+  rec.result.failures[1].fault_index = 1;
+  rec.result.failures[1].pages_garbage = 1;
+  rec.result.failures[1].pages_reverted = 2;
+  rec.result.failures[1].op = workload::OpType::kRead;
+  obs::Snapshot& m = rec.result.metrics;
+  m.counters = {{"ftl.journal.flushes", 5}};
+  m.gauges = {{"ssd.cache.dirty_pages", 3, 9}};
+  m.histograms = {{"platform.latency_us", {10, -20}, {1, 2, 3}, 6}};
+  m.series = {{"psu.volts", {{1, 5.0}, {-2, 0.25}}, 7}};
+  m.spans = {{"mount", "campaign", -3, 8}};
+  m.spans_dropped = 2;
+  return rec;
+}
+
+/// The default record, with one default element in each array so the leaf
+/// check reaches inside the failure and metrics codecs.
+CheckpointRecord default_record_with_one_of_each() {
+  CheckpointRecord rec;
+  rec.result.failures.resize(1);
+  obs::Snapshot& m = rec.result.metrics;
+  m.counters.resize(1);
+  m.gauges.resize(1);
+  m.histograms.resize(1);
+  m.series.resize(1);
+  m.series[0].samples.resize(1);
+  m.spans.resize(1);
+  return rec;
+}
+
+TEST(CheckpointCodec, EveryFieldOffDefaultRoundTrips) {
+  const CheckpointRecord rec = off_default_record();
+  const Value j = to_json(rec);
+  expect_every_leaf_differs(j, to_json(default_record_with_one_of_each()));
+  const CheckpointRecord back = checkpoint_record_from_json(parse(canonical(j)));
+  EXPECT_EQ(canonical(to_json(back)), canonical(j));
+  EXPECT_EQ(fingerprint(back.result), fingerprint(rec.result));
+  // The human-oriented dump keeps the writer's key order.
+  EXPECT_EQ(hash_string(content_hash(Value(dump(j)))), "fnv1a:4fc0a74812f567bd");
 }
 
 TEST(CheckpointCodec, RecordRoundTripKeepsKeyAndTaxonomy) {

@@ -1,56 +1,15 @@
-#include "workload/trace_replay.hpp"
-
+// Trace replay: a non-empty WorkloadConfig::replay (the spec's
+// "workload.replay" array) is cycled verbatim in place of the generator.
 #include <gtest/gtest.h>
 
-#include <stdexcept>
+#include "workload/workload.hpp"
 
 namespace pofi::workload {
 namespace {
 
-TEST(TraceReplay, ParsesWellFormedTrace) {
-  const auto specs = parse_trace("W 100 4\nR 200 1\nw 300 2\nr 0 256\n");
-  ASSERT_EQ(specs.size(), 4u);
-  EXPECT_EQ(specs[0].op, OpType::kWrite);
-  EXPECT_EQ(specs[0].lpn, 100u);
-  EXPECT_EQ(specs[0].pages, 4u);
-  EXPECT_EQ(specs[1].op, OpType::kRead);
-  EXPECT_EQ(specs[2].op, OpType::kWrite);
-  EXPECT_EQ(specs[3].pages, 256u);
-}
-
-TEST(TraceReplay, SkipsCommentsAndBlanks) {
-  const auto specs = parse_trace("# header\n\nW 1 1  # trailing comment\n   \nR 2 2\n");
-  ASSERT_EQ(specs.size(), 2u);
-  EXPECT_EQ(specs[1].lpn, 2u);
-}
-
-TEST(TraceReplay, RejectsMalformedLines) {
-  EXPECT_THROW((void)parse_trace("X 1 1\n"), std::invalid_argument);
-  EXPECT_THROW((void)parse_trace("W 1\n"), std::invalid_argument);
-  EXPECT_THROW((void)parse_trace("W 1 0\n"), std::invalid_argument);  // zero pages
-  try {
-    (void)parse_trace("W 1 1\ngarbage\n");
-    FAIL();
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
-  }
-}
-
-TEST(TraceReplay, RoundTrips) {
-  const std::vector<RequestSpec> original{
-      {OpType::kWrite, 10, 4}, {OpType::kRead, 20, 1}, {OpType::kWrite, 0, 256}};
-  const auto parsed = parse_trace(format_trace(original));
-  ASSERT_EQ(parsed.size(), original.size());
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    EXPECT_EQ(parsed[i].op, original[i].op);
-    EXPECT_EQ(parsed[i].lpn, original[i].lpn);
-    EXPECT_EQ(parsed[i].pages, original[i].pages);
-  }
-}
-
 TEST(TraceReplay, GeneratorReplaysVerbatimAndLoops) {
   WorkloadConfig cfg;
-  cfg.replay = parse_trace("W 7 2\nR 9 1\n");
+  cfg.replay = {{OpType::kWrite, 7, 2}, {OpType::kRead, 9, 1}};
   WorkloadGenerator gen(cfg, sim::Rng(1));
   for (int loop = 0; loop < 3; ++loop) {
     const auto a = gen.next();
