@@ -133,14 +133,14 @@ void Ftl::write(Lpn lpn, std::uint64_t content, WriteCallback cb) {
     // Commodity behaviour: the L2P entry goes live (volatile) immediately;
     // the flash program races the next power fault.
     finish_host_write(lpn, *ppn, content);
-    chip_.program(*ppn, content, oob, [this, cb = std::move(cb)](nand::OpResult r) {
+    chip_.program(*ppn, content, oob, [this, cb = std::move(cb)](nand::OpResult r) mutable {
       if (!r.ok()) ++stats_.failed_writes;
       cb(r.ok());
     });
     return;
   }
   chip_.program(*ppn, content, oob,
-                [this, lpn, ppn = *ppn, content, cb = std::move(cb)](nand::OpResult r) {
+                [this, lpn, ppn = *ppn, content, cb = std::move(cb)](nand::OpResult r) mutable {
                   if (!r.ok()) {
                     ++stats_.failed_writes;
                     cb(false);

@@ -19,6 +19,7 @@
 #include "ftl/mapping.hpp"
 #include "ftl/types.hpp"
 #include "nand/chip_array.hpp"
+#include "sim/inplace_function.hpp"
 #include "sim/simulator.hpp"
 
 namespace pofi::ftl {
@@ -83,7 +84,10 @@ class Ftl {
   }
 
   /// Write completion: ok=false on power loss, bad block or full device.
-  using WriteCallback = std::function<void(bool ok)>;
+  /// Inline storage, so a write allocates nothing for its completion; 48
+  /// bytes fit the fattest caller, Ssd's write-through continuation (this,
+  /// epoch and two shared_ptrs).
+  using WriteCallback = sim::InplaceFunction<void(bool ok), 48>;
   /// Read completion: `mapped` is false for never-written LPNs (the result
   /// then carries kErasedContent).
   using ReadCallback = std::function<void(nand::ReadResult result, bool mapped)>;

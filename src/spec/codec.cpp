@@ -21,11 +21,6 @@ constexpr double kMaxDurationMs = 9.0e9;
 
 // --- typed readers ----------------------------------------------------------
 
-void for_each_member(const Value& v, const std::string& context,
-                     const std::function<bool(const std::string&, const Value&)>& handler) {
-  read_members(v, context, handler);
-}
-
 void fields::erase(Value& v, std::string_view key) {
   std::erase_if(v.members(), [key](const Value::Member& m) { return m.first == key; });
 }

@@ -23,8 +23,6 @@
 //     in list order, apply_json reads the object's members in file order.
 #pragma once
 
-#include <functional>
-
 #include "platform/experiment.hpp"
 #include "platform/test_platform.hpp"
 #include "runner/runner_config.hpp"
@@ -92,12 +90,6 @@ void check_workload_fits(const workload::WorkloadConfig& workload, const ssd::Ss
 void apply_json(runner::RunnerConfig& cfg, const Value& v);
 
 // --- low-level typed readers (shared with campaign.cpp; exposed for tests) --
-/// Walk an object's members, dispatching each key through `handler(key,
-/// value)`; handler returns false for unrecognised keys, which raises the
-/// unknown-key error with the value's line.
-void for_each_member(const Value& v, const std::string& context,
-                     const std::function<bool(const std::string&, const Value&)>& handler);
-
 [[nodiscard]] bool read_bool(const Value& v, const std::string& key);
 [[nodiscard]] std::uint64_t read_u64(const Value& v, const std::string& key,
                                      std::uint64_t lo = 0,

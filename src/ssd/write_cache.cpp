@@ -137,7 +137,7 @@ void WriteCache::invalidate(ftl::Lpn lpn) {
 }
 
 std::optional<WriteCache::Candidate> WriteCache::pick_flush_candidate(bool pressured) {
-  // Drop stale tickets and tombstones off the head first.
+  // Drop stale tickets off the head first.
   while (!dirty_fifo_.empty() && !live_dirty(dirty_fifo_.front())) dirty_fifo_.pop_front();
   if (dirty_fifo_.empty()) return std::nullopt;
 
@@ -150,18 +150,16 @@ std::optional<WriteCache::Candidate> WriteCache::pick_flush_candidate(bool press
     return std::nullopt;
   }
 
-  // Pick uniformly among the ripe live tickets in the scramble window. The
-  // window spans unpicked tickets (stale ones included), skipping tombstones;
-  // the head is live and ripe by the checks above.
+  // Pick uniformly among the ripe live tickets in the scramble window, the
+  // ring's first tickets (stale ones included); the head is live and ripe by
+  // the checks above.
   const std::size_t window =
       std::min<std::size_t>(std::max<std::uint32_t>(1, config_.flush_scramble_window),
-                            dirty_fifo_.unpicked());
+                            dirty_fifo_.size());
   ripe_.clear();
   ripe_.push_back(Candidate{0, head.content});
-  for (std::size_t i = 1, seen = 1; seen < window; ++i) {
+  for (std::size_t i = 1; i < window; ++i) {
     const Ticket& t = dirty_fifo_[i];
-    if (t.seq == kPicked) continue;
-    ++seen;
     if (!live_dirty(t)) continue;
     const Line& l = lines_[t.line];
     if (!pressured && (sim_.now() - l.dirtied_at) < config_.hold_time) break;
@@ -262,12 +260,12 @@ std::size_t WriteCache::on_power_lost() {
   }
   // Walk the pool, not the dirty tickets: a page whose flush is in flight
   // is still dirty but its ticket is already picked. Pool order follows
-  // free-list history, so sort into the canonical order.
+  // free-list history; last_dropped_lpns() sorts into the canonical order.
   last_dropped_lpns_.clear();
   for (const Line& l : lines_) {
     if (l.dirty) last_dropped_lpns_.push_back(l.lpn);
   }
-  std::sort(last_dropped_lpns_.begin(), last_dropped_lpns_.end());
+  dropped_sorted_ = false;
   clear_lines();
   dirty_count_ = 0;
   in_flight_ = 0;
@@ -294,6 +292,7 @@ void WriteCache::reset() {
   wake_event_ = {};
   space_waiters_.clear();
   last_dropped_lpns_.clear();
+  dropped_sorted_ = true;
   stats_ = CacheStats{};
   rng_ = sim_.fork_rng("write-cache");
 }

@@ -21,11 +21,13 @@
 //     `lines_[line]` still carries its seq: an overwrite, TRIM, eviction or
 //     line reuse stales it, and the check is one array read, no index probe.
 //     Flush completions validate the same way.
-//   * A flush pick marks its ticket picked in place (a tombstone) instead of
-//     erasing it mid-ring; the scramble window counts only unpicked tickets,
-//     so window positions match a FIFO the pick had erased from.
+//   * A flush pick takes its ticket out of the dirty ring: the tickets in
+//     front of it (fewer than `flush_scramble_window`) move one slot toward
+//     the tail and the head advances. The scramble window is then exactly
+//     the ring's first tickets.
 // Pool order reflects free-list history, not anything canonical: the one
-// walk over the pool (on_power_lost) sorts what it collects.
+// walk over the pool (on_power_lost) collects dropped LPNs unsorted, and
+// last_dropped_lpns() sorts them on its first read after the loss.
 #pragma once
 
 #include <algorithm>
@@ -104,8 +106,14 @@ class WriteCache {
 
   /// LPNs whose dirty (ACKed but unflushed) data died in the most recent
   /// power loss — the cache's declaration of knowingly lost writes. Sorted;
-  /// cleared on reset, replaced on each loss.
+  /// cleared on reset, replaced on each loss. The sort runs here, on the
+  /// first read after a loss (campaigns never read the list), so two
+  /// threads must not make that first read of one cache at once.
   [[nodiscard]] const std::vector<ftl::Lpn>& last_dropped_lpns() const {
+    if (!dropped_sorted_) {
+      std::sort(last_dropped_lpns_.begin(), last_dropped_lpns_.end());
+      dropped_sorted_ = true;
+    }
     return last_dropped_lpns_;
   }
 
@@ -138,18 +146,16 @@ class WriteCache {
   };
   struct Ticket {
     std::uint32_t line;
-    std::uint64_t seq;  ///< kPicked once the flusher took the ticket
+    std::uint64_t seq;
   };
   static constexpr std::uint32_t kNoLine = ~std::uint32_t{0};
-  static constexpr std::uint64_t kPicked = 0;
 
-  /// FIFO of tickets over a power-of-two ring. pick() leaves a tombstone in
-  /// place; tombstones are dropped when they reach the front and are not
-  /// counted by unpicked(). Growth and clear() keep the buffer's capacity.
+  /// FIFO of tickets over a power-of-two ring. Growth and clear() keep the
+  /// buffer's capacity.
   class TicketRing {
    public:
     [[nodiscard]] bool empty() const { return size_ == 0; }
-    [[nodiscard]] std::size_t unpicked() const { return size_ - picked_; }
+    [[nodiscard]] std::size_t size() const { return size_; }
     [[nodiscard]] const Ticket& operator[](std::size_t i) const {
       return buf_[(head_ + i) & (buf_.size() - 1)];
     }
@@ -160,19 +166,19 @@ class WriteCache {
       ++size_;
     }
     void pop_front() {
-      if (front().seq == kPicked) --picked_;
       head_ = (head_ + 1) & (buf_.size() - 1);
       --size_;
     }
-    /// Take the ticket at position i, leaving a tombstone.
+    /// Take out the ticket at position i: the i tickets in front of it move
+    /// one slot toward the tail, and the head advances past the freed slot.
     Ticket pick(std::size_t i) {
-      Ticket& slot = buf_[(head_ + i) & (buf_.size() - 1)];
-      const Ticket t = slot;
-      slot.seq = kPicked;
-      ++picked_;
+      const std::size_t mask = buf_.size() - 1;
+      const Ticket t = buf_[(head_ + i) & mask];
+      for (; i > 0; --i) buf_[(head_ + i) & mask] = buf_[(head_ + i - 1) & mask];
+      pop_front();
       return t;
     }
-    void clear() { head_ = size_ = picked_ = 0; }
+    void clear() { head_ = size_ = 0; }
 
    private:
     /// Doubles in place: the wrapped prefix [0, head_) moves past the old end,
@@ -187,7 +193,6 @@ class WriteCache {
     std::vector<Ticket> buf_;
     std::size_t head_ = 0;
     std::size_t size_ = 0;
-    std::size_t picked_ = 0;
   };
 
   /// A live, ripe ticket of the scramble window and the content to flush.
@@ -243,7 +248,8 @@ class WriteCache {
   std::uint64_t next_seq_ = 1;
   sim::EventId wake_event_{};
   std::vector<std::function<void()>> space_waiters_;
-  std::vector<ftl::Lpn> last_dropped_lpns_;
+  mutable std::vector<ftl::Lpn> last_dropped_lpns_;  ///< sorted on first read
+  mutable bool dropped_sorted_ = true;
   CacheStats stats_;
 
   // Observability handles (no-ops unless a registry is attached to sim_).
@@ -280,7 +286,7 @@ inline void WriteCache::snapshot(StateImage& out) const {
   out.clean_fifo = clean_fifo_;
   out.dirty_count = dirty_count_;
   out.next_seq = next_seq_;
-  out.last_dropped_lpns = last_dropped_lpns_;
+  out.last_dropped_lpns = last_dropped_lpns();
   out.stats = stats_;
   out.wake_timer.armed = sim_.event_pending(wake_event_);
   out.wake_timer.deadline = sim_.event_time(wake_event_);
@@ -304,6 +310,7 @@ inline void WriteCache::restore(const StateImage& image, sim::TimerRearmer& rear
   wake_event_ = {};
   space_waiters_.clear();
   last_dropped_lpns_ = image.last_dropped_lpns;
+  dropped_sorted_ = true;
   stats_ = image.stats;
   rearm.enqueue(image.wake_timer, [this, deadline = image.wake_timer.deadline] {
     wake_event_ = sim_.at(deadline, [this] { pump(); });

@@ -16,11 +16,14 @@
 #include <vector>
 
 #include "blk/queue.hpp"
+#include "ftl/ftl.hpp"
 #include "ftl/mapping.hpp"
+#include "nand/chip_array.hpp"
 #include "platform/shadow_store.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/inplace_function.hpp"
 #include "ssd/ssd.hpp"
+#include "ssd/write_cache.hpp"
 
 namespace {
 
@@ -285,6 +288,59 @@ TEST(AllocFree, ReadyWaiterCallbacksAllocateNothing) {
   EXPECT_EQ(after - before, 0u)
       << "ready-waiter registration and wake must not touch the heap";
   EXPECT_EQ(woken, 256u * 64u);
+}
+
+TEST(AllocFree, WriteCacheFlushCycleAllocatesNothing) {
+  // A warm cache flushing through the FTL: insert, the flush's program and
+  // its Ftl::WriteCallback completion (the cache's {this, line, seq}), the
+  // clean ticket, and the eviction a later insert makes must not touch the
+  // heap once the rings, line pool, index, FTL and NAND arena are warm.
+  sim::Simulator simulator(3);
+  nand::NandChip::Config chip_cfg;
+  chip_cfg.geometry.page_size_bytes = 4096;
+  chip_cfg.geometry.pages_per_block = 32;
+  chip_cfg.geometry.blocks_per_plane = 64;
+  chip_cfg.geometry.planes = 1;
+  nand::ChipArray chip(simulator, nand::ChipArray::Config{1, chip_cfg});
+  // The journal stays idle: each batch it cuts allocates in the mapping
+  // table, which is not the cache's cost.
+  ftl::Ftl::Config ftl_cfg;
+  ftl_cfg.journal_interval = sim::Duration::sec(1'000'000);
+  ftl_cfg.journal_batch_threshold = ~std::size_t{0};
+  ftl::Ftl ftl(simulator, chip, ftl_cfg);
+  ssd::WriteCache::Config cache_cfg;
+  cache_cfg.capacity_pages = 32;
+  cache_cfg.hold_time = sim::Duration::us(500);
+  cache_cfg.flush_ways = 4;
+  ssd::WriteCache cache(simulator, ftl, cache_cfg);
+  chip.on_power_good();
+  ftl.on_power_good();
+  cache.on_power_good();
+
+  // One round writes 64 LPNs through a 32-page cache: every insert past the
+  // first 32 evicts a clean page that an earlier flush produced.
+  std::uint64_t content = 1;
+  const auto round = [&] {
+    for (ftl::Lpn lpn = 0; lpn < 64; ++lpn) {
+      while (!cache.insert(lpn, content)) simulator.run_for(sim::Duration::us(100));
+      ++content;
+      simulator.run_for(sim::Duration::us(300));
+    }
+    simulator.run_for(sim::Duration::ms(20));
+  };
+  // Warmup: enough rounds to wrap the 2048-page drive several times, so GC
+  // and the NAND arena reach their steady state too.
+  for (int i = 0; i < 200; ++i) round();
+
+  const std::uint64_t flushed = cache.stats().flushes_completed;
+  const std::uint64_t evicted = cache.stats().clean_evictions;
+  const std::uint64_t before = allocs_now();
+  for (int i = 0; i < 20; ++i) round();
+  const std::uint64_t after = allocs_now();
+  EXPECT_EQ(after - before, 0u) << "a warm flush cycle must not touch the heap";
+  EXPECT_GT(cache.stats().flushes_completed - flushed, 1000u);
+  EXPECT_GT(cache.stats().clean_evictions - evicted, 1000u);
+  EXPECT_GT(ftl.stats().gc_erases, 0u);
 }
 
 TEST(AllocFree, CountersActuallyCount) {

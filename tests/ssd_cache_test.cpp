@@ -1,5 +1,6 @@
 #include "ssd/write_cache.hpp"
 
+#include "legacy_write_cache.hpp"
 #include "nand/chip_array.hpp"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <deque>
 #include <map>
 #include <optional>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -498,6 +500,133 @@ TEST(WriteCache, FlushOrderPinnedPressured) {
   const FlushMix mix = run_flush_mix(/*pressured=*/true);
   EXPECT_EQ(mix.order_hash, 0xde30ebc21b4028caULL);
   EXPECT_EQ(mix.flushed, 1049u);
+}
+
+// --- Flush pick against the tombstone ring ---------------------------------
+// A pick takes its ticket out of the dirty ring, so the scramble window is
+// the ring's first tickets. The frozen reference (legacy_write_cache.hpp)
+// left a tombstone in place and skipped tombstones while gathering the
+// window. Both must send the same pages to flash in the same order and leave
+// the cache RNG in the same state.
+
+/// One cache on its own simulator, chip and FTL. The chip has one plane, so
+/// concurrent flushes queue behind each other and a chip power blip has
+/// queued programs to drop.
+template <typename Cache>
+struct PickRig {
+  explicit PickRig(const WriteCache::Config& cfg)
+      : sim(11),
+        chip(sim, nand::ChipArray::Config{1, chip_config()}),
+        ftl(sim, chip, Harness::fast_journal()),
+        cache(sim, ftl, cfg) {
+    chip.on_power_good();
+    ftl.on_power_good();
+    cache.on_power_good();
+  }
+
+  static nand::NandChip::Config chip_config() {
+    nand::NandChip::Config cfg = Harness::chip_config();
+    cfg.geometry.planes = 1;
+    cfg.geometry.blocks_per_plane = 256;  // no GC: every flush stays on flash
+    return cfg;
+  }
+
+  /// (FTL write seq, LPN, content, page status) of every host page on flash.
+  [[nodiscard]] std::vector<std::tuple<std::uint64_t, Lpn, std::uint64_t, int>> flushed() const {
+    std::vector<std::tuple<std::uint64_t, Lpn, std::uint64_t, int>> pages;
+    for (nand::Ppn ppn = 0; ppn < chip.geometry().total_pages(); ++ppn) {
+      const nand::Page* page = chip.peek(ppn);
+      if (page == nullptr || page->status == nand::PageStatus::kErased) continue;
+      if (page->oob.valid()) {
+        pages.emplace_back(page->oob.seq, page->oob.lpn, page->content,
+                           static_cast<int>(page->status));
+      }
+    }
+    std::sort(pages.begin(), pages.end());
+    return pages;
+  }
+
+  Simulator sim;
+  nand::ChipArray chip;
+  ftl::Ftl ftl;
+  Cache cache;
+};
+
+void run_pick_differential(std::uint32_t window, std::uint64_t seed) {
+  auto cfg = Harness::default_cache();
+  cfg.capacity_pages = 64;
+  cfg.hold_time = Duration::ms(2);
+  cfg.flush_ways = 8;
+  cfg.high_watermark = 0.5;  // pressure while 32 or more pages are dirty
+  cfg.flush_scramble_window = window;
+  const auto pressure_at = static_cast<std::size_t>(cfg.high_watermark * cfg.capacity_pages);
+  PickRig<WriteCache> now(cfg);
+  PickRig<legacy::TombstoneWriteCache> ref(cfg);
+  const auto both = [&](const auto& op) {
+    op(now);
+    op(ref);
+  };
+  sim::Rng rng(seed);
+  std::size_t pressured_steps = 0;
+  std::size_t calm_steps = 0;
+
+  for (int step = 0; step < 3000; ++step) {
+    const Lpn lpn = rng.below(48);  // few LPNs: overwrites stale queued tickets
+    const std::uint64_t op = rng.below(1000);
+    if (op < 4) {
+      // Chip power blip under a powered FTL: the plane's queued programs
+      // vanish, so the chip's program cursor falls behind the FTL's, and the
+      // next programs into that block fail with an order violation after
+      // their program time. The cache loses power with the chip (its dropped
+      // completions would otherwise count as in flight forever); once power
+      // is back, those failed flushes push retry tickets.
+      both([](auto& r) {
+        r.chip.on_power_lost();
+        (void)r.cache.on_power_lost();
+        r.chip.on_power_good();
+        r.cache.on_power_good();
+      });
+      ASSERT_EQ(now.cache.last_dropped_lpns(), ref.cache.last_dropped_lpns()) << "step " << step;
+    } else if (op < 15) {
+      both([](auto& r) { r.cache.flush_all([] {}); });  // pressured until drained
+    } else if (op < 150) {
+      both([&](auto& r) { r.cache.invalidate(lpn); });  // TRIM stales the ticket
+    } else {
+      const std::uint64_t content = 0x1000 + static_cast<std::uint64_t>(step);
+      ASSERT_EQ(now.cache.insert(lpn, content), ref.cache.insert(lpn, content))
+          << "step " << step;
+    }
+    const Duration dt = Duration::us(10 + rng.below(400));
+    both([&](auto& r) { r.sim.run_for(dt); });
+    ASSERT_EQ(now.cache.dirty_pages(), ref.cache.dirty_pages()) << "step " << step;
+    ASSERT_EQ(now.cache.stats().flushes_completed, ref.cache.stats().flushes_completed)
+        << "step " << step;
+    ++(now.cache.dirty_pages() >= pressure_at ? pressured_steps : calm_steps);
+  }
+  both([](auto& r) {
+    r.cache.flush_all([] {});
+    r.sim.run_for(Duration::sec(1));
+  });
+
+  EXPECT_EQ(now.cache.stats().flushes_completed, ref.cache.stats().flushes_completed);
+  EXPECT_EQ(now.flushed(), ref.flushed());
+  WriteCache::StateImage image;
+  now.cache.snapshot(image);
+  EXPECT_EQ(image.rng_state, ref.cache.rng_state());
+  // The mix reached every case it is meant to cover.
+  EXPECT_GT(now.ftl.stats().failed_writes, 0u) << "no failed program pushed a retry ticket";
+  EXPECT_GT(pressured_steps, 0u);
+  EXPECT_GT(calm_steps, 0u);
+  EXPECT_EQ(now.ftl.stats().gc_erases, 0u);
+}
+
+TEST(WriteCache, FlushPickMatchesTombstoneReference) {
+  // Windows of one (strict FIFO), two, the default and wider than the ring.
+  for (const std::uint32_t window : {1u, 2u, 32u, 4096u}) {
+    SCOPED_TRACE(window);
+    run_pick_differential(window, 900 + window);
+    if (HasFatalFailure()) return;
+  }
 }
 
 }  // namespace
