@@ -67,13 +67,9 @@ int main() {
     shelf.push_back(std::move(s));
   }
 
-  auto run_while = [&](auto pred) {
-    while (pred() && !sim.idle()) sim.run_all(1);
-  };
-
   // Power the rack up and wait for every drive to mount.
   bridge.send(psu::PowerCommand::kOn);
-  run_while([&] {
+  sim.run_while([&] {
     for (const auto& s : shelf) {
       if (!s.drive->ready()) return true;
     }
@@ -109,12 +105,12 @@ int main() {
   // The rack PSU fails mid-workload.
   std::printf("rack PSU failure at t=%.2fs (all drives on one rail)\n", sim.now().to_sec());
   bridge.send(psu::PowerCommand::kOff);
-  run_while([&] { return rack_psu.state() != psu::PowerSupply::State::kOff; });
+  sim.run_while([&] { return rack_psu.state() != psu::PowerSupply::State::kOff; });
 
   // Generator facility restores power; drives remount.
   sim.run_for(kRestoreDelay);
   bridge.send(psu::PowerCommand::kOn);
-  run_while([&] {
+  sim.run_while([&] {
     for (const auto& s : shelf) {
       if (!s.drive->ready()) return true;
     }
@@ -132,7 +128,7 @@ int main() {
       });
     }
   }
-  run_while([&] {
+  sim.run_while([&] {
     for (const auto& s : shelf) {
       if (s.queue->outstanding() > 0) return true;
     }

@@ -27,72 +27,28 @@ BlockQueue::BlockQueue(sim::Simulator& simulator, ssd::Ssd& device)
 std::uint64_t BlockQueue::submit_write(ftl::Lpn lpn, std::vector<std::uint64_t> contents,
                                        Completion done) {
   const auto pages = static_cast<std::uint32_t>(contents.size());
-  return submit(true, lpn, pages, std::move(contents), std::move(done));
+  return submit(ssd::Command::Op::kWrite, lpn, pages, std::move(contents), std::move(done));
 }
 
 std::uint64_t BlockQueue::submit_read(ftl::Lpn lpn, std::uint32_t pages, Completion done) {
-  return submit(false, lpn, pages, {}, std::move(done));
+  return submit(ssd::Command::Op::kRead, lpn, pages, {}, std::move(done));
 }
 
 std::uint64_t BlockQueue::submit_discard(ftl::Lpn lpn, std::uint32_t pages,
                                          Completion done) {
-  const std::uint64_t id = next_id_++;
-  ++stats_.submitted;
-  LiveRequest req;
-  req.id = id;
-  req.is_write = true;
-  req.lpn = lpn;
-  req.pages = pages;
-  req.subs_total = 1;
-  req.queued_at = sim_.now();
-  req.done = std::move(done);
-  trace_.record(TraceEvent{sim_.now(), Action::kQueued, id, 0, lpn, pages, true});
-  req.timeout_event = sim_.after(config_.request_timeout, [this, id] { fire_timeout(id); });
-  live_.emplace(id, std::move(req));
-  obs_outstanding_gauge();
-  if (auto* m = sim_.metrics()) m->record(obs_split_fanout_, 1);
-
-  trace_.record(TraceEvent{sim_.now(), Action::kDispatch, id, 0, lpn, pages, true});
-  ssd::Command cmd;
-  cmd.op = ssd::Command::Op::kTrim;
-  cmd.lpn = lpn;
-  cmd.pages = pages;
-  cmd.done = [this, id, lpn, pages](ssd::DeviceStatus status, std::vector<std::uint64_t> data) {
-    sub_finished(id, 0, lpn, pages, status, std::move(data));
-  };
-  device_.submit(std::move(cmd));
-  return id;
+  return submit(ssd::Command::Op::kTrim, lpn, pages, {}, std::move(done));
 }
 
 std::uint64_t BlockQueue::submit_flush(Completion done) {
-  const std::uint64_t id = next_id_++;
-  ++stats_.submitted;
-  LiveRequest req;
-  req.id = id;
-  req.is_write = true;  // flushes count with the write path in traces
-  req.subs_total = 1;
-  req.queued_at = sim_.now();
-  req.done = std::move(done);
-  trace_.record(TraceEvent{sim_.now(), Action::kQueued, id, 0, 0, 0, true});
-  req.timeout_event = sim_.after(config_.request_timeout, [this, id] { fire_timeout(id); });
-  live_.emplace(id, std::move(req));
-  obs_outstanding_gauge();
-  if (auto* m = sim_.metrics()) m->record(obs_split_fanout_, 1);
-
-  trace_.record(TraceEvent{sim_.now(), Action::kDispatch, id, 0, 0, 0, true});
-  ssd::Command cmd;
-  cmd.op = ssd::Command::Op::kFlush;
-  cmd.done = [this, id](ssd::DeviceStatus status, std::vector<std::uint64_t> data) {
-    sub_finished(id, 0, 0, 0, status, std::move(data));
-  };
-  device_.submit(std::move(cmd));
-  return id;
+  return submit(ssd::Command::Op::kFlush, 0, 0, {}, std::move(done));
 }
 
-std::uint64_t BlockQueue::submit(bool is_write, ftl::Lpn lpn, std::uint32_t pages,
+std::uint64_t BlockQueue::submit(ssd::Command::Op op, ftl::Lpn lpn, std::uint32_t pages,
                                  std::vector<std::uint64_t> contents, Completion done) {
   const std::uint64_t id = next_id_++;
   ++stats_.submitted;
+  // TRIMs and FLUSHes count with the write path in traces.
+  const bool is_write = op != ssd::Command::Op::kRead;
 
   LiveRequest req;
   req.id = id;
@@ -105,9 +61,12 @@ std::uint64_t BlockQueue::submit(bool is_write, ftl::Lpn lpn, std::uint32_t page
 
   trace_.record(TraceEvent{sim_.now(), Action::kQueued, id, 0, lpn, pages, is_write});
 
-  // Split into sub-requests of at most max_pages_per_subrequest.
-  const std::uint32_t max_sub = std::max(1u, config_.max_pages_per_subrequest);
-  const std::uint32_t n_subs = (pages + max_sub - 1) / max_sub;
+  // Reads and writes split into sub-requests of at most
+  // max_pages_per_subrequest; a TRIM or FLUSH goes down whole.
+  const bool splits = op == ssd::Command::Op::kRead || op == ssd::Command::Op::kWrite;
+  const std::uint32_t max_sub =
+      splits ? std::max(1u, config_.max_pages_per_subrequest) : std::max(1u, pages);
+  const std::uint32_t n_subs = splits ? (pages + max_sub - 1) / max_sub : 1;
   req.subs_total = n_subs;
   if (n_subs > 1) stats_.splits += n_subs - 1;
 
@@ -126,10 +85,10 @@ std::uint64_t BlockQueue::submit(bool is_write, ftl::Lpn lpn, std::uint32_t page
     trace_.record(TraceEvent{sim_.now(), Action::kDispatch, id, s, sub_lpn, sub_pages, is_write});
 
     ssd::Command cmd;
-    cmd.op = is_write ? ssd::Command::Op::kWrite : ssd::Command::Op::kRead;
+    cmd.op = op;
     cmd.lpn = sub_lpn;
     cmd.pages = sub_pages;
-    if (is_write) {
+    if (op == ssd::Command::Op::kWrite) {
       cmd.contents.assign(contents.begin() + s * max_sub,
                           contents.begin() + s * max_sub + sub_pages);
     }

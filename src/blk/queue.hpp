@@ -135,7 +135,9 @@ class BlockQueue {
     sim::EventId timeout_event{};
   };
 
-  std::uint64_t submit(bool is_write, ftl::Lpn lpn, std::uint32_t pages,
+  /// The one submit path: live-request setup, trace records, timeout and
+  /// gauges, then one device command per sub-request.
+  std::uint64_t submit(ssd::Command::Op op, ftl::Lpn lpn, std::uint32_t pages,
                        std::vector<std::uint64_t> contents, Completion done);
   void sub_finished(std::uint64_t id, std::uint32_t sub_index, ftl::Lpn sub_lpn,
                     std::uint32_t sub_pages, ssd::DeviceStatus status,

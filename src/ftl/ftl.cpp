@@ -133,14 +133,15 @@ void Ftl::write(Lpn lpn, std::uint64_t content, WriteCallback cb) {
     // Commodity behaviour: the L2P entry goes live (volatile) immediately;
     // the flash program races the next power fault.
     finish_host_write(lpn, *ppn, content);
-    chip_.program(*ppn, content, oob, [this, cb = std::move(cb)](nand::OpResult r) mutable {
+    chip_.program(*ppn, content, oob, [this, cb = std::move(cb)](const nand::OpResult& r) mutable {
       if (!r.ok()) ++stats_.failed_writes;
       cb(r.ok());
     });
     return;
   }
   chip_.program(*ppn, content, oob,
-                [this, lpn, ppn = *ppn, content, cb = std::move(cb)](nand::OpResult r) mutable {
+                [this, lpn, ppn = *ppn, content,
+                 cb = std::move(cb)](const nand::OpResult& r) mutable {
                   if (!r.ok()) {
                     ++stats_.failed_writes;
                     cb(false);
@@ -183,13 +184,10 @@ void Ftl::read(Lpn lpn, ReadCallback cb) {
   ++stats_.host_reads;
   const auto ppn = map_.lookup(lpn);
   if (!ppn.has_value()) {
-    nand::ReadResult r;
-    r.status = powered_ ? nand::ReadResult::Status::kOk : nand::ReadResult::Status::kPowerLost;
-    r.content = nand::kErasedContent;
-    cb(r, false);
+    cb(nand::OpResult{powered_ ? nand::OpResult::Status::kOk : nand::OpResult::Status::kPowerLost});
     return;
   }
-  chip_.read(*ppn, [cb = std::move(cb)](nand::ReadResult r) { cb(r, true); });
+  chip_.read(*ppn, std::move(cb));
 }
 
 void Ftl::trim(Lpn lpn) {
@@ -244,7 +242,7 @@ void Ftl::persist_batch(std::uint64_t batch) {
   const std::uint64_t cut_seq = write_seq_ - 1;
   if (auto* m = sim_.metrics()) m->trace().begin(obs_span_journal_, sim_.now());
   chip_.program(*ppn, kJournalTagBase | batch, [this, batch, entries,
-                                                cut_seq](nand::OpResult r) {
+                                                cut_seq](const nand::OpResult& r) {
     journal_in_flight_ = false;
     if (auto* m = sim_.metrics()) m->trace().end(obs_span_journal_, sim_.now());
     if (!r.ok()) {
@@ -321,13 +319,13 @@ void Ftl::gc_relocate_next(BlockId victim, std::uint32_t page_index) {
     gc_relocate_next(victim, page_index + 1);  // page is stale
     return;
   }
-  chip_.read(ppn, [this, victim, page_index, lpn, ppn](nand::ReadResult r) {
+  chip_.read(ppn, [this, victim, page_index, lpn, ppn](const nand::OpResult& r) {
     if (!powered_) {
       gc_running_ = false;
       obs_gc_span_end();
       return;
     }
-    if (r.status == nand::ReadResult::Status::kPowerLost) {
+    if (r.status == nand::OpResult::Status::kPowerLost) {
       gc_running_ = false;
       obs_gc_span_end();
       return;
@@ -343,7 +341,7 @@ void Ftl::gc_relocate_next(BlockId victim, std::uint32_t page_index) {
     const nand::Oob oob{lpn, write_seq_++};
     if (config_.por_scan) por_candidates_.insert(chip_.geometry().block_of(*dst));
     chip_.program(*dst, r.content, oob, [this, victim, page_index, lpn, ppn,
-                                         dst = *dst](nand::OpResult pr) {
+                                         dst = *dst](const nand::OpResult& pr) {
       if (!powered_ || !pr.ok()) {
         gc_running_ = false;
         obs_gc_span_end();
@@ -361,7 +359,7 @@ void Ftl::gc_relocate_next(BlockId victim, std::uint32_t page_index) {
 }
 
 void Ftl::gc_erase_victim(BlockId victim) {
-  chip_.erase(victim, [this, victim](nand::OpResult r) {
+  chip_.erase(victim, [this, victim](const nand::OpResult& r) {
     gc_running_ = false;
     obs_gc_span_end();
     if (!powered_) return;
@@ -456,10 +454,10 @@ void Ftl::por_scan_next(std::shared_ptr<std::vector<Ppn>> pages, std::size_t ind
     return;
   }
   const Ppn ppn = (*pages)[index];
-  chip_.read_oob(ppn, [this, pages = std::move(pages), index, hits = std::move(hits),
-                       done = std::move(done), ppn](nand::NandChip::OobResult r) mutable {
+  chip_.read(ppn, [this, pages = std::move(pages), index, hits = std::move(hits),
+                   done = std::move(done), ppn](const nand::OpResult& r) mutable {
     ++stats_.por_pages_scanned;
-    if (r.ok && r.oob.valid() && r.oob.seq > checkpoint_seq_) {
+    if (r.ok() && r.oob.valid() && r.oob.seq > checkpoint_seq_) {
       auto& hit = (*hits)[r.oob.lpn];
       if (r.oob.seq > hit.seq) hit = PorHit{ppn, r.oob.seq};
     }
@@ -506,10 +504,10 @@ void Ftl::por_apply_next(std::shared_ptr<std::vector<std::pair<Lpn, PorHit>>> re
     return;
   }
   // Compare against the mapped copy's stamp; only newer data wins.
-  chip_.read_oob(*current, [this, lpn = lpn, hit = hit, current, remaining = std::move(remaining),
-                            done = std::move(done)](nand::NandChip::OobResult r) mutable {
+  chip_.read(*current, [this, lpn = lpn, hit = hit, current, remaining = std::move(remaining),
+                        done = std::move(done)](const nand::OpResult& r) mutable {
     if (!powered_) return;
-    if (!r.ok || !r.oob.valid() || r.oob.seq < hit.seq) {
+    if (!(r.ok() && r.oob.valid()) || r.oob.seq < hit.seq) {
       install_por_hit(lpn, hit, current);
     }
     por_apply_next(std::move(remaining), std::move(done));

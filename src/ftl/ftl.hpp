@@ -88,9 +88,10 @@ class Ftl {
   /// bytes fit the fattest caller, Ssd's write-through continuation (this,
   /// epoch and two shared_ptrs).
   using WriteCallback = sim::InplaceFunction<void(bool ok), 48>;
-  /// Read completion: `mapped` is false for never-written LPNs (the result
-  /// then carries kErasedContent).
-  using ReadCallback = std::function<void(nand::ReadResult result, bool mapped)>;
+  /// Read completion: the chip's own callback, handed to the NAND read
+  /// unwrapped. A never-written LPN completes at once with kErasedContent
+  /// (kPowerLost when the FTL is unpowered).
+  using ReadCallback = nand::OpCallback;
 
   Ftl(sim::Simulator& simulator, nand::ChipArray& chips, Config config);
 

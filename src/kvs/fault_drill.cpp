@@ -40,18 +40,13 @@ DrillResult run_fault_drill(CommitDiscipline discipline, bool plp, std::uint64_t
   kv_cfg.wal_pages = kWalPages;
   MiniKv kv(sim, queue, kv_cfg);
 
-  auto run_until = [&](auto pred) {
-    std::uint64_t fired = 0;
-    while (!pred() && !sim.idle() && fired++ < kMaxEventsPerWait) sim.run_all(1);
-  };
-
   sim::Rng rng = sim.fork_rng("app-ops");
   DrillResult result;
   // Ground truth: every (key, value) the application believes committed.
   std::unordered_map<std::uint32_t, std::uint32_t> believed;
 
   bridge.send(psu::PowerCommand::kOn);
-  run_until([&] { return drive.ready(); });
+  sim.run_while([&] { return !drive.ready(); }, kMaxEventsPerWait);
 
   for (std::uint32_t fault = 0; fault < kFaults; ++fault) {
     const std::uint64_t txns_this_round = kMinTxnsPerFault + rng.below(kExtraTxnsPerFault);
@@ -69,7 +64,7 @@ DrillResult run_fault_drill(CommitDiscipline discipline, bool plp, std::uint64_t
         done = true;
         ok = r;
       });
-      run_until([&] { return done; });
+      sim.run_while([&] { return !done; }, kMaxEventsPerWait);
       if (ok) {
         result.committed += 1;
         for (const auto& [k, v] : staged) believed[k] = v;
@@ -79,10 +74,11 @@ DrillResult run_fault_drill(CommitDiscipline discipline, bool plp, std::uint64_t
 
     // Pull the plug mid-deployment, then recover.
     bridge.send(psu::PowerCommand::kOff);
-    run_until([&] { return psu.state() == psu::PowerSupply::State::kOff; });
+    sim.run_while([&] { return psu.state() != psu::PowerSupply::State::kOff; },
+                  kMaxEventsPerWait);
     sim.run_for(kRestoreDelay);
     bridge.send(psu::PowerCommand::kOn);
-    run_until([&] { return drive.ready(); });
+    sim.run_while([&] { return !drive.ready(); }, kMaxEventsPerWait);
 
     bool recovered = false;
     RecoveryStats rec;
@@ -90,7 +86,7 @@ DrillResult run_fault_drill(CommitDiscipline discipline, bool plp, std::uint64_t
       recovered = true;
       rec = r;
     });
-    run_until([&] { return recovered; });
+    sim.run_while([&] { return !recovered; }, kMaxEventsPerWait);
     result.torn += rec.torn;
     result.holes += rec.holes;
 

@@ -36,8 +36,8 @@ NandChip::NandChip(sim::Simulator& simulator, Config config, std::string_view rn
 void NandChip::reset() {
   powered_ = false;
   for (Plane& p : planes_) {
-    p.busy.reset();
-    p.queue.clear();
+    p.ops.clear();
+    p.busy = false;
   }
   arena_.reset();
   peek_scratch_ = Page{};
@@ -74,92 +74,71 @@ bool NandChip::is_bad(BlockId b) const {
 
 // ------------------------------------------------------------- submission
 
-void NandChip::read(Ppn ppn, ReadCallback cb) {
-  if (!powered_) {
-    cb(ReadResult{ReadResult::Status::kPowerLost, kErasedContent, 0, 0});
-    return;
-  }
-  InFlight op;
-  op.kind = InFlight::Kind::kRead;
-  op.ppn = ppn;
-  op.block = config_.geometry.block_of(ppn);
-  op.duration = timing_.read_page;
-  op.read_cb = std::move(cb);
-  enqueue(config_.geometry.plane_of(ppn), std::move(op));
+void NandChip::read(Ppn ppn, OpCallback cb) {
+  submit(config_.geometry.plane_of(ppn), InFlight::Kind::kRead, ppn,
+         config_.geometry.block_of(ppn), timing_.read_page, 0, Oob{}, std::move(cb));
 }
 
 void NandChip::program(Ppn ppn, std::uint64_t content, Oob oob, OpCallback cb) {
-  if (!powered_) {
-    cb(OpResult{OpResult::Status::kPowerLost});
-    return;
-  }
-  InFlight op;
-  op.kind = InFlight::Kind::kProgram;
-  op.ppn = ppn;
-  op.block = config_.geometry.block_of(ppn);
-  op.content = content;
-  op.oob = oob;
+  if (powered_) ++stats_.ispp_started;
   const PageRole role = page_role(config_.tech, config_.geometry.page_in_block(ppn));
-  op.duration = timing_.program_time(role);
-  op.op_cb = std::move(cb);
-  ++stats_.ispp_started;
-  enqueue(config_.geometry.plane_of(ppn), std::move(op));
-}
-
-void NandChip::read_oob(Ppn ppn, OobCallback cb) {
-  if (!powered_) {
-    cb(OobResult{});
-    return;
-  }
-  InFlight op;
-  op.kind = InFlight::Kind::kReadOob;
-  op.ppn = ppn;
-  op.block = config_.geometry.block_of(ppn);
-  op.duration = timing_.read_page;
-  op.oob_cb = std::move(cb);
-  enqueue(config_.geometry.plane_of(ppn), std::move(op));
+  submit(config_.geometry.plane_of(ppn), InFlight::Kind::kProgram, ppn,
+         config_.geometry.block_of(ppn), timing_.program_time(role), content, oob,
+         std::move(cb));
 }
 
 void NandChip::erase(BlockId block, OpCallback cb) {
+  submit(static_cast<std::uint32_t>(block % config_.geometry.planes), InFlight::Kind::kErase,
+         config_.geometry.first_page(block), block, timing_.erase_block, 0, Oob{},
+         std::move(cb));
+}
+
+void NandChip::submit(std::uint32_t plane_idx, InFlight::Kind kind, Ppn ppn, BlockId block,
+                      sim::Duration duration, std::uint64_t content, Oob oob, OpCallback&& cb) {
   if (!powered_) {
     cb(OpResult{OpResult::Status::kPowerLost});
     return;
   }
-  InFlight op;
-  op.kind = InFlight::Kind::kErase;
-  op.block = block;
-  op.ppn = config_.geometry.first_page(block);
-  op.duration = timing_.erase_block;
-  op.op_cb = std::move(cb);
-  enqueue(static_cast<std::uint32_t>(block % config_.geometry.planes), std::move(op));
-}
-
-void NandChip::enqueue(std::uint32_t plane_idx, InFlight op) {
   Plane& plane = planes_[plane_idx];
-  plane.queue.push_back(std::move(op));
-  if (!plane.busy.has_value()) start_next(plane_idx);
+  InFlight& op = plane.ops.emplace_back();
+  op.kind = kind;
+  op.ppn = ppn;
+  op.block = block;
+  op.content = content;
+  op.oob = oob;
+  op.duration = duration;
+  op.cb = std::move(cb);
+  if (!plane.busy) start_next(plane_idx);
 }
 
 void NandChip::start_next(std::uint32_t plane_idx) {
   Plane& plane = planes_[plane_idx];
-  if (plane.busy.has_value() || plane.queue.empty() || !powered_) return;
-  plane.busy = plane.queue.pop_front();
-  InFlight& op = *plane.busy;
+  if (plane.busy || plane.ops.empty() || !powered_) return;
+  plane.busy = true;
+  InFlight& op = plane.ops.front();
   op.start = sim_.now();
   op.completion = sim_.after(op.duration, [this, plane_idx] { complete(plane_idx); });
 }
 
 void NandChip::complete(std::uint32_t plane_idx) {
   Plane& plane = planes_[plane_idx];
-  assert(plane.busy.has_value());
-  InFlight op = std::move(*plane.busy);
-  plane.busy.reset();
+  assert(plane.busy);
+  InFlight& op = plane.ops.front();
+  OpResult result;
   switch (op.kind) {
-    case InFlight::Kind::kRead: finish_read(op); break;
-    case InFlight::Kind::kReadOob: finish_read_oob(op); break;
-    case InFlight::Kind::kProgram: finish_program(op); break;
-    case InFlight::Kind::kErase: finish_erase(op); break;
+    case InFlight::Kind::kRead:
+      ++stats_.reads;
+      result = read_through_ecc(op.ppn);
+      break;
+    case InFlight::Kind::kProgram: result = finish_program(op); break;
+    case InFlight::Kind::kErase: result = finish_erase(op); break;
   }
+  // The plane is idle while the callback runs, so an op the callback queues
+  // here starts at once, ahead of anything the callback schedules next.
+  OpCallback cb = std::move(op.cb);
+  plane.ops.pop_front();
+  plane.busy = false;
+  if (cb) cb(result);
   start_next(plane_idx);
 }
 
@@ -195,23 +174,26 @@ std::uint64_t NandChip::raw_errors_for(BlockArena::Slot slot, std::uint32_t pib)
   return rng_.poisson(lambda) + arena_.upset_errors(slot, pib);
 }
 
-ReadResult NandChip::read_through_ecc(Ppn ppn) {
+OpResult NandChip::read_through_ecc(Ppn ppn) {
   const BlockArena::Slot slot = arena_.touch(config_.geometry.block_of(ppn));
   const std::uint32_t pib = config_.geometry.page_in_block(ppn);
   arena_.bump_reads_since_erase(slot);
 
-  ReadResult result;
+  OpResult result;
   result.raw_errors = raw_errors_for(slot, pib);
   const DecodeOutcome out = ecc_->decode(config_.geometry.page_bits(), result.raw_errors, rng_);
   result.soft_retries = out.soft_retries;
-  const std::uint64_t content = arena_.content(slot, pib);
+  const PageFields page = arena_.fields(slot, pib);
   if (out.correctable) {
-    result.status = ReadResult::Status::kOk;
-    result.content = content;
+    result.status = OpResult::Status::kOk;
+    result.content = page.content;
+    // The spare area is covered by the same codewords as the data: it reads
+    // back only when they decode, and an erased page has none.
+    if (page.status != PageStatus::kErased) result.oob = page.oob;
   } else {
-    result.status = ReadResult::Status::kUncorrectable;
+    result.status = OpResult::Status::kUncorrectable;
     // Deterministic garbage distinct from any allocated tag.
-    result.content = content ^ (0x9e3779b97f4a7c15ULL * (result.raw_errors | 1ULL));
+    result.content = page.content ^ (0x9e3779b97f4a7c15ULL * (result.raw_errors | 1ULL));
     ++stats_.uncorrectable_reads;
   }
   stats_.read_bit_errors += result.raw_errors;
@@ -219,67 +201,38 @@ ReadResult NandChip::read_through_ecc(Ppn ppn) {
   return result;
 }
 
-void NandChip::finish_read(InFlight& op) {
-  ++stats_.reads;
-  ReadResult result = read_through_ecc(op.ppn);
-  if (op.read_cb) op.read_cb(result);
-}
-
-void NandChip::finish_read_oob(InFlight& op) {
-  ++stats_.reads;
-  // The spare area is covered by the same codewords as the data: its
-  // readability shares the page's ECC fate.
-  const ReadResult page = read_through_ecc(op.ppn);
-  OobResult result;
-  if (page.ok()) {
-    const BlockArena::Slot slot = arena_.find(op.block);
-    const std::uint32_t pib = config_.geometry.page_in_block(op.ppn);
-    if (slot != BlockArena::kNoSlot &&
-        arena_.status(slot, pib) != PageStatus::kErased) {
-      result.ok = true;
-      result.oob = arena_.oob(slot, pib);
-    }
-  }
-  if (op.oob_cb) op.oob_cb(result);
-}
-
-ReadResult NandChip::read_now(Ppn ppn) {
+OpResult NandChip::read_now(Ppn ppn) {
   ++stats_.reads;
   return read_through_ecc(ppn);
 }
 
-void NandChip::finish_program(InFlight& op) {
+OpResult NandChip::finish_program(const InFlight& op) {
   const BlockArena::Slot slot = arena_.touch(op.block);
   const std::uint32_t pib = config_.geometry.page_in_block(op.ppn);
-  if (arena_.bad(slot)) {
-    if (op.op_cb) op.op_cb(OpResult{OpResult::Status::kBadBlock});
-    return;
-  }
+  if (arena_.bad(slot)) return OpResult{OpResult::Status::kBadBlock};
   if (config_.enforce_program_order && pib != arena_.next_program_page(slot)) {
     ++stats_.order_violations;
-    if (op.op_cb) op.op_cb(OpResult{OpResult::Status::kOrderViolation});
-    return;
+    return OpResult{OpResult::Status::kOrderViolation};
   }
   arena_.set_programmed(slot, pib, op.content, op.oob);
   if (arena_.has_upsets(slot)) arena_.set_upset_errors(slot, pib, 0);
   arena_.bump_programs_since_erase(slot);
   arena_.set_next_program_page(slot, pib + 1);
   ++stats_.programs;
-  if (op.op_cb) op.op_cb(OpResult{OpResult::Status::kOk});
+  return OpResult{OpResult::Status::kOk};
 }
 
-void NandChip::finish_erase(InFlight& op) {
+OpResult NandChip::finish_erase(const InFlight& op) {
   const BlockArena::Slot slot = arena_.touch(op.block);
   if (arena_.erase_count(slot) >= config_.endurance_pe_cycles) {
     arena_.set_bad(slot);
     ++stats_.blocks_retired;
-    if (op.op_cb) op.op_cb(OpResult{OpResult::Status::kBadBlock});
-    return;
+    return OpResult{OpResult::Status::kBadBlock};
   }
   arena_.erase_block(slot);
   arena_.set_erase_count(slot, arena_.erase_count(slot) + 1);
   ++stats_.erases;
-  if (op.op_cb) op.op_cb(OpResult{OpResult::Status::kOk});
+  return OpResult{OpResult::Status::kOk};
 }
 
 // -------------------------------------------------------------- power loss
@@ -288,30 +241,30 @@ void NandChip::on_power_lost() {
   if (!powered_) return;
   powered_ = false;
   for (auto& plane : planes_) {
-    stats_.dropped_queued_ops += plane.queue.size();
-    plane.queue.clear();
-    if (!plane.busy.has_value()) continue;
-    InFlight& op = *plane.busy;
-    sim_.cancel(op.completion);
-    switch (op.kind) {
-      case InFlight::Kind::kRead:
-      case InFlight::Kind::kReadOob:
-        break;  // reads leave no trace on the array
-      case InFlight::Kind::kProgram:
-        interrupt_program(op);
-        break;
-      case InFlight::Kind::kErase:
-        interrupt_erase(op);
-        break;
+    stats_.dropped_queued_ops += plane.ops.size() - (plane.busy ? 1 : 0);
+    if (plane.busy) {
+      const InFlight& op = plane.ops.front();
+      sim_.cancel(op.completion);
+      switch (op.kind) {
+        case InFlight::Kind::kRead:
+          break;  // reads leave no trace on the array
+        case InFlight::Kind::kProgram:
+          interrupt_program(op);
+          break;
+        case InFlight::Kind::kErase:
+          interrupt_erase(op);
+          break;
+      }
     }
     // No callbacks: the controller that issued these just lost power too.
-    plane.busy.reset();
+    plane.ops.clear();
+    plane.busy = false;
   }
 }
 
 void NandChip::on_power_good() { powered_ = true; }
 
-void NandChip::interrupt_program(InFlight& op) {
+void NandChip::interrupt_program(const InFlight& op) {
   ++stats_.interrupted_programs;
   const BlockArena::Slot slot = arena_.touch(op.block);
   const std::uint32_t pib = config_.geometry.page_in_block(op.ppn);
@@ -366,7 +319,7 @@ void NandChip::apply_paired_page_damage(BlockId block_id, std::uint32_t page_in_
   }
 }
 
-void NandChip::interrupt_erase(InFlight& op) {
+void NandChip::interrupt_erase(const InFlight& op) {
   ++stats_.interrupted_erases;
   const BlockArena::Slot slot = arena_.touch(op.block);
   const double frac = std::clamp(

@@ -10,9 +10,7 @@
 
 #include <cstdint>
 #include <string_view>
-#include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "nand/block_arena.hpp"
@@ -26,21 +24,35 @@
 
 namespace pofi::nand {
 
-struct ReadResult {
-  enum class Status : std::uint8_t { kOk, kUncorrectable, kPowerLost };
+/// What a NAND op delivers to its callback. Program and erase set only
+/// `status`; a read also carries the page as seen through ECC: its content
+/// tag, the raw bit errors and soft retries the decode took, and the spare
+/// area (OOB). The OOB shares the data's codewords, so it is filled only
+/// when the read is ok and the page is not erased; otherwise it stays
+/// invalid.
+struct OpResult {
+  enum class Status : std::uint8_t {
+    kOk,
+    kUncorrectable,   ///< read: ECC could not correct the raw errors
+    kPowerLost,       ///< the die was unpowered when the op was issued
+    kBadBlock,        ///< program or erase on a worn-out block
+    kOrderViolation,  ///< program out of the block's page order
+  };
   Status status = Status::kOk;
   std::uint64_t content = kErasedContent;  ///< tag as seen through ECC
   std::uint64_t raw_errors = 0;
   std::uint32_t soft_retries = 0;
+  Oob oob{};  ///< read: the spare area, as described above
 
   [[nodiscard]] bool ok() const { return status == Status::kOk; }
 };
 
-struct OpResult {
-  enum class Status : std::uint8_t { kOk, kPowerLost, kBadBlock, kOrderViolation };
-  Status status = Status::kOk;
-  [[nodiscard]] bool ok() const { return status == Status::kOk; }
-};
+/// Completion callbacks ride the event hot path (one per flash op), so they
+/// use inline-storage callables: no heap allocation per operation. 128
+/// bytes covers the fattest controller continuation (the FTL's PoR scan
+/// chain); oversized captures are a compile error. A null callback is
+/// allowed for ops whose outcome nobody reads.
+using OpCallback = sim::InplaceFunction<void(const OpResult&), 128>;
 
 struct ChipStats {
   std::uint64_t reads = 0;
@@ -92,13 +104,6 @@ class NandChip {
     bool operator==(const Config&) const = default;
   };
 
-  /// Completion callbacks ride the event hot path (one per flash op), so
-  /// they use inline-storage callables: no heap allocation per operation.
-  /// 128 bytes covers the fattest controller continuation (the FTL's PoR
-  /// scan chain); oversized captures are a compile error.
-  using ReadCallback = sim::InplaceFunction<void(ReadResult), 128>;
-  using OpCallback = sim::InplaceFunction<void(OpResult), 128>;
-
   /// `rng_label` keeps per-die random streams independent when several
   /// dies share one simulator (see ChipArray).
   NandChip(sim::Simulator& simulator, Config config,
@@ -108,7 +113,10 @@ class NandChip {
   NandChip& operator=(const NandChip&) = delete;
 
   // --- Asynchronous command interface (used by the SSD controller) --------
-  void read(Ppn ppn, ReadCallback cb);
+  /// Each op delivers one OpResult to its callback when it completes, or at
+  /// once (kPowerLost) on an unpowered die. A power loss drops the callbacks
+  /// of ops it interrupts or discards.
+  void read(Ppn ppn, OpCallback cb);
   void program(Ppn ppn, std::uint64_t content, OpCallback cb) {
     program(ppn, content, Oob{}, std::move(cb));
   }
@@ -116,14 +124,6 @@ class NandChip {
   /// power-on recovery scan can later use to rebuild the mapping.
   void program(Ppn ppn, std::uint64_t content, Oob oob, OpCallback cb);
   void erase(BlockId block, OpCallback cb);
-
-  /// Read only the spare area: same timing and ECC fate as a page read.
-  struct OobResult {
-    bool ok = false;  ///< false when the page is uncorrectable/unpowered
-    Oob oob;
-  };
-  using OobCallback = sim::InplaceFunction<void(OobResult), 128>;
-  void read_oob(Ppn ppn, OobCallback cb);
 
   // --- Power interface -----------------------------------------------------
   /// Rail crossed the die's cutoff: interrupt in-flight work, drop queues.
@@ -142,7 +142,7 @@ class NandChip {
   /// True when no plane has in-flight or queued work (snapshot precondition).
   [[nodiscard]] bool quiescent() const {
     for (const Plane& p : planes_) {
-      if (p.busy.has_value() || !p.queue.empty()) return false;
+      if (!p.ops.empty()) return false;
     }
     return true;
   }
@@ -169,8 +169,8 @@ class NandChip {
     rng_.set_state(image.rng_state);
     powered_ = image.powered;
     for (Plane& p : planes_) {
-      p.busy.reset();
-      p.queue.clear();
+      p.ops.clear();
+      p.busy = false;
     }
     arena_.restore(image.arena);
     stats_ = image.stats;
@@ -203,7 +203,7 @@ class NandChip {
   }
   /// Synchronous read through the full error/ECC path, bypassing timing.
   /// Used by tests; the production path is the async read().
-  [[nodiscard]] ReadResult read_now(Ppn ppn);
+  [[nodiscard]] OpResult read_now(Ppn ppn);
 
   [[nodiscard]] std::uint32_t erase_count(BlockId b) const;
   [[nodiscard]] bool is_bad(BlockId b) const;
@@ -220,41 +220,44 @@ class NandChip {
   }
 
  private:
+  /// One queued or running op. It is built in place at the back of its
+  /// plane's ring and stays there until it completes.
   struct InFlight {
-    enum class Kind : std::uint8_t { kRead, kProgram, kErase, kReadOob } kind = Kind::kRead;
+    enum class Kind : std::uint8_t { kRead, kProgram, kErase } kind = Kind::kRead;
     Ppn ppn = 0;
     BlockId block = 0;
     std::uint64_t content = 0;
     Oob oob;
     sim::TimePoint start;
     sim::Duration duration;
-    ReadCallback read_cb;
-    OpCallback op_cb;
-    OobCallback oob_cb;
+    OpCallback cb;
     sim::EventId completion;
   };
+  /// The plane's ops in issue order. When `busy`, the front is the op in
+  /// flight and its completion event is armed; the rest wait behind it.
   struct Plane {
-    std::optional<InFlight> busy;
-    sim::RingQueue<InFlight> queue;
+    sim::RingQueue<InFlight> ops;
+    bool busy = false;
   };
 
   [[nodiscard]] double wear_severity(BlockArena::Slot slot) const;
 
-  void enqueue(std::uint32_t plane_idx, InFlight op);
+  /// Queue an op on `plane_idx` (or fail it at once on an unpowered die)
+  /// and start it if the plane is idle.
+  void submit(std::uint32_t plane_idx, InFlight::Kind kind, Ppn ppn, BlockId block,
+              sim::Duration duration, std::uint64_t content, Oob oob, OpCallback&& cb);
   void start_next(std::uint32_t plane_idx);
   void complete(std::uint32_t plane_idx);
 
-  void finish_read(InFlight& op);
-  void finish_read_oob(InFlight& op);
-  void finish_program(InFlight& op);
-  void finish_erase(InFlight& op);
+  [[nodiscard]] OpResult finish_program(const InFlight& op);
+  [[nodiscard]] OpResult finish_erase(const InFlight& op);
 
   /// Raw bit-error count for reading page `pib` of the block at `slot` now.
   [[nodiscard]] std::uint64_t raw_errors_for(BlockArena::Slot slot, std::uint32_t pib);
-  [[nodiscard]] ReadResult read_through_ecc(Ppn ppn);
+  [[nodiscard]] OpResult read_through_ecc(Ppn ppn);
 
-  void interrupt_program(InFlight& op);
-  void interrupt_erase(InFlight& op);
+  void interrupt_program(const InFlight& op);
+  void interrupt_erase(const InFlight& op);
   void apply_paired_page_damage(BlockId block_id, std::uint32_t page_in_block, double severity);
 
   sim::Simulator& sim_;

@@ -23,20 +23,16 @@ Ppn ChipArray::local_ppn(Ppn ppn) const {
   return local_block(gb) * effective_geometry_.pages_per_block + pib;
 }
 
-void ChipArray::read(Ppn ppn, NandChip::ReadCallback cb) {
+void ChipArray::read(Ppn ppn, OpCallback cb) {
   chips_[channel_of_ppn(ppn)]->read(local_ppn(ppn), std::move(cb));
 }
 
-void ChipArray::program(Ppn ppn, std::uint64_t content, Oob oob, NandChip::OpCallback cb) {
+void ChipArray::program(Ppn ppn, std::uint64_t content, Oob oob, OpCallback cb) {
   chips_[channel_of_ppn(ppn)]->program(local_ppn(ppn), content, oob, std::move(cb));
 }
 
-void ChipArray::erase(BlockId block, NandChip::OpCallback cb) {
+void ChipArray::erase(BlockId block, OpCallback cb) {
   chips_[channel_of_block(block)]->erase(local_block(block), std::move(cb));
-}
-
-void ChipArray::read_oob(Ppn ppn, NandChip::OobCallback cb) {
-  chips_[channel_of_ppn(ppn)]->read_oob(local_ppn(ppn), std::move(cb));
 }
 
 void ChipArray::on_power_lost() {
@@ -66,7 +62,7 @@ std::optional<Ppn> ChipArray::first_unerased_page(BlockId b) const {
   return effective_geometry_.first_page(b) + pib;
 }
 
-ReadResult ChipArray::read_now(Ppn ppn) {
+OpResult ChipArray::read_now(Ppn ppn) {
   return chips_[channel_of_ppn(ppn)]->read_now(local_ppn(ppn));
 }
 

@@ -46,13 +46,12 @@ class ChipArray {
   [[nodiscard]] const NandChip::Config& chip_config() const { return config_.chip; }
 
   // --- Command interface (global addresses), mirrors NandChip -------------
-  void read(Ppn ppn, NandChip::ReadCallback cb);
-  void program(Ppn ppn, std::uint64_t content, NandChip::OpCallback cb) {
+  void read(Ppn ppn, OpCallback cb);
+  void program(Ppn ppn, std::uint64_t content, OpCallback cb) {
     program(ppn, content, Oob{}, std::move(cb));
   }
-  void program(Ppn ppn, std::uint64_t content, Oob oob, NandChip::OpCallback cb);
-  void erase(BlockId block, NandChip::OpCallback cb);
-  void read_oob(Ppn ppn, NandChip::OobCallback cb);
+  void program(Ppn ppn, std::uint64_t content, Oob oob, OpCallback cb);
+  void erase(BlockId block, OpCallback cb);
 
   // --- Power ----------------------------------------------------------------
   void on_power_lost();
@@ -98,7 +97,7 @@ class ChipArray {
   /// nullopt when every page is; a block without a page lane (never
   /// programmed since its last erase) answers without a scan.
   [[nodiscard]] std::optional<Ppn> first_unerased_page(BlockId b) const;
-  [[nodiscard]] ReadResult read_now(Ppn ppn);
+  [[nodiscard]] OpResult read_now(Ppn ppn);
   [[nodiscard]] std::uint32_t erase_count(BlockId b) const;
   [[nodiscard]] bool is_bad(BlockId b) const;
   [[nodiscard]] std::size_t touched_blocks() const;

@@ -137,15 +137,6 @@ void TestPlatform::restore(const StateImage& image, sim::TimerRearmer& rearm) {
   fault_index_ = image.fault_index;
 }
 
-void TestPlatform::run_while(const std::function<bool()>& pred, std::uint64_t max_events) {
-  std::uint64_t fired = 0;
-  while (pred()) {
-    if (sim_.idle()) break;
-    sim_.run_all(1);
-    if (max_events != 0 && ++fired >= max_events) break;
-  }
-}
-
 // --------------------------------------------------------------- IO engine
 
 void TestPlatform::start_io() {
@@ -262,7 +253,7 @@ ExperimentResult TestPlatform::run(const ExperimentSpec& spec) {
 
   // Initial power-up and mount.
   scheduler_->command_on();
-  run_while([&] { return !ssd_->ready(); });
+  sim_.run_while([&] { return !ssd_->ready(); });
 
   if (spec.mode == FaultMode::kRandomDuringWorkload) {
     run_random_fault_campaign(spec, result);
@@ -299,16 +290,16 @@ ExperimentResult TestPlatform::run(const ExperimentSpec& spec) {
 void TestPlatform::power_cycle_and_verify(ExperimentResult& result,
                                           sim::TimePoint fault_command_time) {
   // Ride the discharge curve all the way down.
-  run_while([&] { return !scheduler_->rail_fully_down(); });
+  sim_.run_while([&] { return !scheduler_->rail_fully_down(); });
   stop_io();
   sim_.run_for(config_.post_fault_dwell);
 
   scheduler_->command_on();
-  run_while([&] { return !ssd_->ready(); });
+  sim_.run_while([&] { return !ssd_->ready(); });
 
   bool verified = false;
   analyzer_->verify_pending(fault_command_time, fault_index_, [&verified] { verified = true; });
-  run_while([&] { return !verified; });
+  sim_.run_while([&] { return !verified; });
   ++result.faults_injected;
   if (config_.trace_enabled) queue_->trace().clear();
 }
@@ -321,11 +312,11 @@ void TestPlatform::run_random_fault_campaign(const ExperimentSpec& spec,
     cycle_budget_ = budget_per_cycle * 2;  // hard ceiling per cycle
     const sim::TimePoint io_start = sim_.now();
     start_io();
-    run_while([&] { return cycle_requests_ < budget_per_cycle && io_active_; });
+    sim_.run_while([&] { return cycle_requests_ < budget_per_cycle && io_active_; });
 
     // Scheduler: the fault lands a random beat after the budget is reached.
     scheduler_->arm_fault(spec.fault_jitter);
-    run_while([&] { return !scheduler_->fault_in_progress(); });
+    sim_.run_while([&] { return !scheduler_->fault_in_progress(); });
     const sim::TimePoint fault_time = scheduler_->last_fault_at();
     result.active_seconds += (fault_time - io_start).to_sec();
 
@@ -343,13 +334,13 @@ void TestPlatform::run_fixed_delay_campaign(const ExperimentSpec& spec,
     io_active_ = true;
     const std::uint64_t acks_before = write_acks_;
     submit_one(rs);
-    run_while([&] { return write_acks_ == acks_before; });
+    sim_.run_while([&] { return write_acks_ == acks_before; });
     if (write_acks_ == acks_before) break;  // write never ACKed; give up
 
     // Let exactly post_ack_delay elapse after the ACK, then cut power.
     sim_.run_for(spec.post_ack_delay);
     scheduler_->command_off();
-    run_while([&] { return !scheduler_->fault_in_progress(); });
+    sim_.run_while([&] { return !scheduler_->fault_in_progress(); });
     const sim::TimePoint fault_time = scheduler_->last_fault_at();
     result.active_seconds += spec.post_ack_delay.to_sec();
 

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <atomic>
-#include <functional>
 #include <memory>
 
 #include "blk/queue.hpp"
@@ -152,9 +151,6 @@ class TestPlatform {
 
   void start_io();
   void stop_io();
-
-  /// Step the simulator until `pred` is false or the queue drains.
-  void run_while(const std::function<bool()>& pred, std::uint64_t max_events = 0);
 
   void power_cycle_and_verify(ExperimentResult& result, sim::TimePoint fault_command_time);
   void run_random_fault_campaign(const ExperimentSpec& spec, ExperimentResult& result);

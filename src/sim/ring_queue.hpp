@@ -1,10 +1,12 @@
 // Growable FIFO ring buffer with power-of-two capacity.
 //
 // std::deque allocates a fresh chunk every few pushes when the element is
-// large (NandChip's ~450-byte InFlight fills a libstdc++ chunk almost
-// immediately), which puts an allocation on every flash-op submission. The
-// ring reuses one flat buffer: after warm-up, push/pop never allocate. FIFO
-// order is identical to deque push_back/pop_front.
+// large, which would put an allocation on every flash-op submission. The
+// ring reuses one flat buffer: after warm-up, push/pop never allocate.
+// Elements are built in place (emplace_back hands out the vacant back slot)
+// and read at the front, so a NandChip op is constructed once and never
+// copied while it waits or runs. FIFO order is identical to deque
+// push_back/pop_front.
 #pragma once
 
 #include <cstddef>
@@ -19,18 +21,22 @@ class RingQueue {
   [[nodiscard]] bool empty() const { return count_ == 0; }
   [[nodiscard]] std::size_t size() const { return count_; }
 
-  void push_back(T value) {
+  /// Appends a slot holding a default-constructed T and returns it. The
+  /// reference is valid until the next emplace_back (which may grow).
+  T& emplace_back() {
     if (count_ == buf_.size()) grow();
-    buf_[(head_ + count_) & (buf_.size() - 1)] = std::move(value);
+    T& slot = buf_[(head_ + count_) & (buf_.size() - 1)];
     ++count_;
+    return slot;
   }
 
-  T pop_front() {
-    T out = std::move(buf_[head_]);
-    buf_[head_] = T{};  // drop captured resources eagerly
+  [[nodiscard]] T& front() { return buf_[head_]; }
+
+  /// Removes the front element, releasing what it holds.
+  void pop_front() {
+    buf_[head_] = T{};  // drop captured resources eagerly; keeps vacant slots default
     head_ = (head_ + 1) & (buf_.size() - 1);
     --count_;
-    return out;
   }
 
   /// Discards all queued elements (their resources are released) but keeps

@@ -112,6 +112,17 @@ class Simulator {
   /// self-perpetuating chains; 0 means unbounded.
   std::uint64_t run_all(std::uint64_t max_events = 0);
 
+  /// Fire events one at a time while `pred()` holds, stopping early when
+  /// the queue runs dry, a boundary probe halts the run, or `max_events`
+  /// have fired (0 means unbounded). `pred` is checked before each event.
+  /// Returns the number of events fired.
+  template <typename Pred>
+  std::uint64_t run_while(Pred&& pred, std::uint64_t max_events = 0) {
+    std::uint64_t fired = 0;
+    while ((max_events == 0 || fired < max_events) && pred() && run_all(1) == 1) ++fired;
+    return fired;
+  }
+
   [[nodiscard]] bool idle() const { return queue_.empty(); }
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
   [[nodiscard]] std::uint64_t events_fired() const { return events_fired_; }

@@ -241,10 +241,10 @@ void Ssd::run_read(const CmdPtr& cmd) {
           continue;
         }
       }
-      ftl_->read(lpn, [i, epoch, this, progress, page_done](nand::ReadResult r, bool /*mapped*/) {
+      ftl_->read(lpn, [i, epoch, this, progress, page_done](const nand::OpResult& r) {
         if (epoch != epoch_) return;
         progress->contents[i] = r.content;
-        if (r.status == nand::ReadResult::Status::kUncorrectable) progress->media_error = true;
+        if (r.status == nand::OpResult::Status::kUncorrectable) progress->media_error = true;
         page_done();
       });
     }

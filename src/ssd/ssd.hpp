@@ -117,9 +117,11 @@ class Ssd final : public psu::PowerSink {
   /// kLbaOutOfRange, as a SATA drive rejects an LBA past its capacity.
   void submit(Command cmd);
   /// One-shot callback when the device next becomes ready. Inline-storage
-  /// callable (the last std::function on the command path): waiters fire at
-  /// every mount, i.e. once per power cycle, and their captures are small
-  /// (a platform pointer or a couple of flags).
+  /// callable: waiters fire at every mount, i.e. once per power cycle, and
+  /// their captures are small (a platform pointer or a couple of flags). The
+  /// read and write paths are std::function-free; FLUSH and a write stalled
+  /// on a full cache still wait through std::function
+  /// (WriteCache::flush_all/on_space, Ftl::flush_all).
   using ReadyFn = sim::InplaceFunction<void(), 64>;
   void on_ready(ReadyFn cb) { ready_waiters_.push_back(std::move(cb)); }
 

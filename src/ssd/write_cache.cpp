@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "obs/metrics.hpp"
 
@@ -178,14 +179,16 @@ void WriteCache::pump() {
     const auto pick = pick_flush_candidate(pressured);
     if (!pick.has_value()) return;
     const Ticket t = dirty_fifo_.pick(pick->index);
-    issue_flush(t.line, t.seq, pick->content);
+    if (!issue_flush(t.line, t.seq, pick->content)) return;
   }
 }
 
-void WriteCache::issue_flush(std::uint32_t line, std::uint64_t seq, std::uint64_t content) {
+bool WriteCache::issue_flush(std::uint32_t line, std::uint64_t seq, std::uint64_t content) {
   ++in_flight_;
+  issuing_ = true;
   ftl_.write(lines_[line].lpn, content, [this, line, seq](bool ok) {
     if (in_flight_ > 0) --in_flight_;
+    const bool refused = std::exchange(issuing_, false);  // completed inside issue_flush
     if (!powered_) return;
     // A power loss after the flush was issued may have emptied the pool;
     // otherwise the line must still carry this dirtying's seq.
@@ -207,9 +210,15 @@ void WriteCache::issue_flush(std::uint32_t line, std::uint64_t seq, std::uint64_
         dirty_fifo_.push_back(Ticket{line, seq});
       }
     }
+    // A refused write must not re-pick in the same stack: the same failure
+    // would recurse without bound.
+    if (refused) return;
     pump();
     check_emergency_done();
   });
+  const bool issued = issuing_;
+  issuing_ = false;
+  return issued;
 }
 
 void WriteCache::evict_clean_if_needed() {

@@ -223,7 +223,10 @@ class WriteCache {
   /// The ticket to flush next, or nullopt when the head is not ripe yet (the
   /// hold-time wake is then armed) or no dirty ticket is left.
   [[nodiscard]] std::optional<Candidate> pick_flush_candidate(bool pressured);
-  void issue_flush(std::uint32_t line, std::uint64_t seq, std::uint64_t content);
+  /// Hand one dirty line to the FTL. Returns false when the write failed
+  /// synchronously (FTL unpowered or out of pages): the line is re-queued
+  /// and the next wake, insert or completion retries it.
+  [[nodiscard]] bool issue_flush(std::uint32_t line, std::uint64_t seq, std::uint64_t content);
   void evict_clean_if_needed();
   void notify_space();
   void check_emergency_done();
@@ -245,6 +248,7 @@ class WriteCache {
   std::vector<Candidate> ripe_;  ///< pick scratch, reused across picks
   std::size_t dirty_count_ = 0;
   std::uint32_t in_flight_ = 0;
+  bool issuing_ = false;  ///< inside issue_flush's Ftl::write call
   std::uint64_t next_seq_ = 1;
   sim::EventId wake_event_{};
   std::vector<std::function<void()>> space_waiters_;

@@ -53,8 +53,8 @@ struct Harness {
   }
 
   std::optional<std::uint64_t> read_sync(Lpn lpn) {
-    std::optional<nand::ReadResult> out;
-    ftl.read(lpn, [&](nand::ReadResult r, bool) { out = r; });
+    std::optional<nand::OpResult> out;
+    ftl.read(lpn, [&](const nand::OpResult& r) { out = r; });
     run_until([&] { return out.has_value(); });
     if (!out.has_value() || !out->ok()) return std::nullopt;
     return out->content;

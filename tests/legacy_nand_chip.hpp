@@ -32,6 +32,25 @@
 
 namespace pofi::nand::legacy {
 
+/// The old result types, frozen with the chip: before the command interface
+/// was unified, a page read and a program/erase completed with different
+/// structs, and read_oob with a third (LegacyNandChip::OobResult).
+struct ReadResult {
+  enum class Status : std::uint8_t { kOk, kUncorrectable, kPowerLost };
+  Status status = Status::kOk;
+  std::uint64_t content = kErasedContent;  ///< tag as seen through ECC
+  std::uint64_t raw_errors = 0;
+  std::uint32_t soft_retries = 0;
+
+  [[nodiscard]] bool ok() const { return status == Status::kOk; }
+};
+
+struct OpResult {
+  enum class Status : std::uint8_t { kOk, kPowerLost, kBadBlock, kOrderViolation };
+  Status status = Status::kOk;
+  [[nodiscard]] bool ok() const { return status == Status::kOk; }
+};
+
 /// The old AoS block: a heap vector of ~40-byte Page structs per block.
 struct LegacyBlock {
   explicit LegacyBlock(std::uint32_t pages_per_block) : pages(pages_per_block) {}

@@ -66,7 +66,7 @@ void cycle_blocks(sim::Simulator& sim, NandChip& chip, BlockId first, BlockId co
     }
     sim.run_all();
     for (std::uint32_t p = 0; p < g.pages_per_block; ++p) {
-      chip.read(g.first_page(b) + p, [](ReadResult) {});
+      chip.read(g.first_page(b) + p, [](OpResult) {});
     }
     sim.run_all();
     chip.erase(b, [](OpResult r) { ASSERT_TRUE(r.ok()); });

@@ -379,7 +379,7 @@ TEST(NandChipTouchedBlocks, PinnedAcrossProgramEraseRetire) {
   EXPECT_EQ(chip.touched_blocks(), 0u);
 
   // A read materialises the block (it must track reads_since_erase).
-  chip.read(100, [](ReadResult) {});
+  chip.read(100, [](OpResult) {});
   sim.run_all();
   EXPECT_EQ(chip.touched_blocks(), 1u);
 

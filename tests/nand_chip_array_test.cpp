@@ -154,13 +154,13 @@ TEST(ChipArray, OobRoutedToOwningDie) {
   const auto& g = array.geometry();
   array.program(g.first_page(3), 0x77, Oob{1234, 9}, [](OpResult) {});
   sim.run_all();
-  std::optional<NandChip::OobResult> oob;
-  array.read_oob(g.first_page(3), [&](NandChip::OobResult r) { oob = r; });
+  std::optional<OpResult> read;
+  array.read(g.first_page(3), [&](const OpResult& r) { read = r; });
   sim.run_all();
-  ASSERT_TRUE(oob.has_value());
-  EXPECT_TRUE(oob->ok);
-  EXPECT_EQ(oob->oob.lpn, 1234u);
-  EXPECT_EQ(oob->oob.seq, 9u);
+  ASSERT_TRUE(read.has_value());
+  EXPECT_TRUE(read->ok());
+  EXPECT_EQ(read->oob.lpn, 1234u);
+  EXPECT_EQ(read->oob.seq, 9u);
 }
 
 TEST(ChipArray, SingleChannelBehavesLikeOneChip) {

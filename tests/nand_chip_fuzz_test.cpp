@@ -77,6 +77,26 @@ struct Pair {
   }
 };
 
+/// The legacy chip's statuses, spelled in the unified OpResult's terms.
+OpResult::Status unified(legacy::OpResult::Status s) {
+  switch (s) {
+    case legacy::OpResult::Status::kOk: return OpResult::Status::kOk;
+    case legacy::OpResult::Status::kPowerLost: return OpResult::Status::kPowerLost;
+    case legacy::OpResult::Status::kBadBlock: return OpResult::Status::kBadBlock;
+    case legacy::OpResult::Status::kOrderViolation: return OpResult::Status::kOrderViolation;
+  }
+  return OpResult::Status::kOk;
+}
+
+OpResult::Status unified(legacy::ReadResult::Status s) {
+  switch (s) {
+    case legacy::ReadResult::Status::kOk: return OpResult::Status::kOk;
+    case legacy::ReadResult::Status::kUncorrectable: return OpResult::Status::kUncorrectable;
+    case legacy::ReadResult::Status::kPowerLost: return OpResult::Status::kPowerLost;
+  }
+  return OpResult::Status::kOk;
+}
+
 void expect_identical(const Pair& p, std::uint64_t iteration) {
   const Geometry& g = p.arena.geometry();
   ASSERT_EQ(p.arena.touched_blocks(), p.legacy.touched_blocks()) << "iter " << iteration;
@@ -153,35 +173,40 @@ TEST(NandChipFuzz, ArenaMatchesLegacyReferenceOver10kOps) {
       oob.seq = pick_u64_mostly_small(seq++);
       std::optional<OpResult::Status> got_a;
       std::optional<OpResult::Status> got_l;
-      p.arena.program(ppn, content, oob, [&got_a](OpResult r) { got_a = r.status; });
-      p.legacy.program(ppn, content, oob, [&got_l](OpResult r) { got_l = r.status; });
+      p.arena.program(ppn, content, oob, [&got_a](const OpResult& r) { got_a = r.status; });
+      p.legacy.program(ppn, content, oob,
+                       [&got_l](legacy::OpResult r) { got_l = unified(r.status); });
       p.run_all();
       ASSERT_EQ(got_a, got_l) << "program iter " << i;
       if (got_a == OpResult::Status::kOk) cursor[b] = pib + 1;
     } else if (roll < 75) {
       const Ppn ppn = pick(g.total_pages());
-      std::optional<ReadResult> got_a;
-      std::optional<ReadResult> got_l;
-      p.arena.read(ppn, [&got_a](ReadResult r) { got_a = r; });
-      p.legacy.read(ppn, [&got_l](ReadResult r) { got_l = r; });
+      std::optional<OpResult> got_a;
+      std::optional<legacy::ReadResult> got_l;
+      p.arena.read(ppn, [&got_a](const OpResult& r) { got_a = r; });
+      p.legacy.read(ppn, [&got_l](legacy::ReadResult r) { got_l = r; });
       p.run_all();
       ASSERT_EQ(got_a.has_value(), got_l.has_value());
       if (got_a.has_value()) {
-        ASSERT_EQ(got_a->status, got_l->status) << "read iter " << i;
+        ASSERT_EQ(got_a->status, unified(got_l->status)) << "read iter " << i;
         ASSERT_EQ(got_a->content, got_l->content) << "read iter " << i;
         ASSERT_EQ(got_a->raw_errors, got_l->raw_errors) << "read iter " << i;
         ASSERT_EQ(got_a->soft_retries, got_l->soft_retries) << "read iter " << i;
       }
     } else if (roll < 82) {
+      // A page read carries the OOB the legacy chip's read_oob returned: the
+      // same spare area when that read was ok, none when it was not.
       const Ppn ppn = pick(g.total_pages());
-      std::optional<NandChip::OobResult> got_a;
+      std::optional<OpResult> got_a;
       std::optional<legacy::LegacyNandChip::OobResult> got_l;
-      p.arena.read_oob(ppn, [&got_a](NandChip::OobResult r) { got_a = r; });
+      p.arena.read(ppn, [&got_a](const OpResult& r) { got_a = r; });
       p.legacy.read_oob(ppn, [&got_l](legacy::LegacyNandChip::OobResult r) { got_l = r; });
       p.run_all();
       ASSERT_EQ(got_a.has_value(), got_l.has_value());
       if (got_a.has_value()) {
-        ASSERT_EQ(got_a->ok, got_l->ok) << "oob iter " << i;
+        ASSERT_TRUE(!got_l->ok || got_a->ok()) << "oob iter " << i;
+        ASSERT_EQ(got_a->ok() && got_a->oob.valid(), got_l->ok && got_l->oob.valid())
+            << "oob iter " << i;
         ASSERT_EQ(got_a->oob.lpn, got_l->oob.lpn) << "oob iter " << i;
         ASSERT_EQ(got_a->oob.seq, got_l->oob.seq) << "oob iter " << i;
       }
@@ -189,8 +214,8 @@ TEST(NandChipFuzz, ArenaMatchesLegacyReferenceOver10kOps) {
       const BlockId b = pick(g.total_blocks());
       std::optional<OpResult::Status> got_a;
       std::optional<OpResult::Status> got_l;
-      p.arena.erase(b, [&got_a](OpResult r) { got_a = r.status; });
-      p.legacy.erase(b, [&got_l](OpResult r) { got_l = r.status; });
+      p.arena.erase(b, [&got_a](const OpResult& r) { got_a = r.status; });
+      p.legacy.erase(b, [&got_l](legacy::OpResult r) { got_l = unified(r.status); });
       p.run_all();
       ASSERT_EQ(got_a, got_l) << "erase iter " << i;
       if (got_a == OpResult::Status::kOk) cursor[b] = 0;

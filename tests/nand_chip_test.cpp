@@ -71,8 +71,8 @@ TEST(NandChip, ProgramReadRoundTrip) {
   ASSERT_TRUE(prog.has_value());
   EXPECT_TRUE(prog->ok());
 
-  std::optional<ReadResult> read;
-  chip.read(0, [&](ReadResult r) { read = r; });
+  std::optional<OpResult> read;
+  chip.read(0, [&](OpResult r) { read = r; });
   sim.run_all();
   ASSERT_TRUE(read.has_value());
   EXPECT_TRUE(read->ok());
@@ -83,7 +83,7 @@ TEST(NandChip, ReadOfErasedPageReturnsErasedContent) {
   Simulator sim;
   NandChip chip(sim, small_config());
   chip.on_power_good();
-  const ReadResult r = chip.read_now(100);
+  const OpResult r = chip.read_now(100);
   EXPECT_TRUE(r.ok());
   EXPECT_EQ(r.content, kErasedContent);
 }
@@ -159,6 +159,23 @@ TEST(NandChip, SamePlaneSerializes) {
   EXPECT_GT(completion_ms[1], completion_ms[0]);
 }
 
+TEST(NandChip, CallbackQueueingOnItsPlaneStartsTheNextOpThere) {
+  // A completion callback runs with its op already off the plane, so the
+  // plane is idle: an op the callback queues there starts the plane's next
+  // op at once, ahead of an event the callback schedules after it.
+  Simulator sim;
+  NandChip chip(sim, small_config());
+  chip.on_power_good();
+  std::vector<char> order;
+  chip.program(0, 1, [&](const OpResult&) {
+    chip.read(1, [&](const OpResult&) { order.push_back('C'); });
+    sim.after(Duration::us(50), [&] { order.push_back('E'); });  // MLC page read: 50 us
+  });
+  chip.read(0, [&](const OpResult&) { order.push_back('B'); });  // waits behind the program
+  sim.run_all();
+  EXPECT_EQ(order, (std::vector<char>{'B', 'E', 'C'}));
+}
+
 TEST(NandChip, PowerLossDropsQueuedOps) {
   Simulator sim;
   NandChip chip(sim, small_config());
@@ -171,20 +188,95 @@ TEST(NandChip, PowerLossDropsQueuedOps) {
   chip.on_power_lost();
   sim.run_all();
   EXPECT_EQ(callbacks, 0);  // no callbacks: the controller died too
-  EXPECT_GT(chip.stats().dropped_queued_ops, 0u);
+  // Pages 0-3 share plane 0: the in-flight one is interrupted, not dropped.
+  EXPECT_EQ(chip.stats().dropped_queued_ops, 3u);
+  EXPECT_EQ(chip.stats().interrupted_programs, 1u);
+}
+
+// A page read carries the page's spare area (OOB) exactly when the power-on
+// recovery scan may trust it: the read decoded and the page is not erased.
+OpResult read_async(Simulator& sim, NandChip& chip, Ppn ppn) {
+  std::optional<OpResult> out;
+  chip.read(ppn, [&](const OpResult& r) { out = r; });
+  sim.run_all();
+  EXPECT_TRUE(out.has_value());
+  return out.value_or(OpResult{});
+}
+
+TEST(NandChip, ReadCarriesOobOfValidPage) {
+  Simulator sim;
+  NandChip chip(sim, small_config());
+  chip.on_power_good();
+  chip.program(0, 0xABCD, Oob{42, 7}, [](const OpResult&) {});
+  sim.run_all();
+  const OpResult r = read_async(sim, chip, 0);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.content, 0xABCDu);
+  ASSERT_TRUE(r.oob.valid());
+  EXPECT_EQ(r.oob.lpn, 42u);
+  EXPECT_EQ(r.oob.seq, 7u);
+}
+
+TEST(NandChip, ReadOfErasedPageCarriesInvalidOob) {
+  Simulator sim;
+  NandChip chip(sim, small_config());
+  chip.on_power_good();
+  chip.program(0, 0xABCD, Oob{42, 7}, [](const OpResult&) {});
+  sim.run_all();
+  // Page 1 shares the programmed block's lane but was never written; page
+  // 100 lies in a block nothing touched.
+  for (const Ppn ppn : {Ppn{1}, Ppn{100}}) {
+    const OpResult r = read_async(sim, chip, ppn);
+    EXPECT_TRUE(r.ok()) << "ppn " << ppn;
+    EXPECT_EQ(r.content, kErasedContent) << "ppn " << ppn;
+    EXPECT_FALSE(r.oob.valid()) << "ppn " << ppn;
+    EXPECT_EQ(r.oob.seq, 0u) << "ppn " << ppn;
+  }
+}
+
+TEST(NandChip, UncorrectableReadCarriesNoOob) {
+  Simulator sim;
+  NandChip chip(sim, small_config());
+  chip.on_power_good();
+  chip.program(0, 0x77, Oob{5, 11}, [](const OpResult&) {});
+  sim.run_for(Duration::us(150));  // 2 of 6 ISPP steps: far from readable
+  chip.on_power_lost();
+  chip.on_power_good();
+  ASSERT_EQ(chip.peek(0)->oob.lpn, 5u);  // the spare area was written...
+  const OpResult r = read_async(sim, chip, 0);
+  EXPECT_EQ(r.status, OpResult::Status::kUncorrectable);
+  EXPECT_FALSE(r.oob.valid());  // ...but does not decode with the data
+  EXPECT_EQ(r.oob.seq, 0u);
+}
+
+TEST(NandChip, ReadOfPartialPageCarriesItsOob) {
+  Simulator sim;
+  NandChip chip(sim, small_config());
+  chip.on_power_good();
+  chip.program(0, 0x99, Oob{8, 21}, [](const OpResult&) {});
+  sim.run_for(Duration::us(399));  // 5 of 6 ISPP steps landed
+  chip.on_power_lost();
+  chip.on_power_good();
+  ASSERT_EQ(chip.peek(0)->status, PageStatus::kPartial);
+  const OpResult r = read_async(sim, chip, 0);
+  ASSERT_TRUE(r.ok()) << "raw errors " << r.raw_errors;
+  EXPECT_EQ(r.content, 0x99u);
+  EXPECT_EQ(r.oob.lpn, 8u);
+  EXPECT_EQ(r.oob.seq, 21u);
 }
 
 TEST(NandChip, OpsWhilePoweredOffFailImmediately) {
   Simulator sim;
   NandChip chip(sim, small_config());
   std::optional<OpResult> prog;
-  std::optional<ReadResult> read;
+  std::optional<OpResult> read;
   chip.program(0, 1, [&](OpResult r) { prog = r; });
-  chip.read(0, [&](ReadResult r) { read = r; });
+  chip.read(0, [&](OpResult r) { read = r; });
   ASSERT_TRUE(prog.has_value());
   ASSERT_TRUE(read.has_value());
   EXPECT_EQ(prog->status, OpResult::Status::kPowerLost);
-  EXPECT_EQ(read->status, ReadResult::Status::kPowerLost);
+  EXPECT_EQ(read->status, OpResult::Status::kPowerLost);
+  EXPECT_FALSE(read->oob.valid());
 }
 
 TEST(NandChip, InterruptedProgramLeavesPartialPage) {
@@ -204,8 +296,8 @@ TEST(NandChip, InterruptedProgramLeavesPartialPage) {
 
   // An early-interrupted page reads back uncorrectable.
   chip.on_power_good();
-  const ReadResult r = chip.read_now(0);
-  EXPECT_EQ(r.status, ReadResult::Status::kUncorrectable);
+  const OpResult r = chip.read_now(0);
+  EXPECT_EQ(r.status, OpResult::Status::kUncorrectable);
   EXPECT_NE(r.content, 0x77u);
 }
 
@@ -240,7 +332,7 @@ TEST(NandChip, InterruptedUpperPageDamagesLowerPartner) {
   EXPECT_GT(lower->upset_errors, 0u);
   // The damaged lower page is now uncorrectable through ECC.
   chip.on_power_good();
-  EXPECT_EQ(chip.read_now(0).status, ReadResult::Status::kUncorrectable);
+  EXPECT_EQ(chip.read_now(0).status, OpResult::Status::kUncorrectable);
 }
 
 TEST(NandChip, InterruptedEraseCorruptsBlock) {
@@ -261,7 +353,7 @@ TEST(NandChip, InterruptedEraseCorruptsBlock) {
   ASSERT_NE(p0, nullptr);
   EXPECT_EQ(p0->status, PageStatus::kCorrupt);
   chip.on_power_good();
-  EXPECT_EQ(chip.read_now(0).status, ReadResult::Status::kUncorrectable);
+  EXPECT_EQ(chip.read_now(0).status, OpResult::Status::kUncorrectable);
 }
 
 TEST(NandChip, WornBlockGoesBad) {
@@ -309,9 +401,9 @@ TEST_P(InterruptProperty, PageStateAlwaysDefined) {
   sim.run_for(Duration::us(interrupt_us));
   chip.on_power_lost();
   chip.on_power_good();
-  const ReadResult r = chip.read_now(0);
-  EXPECT_TRUE(r.status == ReadResult::Status::kOk ||
-              r.status == ReadResult::Status::kUncorrectable);
+  const OpResult r = chip.read_now(0);
+  EXPECT_TRUE(r.status == OpResult::Status::kOk ||
+              r.status == OpResult::Status::kUncorrectable);
   if (r.ok()) {
     // If ECC recovered it, the content is exactly old or new, never garbage.
     EXPECT_TRUE(r.content == 0x5150u || r.content == kErasedContent);

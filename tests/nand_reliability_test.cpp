@@ -96,8 +96,8 @@ TEST(NandReliability, WearAmplifiesPairedPageDamage) {
       Damage& d = is_worn ? worn : fresh;
       d.upsets += lower->upset_errors;
       chip.on_power_good();
-      d.lower_lost += chip.read_now(0).status == ReadResult::Status::kUncorrectable ? 1 : 0;
-      d.upper_lost += chip.read_now(1).status == ReadResult::Status::kUncorrectable ? 1 : 0;
+      d.lower_lost += chip.read_now(0).status == OpResult::Status::kUncorrectable ? 1 : 0;
+      d.upper_lost += chip.read_now(1).status == OpResult::Status::kUncorrectable ? 1 : 0;
     }
   }
   EXPECT_GT(worn.upsets, fresh.upsets * 1.5);
@@ -116,7 +116,7 @@ TEST(NandReliability, PartiallyErasedBlockIsUnstable) {
   chip.on_power_good();
   // Even freshly re-programmed pages in a partially-erased block read badly
   // (threshold voltages are unstable until a clean erase).
-  const ReadResult r = chip.read_now(5);  // a never-programmed page
+  const OpResult r = chip.read_now(5);  // a never-programmed page
   EXPECT_GT(r.raw_errors, 1000u);
 }
 
@@ -134,7 +134,7 @@ TEST(NandReliability, CleanEraseAfterInterruptedEraseStabilises) {
   sim.run_all();
   ASSERT_TRUE(erased);
   program_sync(sim, chip, 0, 0x22);
-  const ReadResult r = chip.read_now(0);
+  const OpResult r = chip.read_now(0);
   EXPECT_TRUE(r.ok());
   EXPECT_EQ(r.content, 0x22u);
 }
@@ -152,7 +152,7 @@ TEST(NandReliability, LdpcRetriesAddObservableReadLatency) {
   // Clean page: read completes in exactly t_read.
   std::optional<double> clean_ms;
   const double start_clean = sim.now().to_ms();
-  chip.read(0, [&](ReadResult) { clean_ms = sim.now().to_ms(); });
+  chip.read(0, [&](OpResult) { clean_ms = sim.now().to_ms(); });
   sim.run_all();
   ASSERT_TRUE(clean_ms.has_value());
   EXPECT_NEAR(*clean_ms - start_clean, 0.075, 1e-6);  // TLC t_read = 75 us

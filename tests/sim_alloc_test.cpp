@@ -343,6 +343,55 @@ TEST(AllocFree, WriteCacheFlushCycleAllocatesNothing) {
   EXPECT_GT(ftl.stats().gc_erases, 0u);
 }
 
+TEST(AllocFree, WarmHostReadThroughFtlAllocatesNothing) {
+  // A warm host read: Ftl::read hands the caller's callback, unwrapped, to
+  // the NAND read, which waits in its plane ring and completes from there.
+  // The capture is the size of a real continuation (more than a pointer
+  // pair), so a type-erasing wrapper would have to allocate for it.
+  sim::Simulator simulator(5);
+  nand::NandChip::Config chip_cfg;
+  chip_cfg.geometry.page_size_bytes = 4096;
+  chip_cfg.geometry.pages_per_block = 32;
+  chip_cfg.geometry.blocks_per_plane = 64;
+  chip_cfg.geometry.planes = 2;
+  nand::ChipArray chip(simulator, nand::ChipArray::Config{2, chip_cfg});
+  // The journal stays idle: each batch it cuts allocates in the mapping
+  // table, which is not the read path's cost.
+  ftl::Ftl::Config ftl_cfg;
+  ftl_cfg.journal_interval = sim::Duration::sec(1'000'000);
+  ftl_cfg.journal_batch_threshold = ~std::size_t{0};
+  ftl::Ftl ftl(simulator, chip, ftl_cfg);
+  chip.on_power_good();
+  ftl.on_power_good();
+
+  constexpr ftl::Lpn kLpns = 256;
+  std::uint64_t failed_writes = 0;
+  for (ftl::Lpn lpn = 0; lpn < kLpns; ++lpn) {
+    ftl.write(lpn, 1000 + lpn, [&failed_writes](bool ok) { failed_writes += ok ? 0 : 1; });
+  }
+  simulator.run_for(sim::Duration::sec(1));
+  ASSERT_EQ(failed_writes, 0u);
+
+  std::uint64_t reads = 0;
+  std::uint64_t mismatches = 0;
+  const auto round = [&] {
+    for (ftl::Lpn lpn = 0; lpn < kLpns; ++lpn) {
+      ftl.read(lpn, [&reads, &mismatches, expected = 1000 + lpn](const nand::OpResult& r) {
+        ++reads;
+        if (!r.ok() || r.content != expected) ++mismatches;
+      });
+    }
+    simulator.run_for(sim::Duration::ms(50));
+  };
+  round();  // warmup: the plane rings grow to the queue depth
+  const std::uint64_t before = allocs_now();
+  for (int i = 0; i < 20; ++i) round();
+  const std::uint64_t after = allocs_now();
+  EXPECT_EQ(after - before, 0u) << "a warm host read must not touch the heap";
+  EXPECT_EQ(reads, 21 * kLpns);
+  EXPECT_EQ(mismatches, 0u);
+}
+
 TEST(AllocFree, CountersActuallyCount) {
   const std::uint64_t before = allocs_now();
   auto* p = new int(7);

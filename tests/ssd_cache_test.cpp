@@ -82,6 +82,29 @@ TEST(WriteCache, InsertFailsWhenUnpowered) {
   EXPECT_FALSE(h.cache.insert(1, 2));
 }
 
+TEST(WriteCache, FlushRefusedByUnpoweredFtlStaysDirty) {
+  // Ftl::write fails inside the call when the FTL is unpowered. The flush
+  // must re-queue the line and stop, not re-pick it in the same stack.
+  Harness h;
+  h.ftl.on_power_lost();  // chip and cache stay powered
+  ASSERT_TRUE(h.cache.insert(3, 0xAB));
+  bool drained = false;
+  h.cache.flush_all([&] { drained = true; });
+  h.sim.run_for(Duration::ms(200));  // the hold-time wake retries and is refused again
+  EXPECT_FALSE(drained);
+  EXPECT_EQ(h.cache.dirty_pages(), 1u);
+  EXPECT_EQ(h.cache.stats().flushes_completed, 0u);
+  EXPECT_EQ(h.cache.lookup(3), std::optional<std::uint64_t>(0xAB));
+
+  // With the FTL back, the next insert's pump retries the re-queued line.
+  h.ftl.on_power_good();
+  ASSERT_TRUE(h.cache.insert(4, 0xCD));
+  h.sim.run_for(Duration::ms(200));
+  EXPECT_TRUE(drained);
+  EXPECT_EQ(h.cache.dirty_pages(), 0u);
+  EXPECT_EQ(h.cache.stats().flushes_completed, 2u);
+}
+
 TEST(WriteCache, HoldTimeDelaysFlush) {
   Harness h;
   EXPECT_TRUE(h.cache.insert(10, 0xAA));
@@ -93,7 +116,7 @@ TEST(WriteCache, HoldTimeDelaysFlush) {
   EXPECT_EQ(h.cache.stats().flushes_completed, 1u);
   // Flushed data is readable through the FTL.
   std::optional<std::uint64_t> seen;
-  h.ftl.read(10, [&](nand::ReadResult r, bool) { seen = r.content; });
+  h.ftl.read(10, [&](const nand::OpResult& r) { seen = r.content; });
   while (!seen.has_value() && !h.sim.idle()) h.sim.run_all(1);
   EXPECT_EQ(seen, std::optional<std::uint64_t>(0xAA));
 }
@@ -201,7 +224,7 @@ TEST(WriteCache, RedirtyDuringFlushKeepsNewValue) {
   EXPECT_EQ(h.cache.lookup(10), std::optional<std::uint64_t>(0xBB));
   // And the final flash state converges to 0xBB.
   std::optional<std::uint64_t> seen;
-  h.ftl.read(10, [&](nand::ReadResult r, bool) { seen = r.content; });
+  h.ftl.read(10, [&](const nand::OpResult& r) { seen = r.content; });
   while (!seen.has_value() && !h.sim.idle()) h.sim.run_all(1);
   EXPECT_EQ(seen, std::optional<std::uint64_t>(0xBB));
 }
