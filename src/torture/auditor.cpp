@@ -234,8 +234,8 @@ AuditReport InvariantAuditor::audit(const ssd::Ssd& ssd,
   if (shadow != nullptr) {
     const std::vector<ftl::Lpn>& reverted = ftl.last_reverted_lpns();
     const std::vector<ftl::Lpn>& dropped = ssd.cache().last_dropped_lpns();
-    // The shadow store visits its slots in hash order; the final sort makes
-    // the report independent of it.
+    // The shadow store visits its pages in ascending LPN order; the final
+    // sort orders the report across all invariant families regardless.
     shadow->for_each([&](ftl::Lpn lpn, std::uint64_t expected, bool indeterminate) {
       if (indeterminate) return;  // device may hold either version: no claim
       if (expected == nand::kErasedContent) return;

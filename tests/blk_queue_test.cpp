@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <vector>
 
 #include "ssd/presets.hpp"
 
@@ -127,21 +128,54 @@ TEST(BlockQueue, SubmitToDeadDeviceErrorsImmediately) {
 }
 
 TEST(BlockQueue, TimeoutAbandonsSilentRequest) {
-  // Drive the queue against a device that never answers: power never on.
-  Simulator sim(19);
-  psu::PowerSupply psu(sim, std::make_unique<psu::PowerLawDischarge>());
-  ssd::SsdConfig cfg = Harness::drive();
-  ssd::Ssd dev(sim, cfg);
-  // NOTE: not attached to the PSU -> dev.ready() stays false, and commands
-  // fail instantly; to exercise the timeout we need a swallowed callback,
-  // so submit while ready and then never run the device events... instead
-  // use the real path: the timeout logic is covered via trace assertion.
-  BlockQueue queue(sim, dev, BlockQueue::Config{64, Duration::ms(100)});
-  std::optional<RequestOutcome> out;
-  queue.submit_read(0, 1, [&](RequestOutcome o) { out = std::move(o); });
-  // Unready device: fails immediately (kError), not timeout.
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(out->status, IoStatus::kError);
+  // A watchdog far below a 256-page write's service time: the request times
+  // out while the drive is still working on its four sub-requests, and
+  // their completions arrive after the queue has given up on it.
+  Harness h;
+  BlockQueue queue(h.sim, h.ssd, BlockQueue::Config{64, Duration::us(200)});
+  std::vector<std::uint64_t> tags(256);
+  for (std::size_t i = 0; i < tags.size(); ++i) tags[i] = 1000 + i;
+  std::vector<RequestOutcome> outcomes;
+  const std::uint64_t id =
+      queue.submit_write(0, tags, [&](RequestOutcome o) { outcomes.push_back(std::move(o)); });
+  h.run_until([&] { return !outcomes.empty(); });
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_EQ(outcomes[0].status, IoStatus::kTimeout);
+  EXPECT_EQ(outcomes[0].finished_at - outcomes[0].queued_at, Duration::us(200));
+  EXPECT_LT(h.ssd.stats().commands_completed, 4u) << "the drive finished before the watchdog";
+
+  // Let the drive finish: every late sub-completion is ignored.
+  h.run_until([&] { return h.ssd.stats().commands_completed == 4; });
+  ASSERT_EQ(h.ssd.stats().commands_completed, 4u);
+  EXPECT_EQ(outcomes.size(), 1u) << "the outcome is delivered exactly once";
+  EXPECT_EQ(queue.stats().timeouts, 1u);
+  EXPECT_EQ(queue.stats().completed_ok, 0u);
+  EXPECT_EQ(queue.stats().io_errors, 0u);
+  EXPECT_EQ(queue.outstanding(), 0u);
+
+  // One T record, and nothing traced for the request after it.
+  const auto& events = queue.trace().events();
+  std::size_t timeouts = 0;
+  bool after_timeout = false;
+  for (const TraceEvent& ev : events) {
+    if (ev.request_id != id) continue;
+    EXPECT_FALSE(after_timeout) << "record '" << static_cast<char>(ev.action)
+                                << "' after the timeout";
+    if (ev.action == Action::kTimeout) {
+      ++timeouts;
+      after_timeout = true;
+    }
+  }
+  EXPECT_EQ(timeouts, 1u);
+
+  // The late completions did land: the data reads back through the
+  // drive's default queue.
+  std::optional<RequestOutcome> read;
+  h.queue.submit_read(0, 256, [&](RequestOutcome o) { read = std::move(o); });
+  h.run_until([&] { return read.has_value(); });
+  ASSERT_TRUE(read.has_value());
+  ASSERT_EQ(read->status, IoStatus::kOk);
+  EXPECT_EQ(read->read_contents, tags);
 }
 
 TEST(BlockQueue, StatsCountOutcomes) {

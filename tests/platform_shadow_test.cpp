@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 #include <set>
 #include <vector>
@@ -89,11 +90,12 @@ TEST(ShadowStore, MultiPageCommitIndexesCorrectly) {
 }
 
 // --- Differential against a std::map model ---------------------------------
-// The store keeps its truth in two flat open-addressing tables; the model is
+// The store keeps its truth in 16-LPN tag pages under a directory, with the
+// alternates of unacked writes in a flat open-addressing table; the model is
 // a plain per-page record in a std::map. Random commits, failed writes and
-// observations over an LPN range wide enough for several table doublings,
-// with a reset and a snapshot/mutate/restore in the middle, must agree with
-// the model on every page after every step.
+// observations, many of them straddling tag-page boundaries, with a reset,
+// a high LPN that grows the directory mid-run and a snapshot/mutate/restore
+// in the middle, must agree with the model on every page after every step.
 
 struct ModelTruth {
   std::uint64_t expected = nand::kErasedContent;
@@ -109,16 +111,45 @@ bool model_acceptable(const ModelTruth* truth, std::uint64_t tag) {
   return truth->indeterminate && tag == truth->alternate;
 }
 
-constexpr ftl::Lpn kRange = 1536;  // 16 slots doubled 7 times
+constexpr std::uint32_t kPageLpns = ShadowStore::kTagPageLpns;
+constexpr ftl::Lpn kRange = 1536;  // 96 tag pages
+/// A window far above kRange, reached only once a run goes wide: its first
+/// write grows the directory by thousands of groups. It starts 3 LPNs
+/// short of a group boundary, so requests there straddle it too.
+constexpr ftl::Lpn kHighBase = 40'000 * kPageLpns - 3;
+constexpr ftl::Lpn kHighSpan = 64;
+constexpr std::uint32_t kMaxPages = 2 * kPageLpns + 3;  // up to four tag pages
+
+/// The LPNs the model checks: the low range, then the high window.
+std::vector<ftl::Lpn> checked_lpns() {
+  std::vector<ftl::Lpn> lpns;
+  for (ftl::Lpn lpn = 0; lpn < kRange; ++lpn) lpns.push_back(lpn);
+  for (ftl::Lpn lpn = kHighBase; lpn < kHighBase + kHighSpan; ++lpn) lpns.push_back(lpn);
+  return lpns;
+}
+
+struct Visit {
+  ftl::Lpn lpn;
+  std::uint64_t expected;
+  bool indeterminate;
+  bool operator==(const Visit&) const = default;
+};
+
+std::vector<Visit> visits_of(const ShadowStore& shadow) {
+  std::vector<Visit> out;
+  shadow.for_each([&](ftl::Lpn lpn, std::uint64_t expected, bool indeterminate) {
+    out.push_back({lpn, expected, indeterminate});
+  });
+  return out;
+}
 
 void expect_matches_model(const ShadowStore& shadow, const Model& model) {
+  static const std::vector<ftl::Lpn> lpns = checked_lpns();
   ASSERT_EQ(shadow.tracked_pages(), model.size());
   const std::uint64_t stray = 0xDEAD'0000'0000ULL;  // never allocated
-  // The model's record of each LPN in range, null when untracked.
-  std::vector<const ModelTruth*> by_lpn(kRange, nullptr);
-  for (const auto& [lpn, truth] : model) by_lpn[lpn] = &truth;
-  for (ftl::Lpn lpn = 0; lpn < kRange; ++lpn) {
-    const ModelTruth* tracked = by_lpn[lpn];
+  for (const ftl::Lpn lpn : lpns) {
+    const auto it = model.find(lpn);
+    const ModelTruth* tracked = it == model.end() ? nullptr : &it->second;
     const ModelTruth truth = tracked == nullptr ? ModelTruth{} : *tracked;
     // Compare first, assert on a mismatch: millions of checks run here.
     if (shadow.expected(lpn) != truth.expected) {
@@ -131,32 +162,34 @@ void expect_matches_model(const ShadowStore& shadow, const Model& model) {
       }
     }
   }
-  std::vector<int> visits(kRange, 0);
-  shadow.for_each([&](ftl::Lpn lpn, std::uint64_t expected, bool indeterminate) {
-    ASSERT_LT(lpn, kRange);
-    ++visits[lpn];
-    const ModelTruth* truth = by_lpn[lpn];
-    ASSERT_NE(truth, nullptr) << "lpn " << lpn << " is not tracked";
-    EXPECT_EQ(expected, truth->expected) << "lpn " << lpn;
-    EXPECT_EQ(indeterminate, truth->indeterminate) << "lpn " << lpn;
-  });
-  for (ftl::Lpn lpn = 0; lpn < kRange; ++lpn) {
-    const int want = by_lpn[lpn] != nullptr ? 1 : 0;
-    if (visits[lpn] != want) {
-      ASSERT_EQ(visits[lpn], want) << "lpn " << lpn;
+  // for_each visits each tracked page exactly once, in ascending LPN order,
+  // with its expected tag and indeterminate bit: the model's own order.
+  const std::vector<Visit> visits = visits_of(shadow);
+  ASSERT_EQ(visits.size(), model.size());
+  auto want = model.begin();
+  for (const Visit& v : visits) {
+    if (v != Visit{want->first, want->second.expected, want->second.indeterminate}) {
+      ASSERT_EQ(v.lpn, want->first) << "visit out of order or untracked";
+      ASSERT_EQ(v.expected, want->second.expected) << "lpn " << v.lpn;
+      ASSERT_EQ(v.indeterminate, want->second.indeterminate) << "lpn " << v.lpn;
     }
+    ++want;
   }
 }
 
-void random_step(ShadowStore& shadow, Model& model, sim::Rng& rng) {
-  const std::uint32_t pages = 1 + static_cast<std::uint32_t>(rng.below(8));
-  const ftl::Lpn lpn = rng.below(kRange - pages + 1);
+/// One random request. Once `wide`, one request in eight lands in the high
+/// window. Returns true when the request straddles a tag-page boundary.
+bool random_step(ShadowStore& shadow, Model& model, sim::Rng& rng, bool wide) {
+  const std::uint32_t pages = 1 + static_cast<std::uint32_t>(rng.below(kMaxPages));
+  const bool high = wide && rng.below(8) == 0;
+  const ftl::Lpn lpn = high ? kHighBase + rng.below(kHighSpan - pages + 1)
+                            : rng.below(kRange - pages + 1);
   switch (rng.below(3)) {
     case 0: {
       const auto tags = shadow.allocate_tags(pages);
       shadow.commit_write(lpn, tags);
       for (std::uint32_t i = 0; i < pages; ++i) model[lpn + i] = ModelTruth{tags[i]};
-      break;
+      return lpn / kPageLpns != (lpn + pages - 1) / kPageLpns;
     }
     case 1: {
       const auto tags = shadow.allocate_tags(pages);
@@ -166,7 +199,7 @@ void random_step(ShadowStore& shadow, Model& model, sim::Rng& rng) {
         t.indeterminate = true;
         t.alternate = tags[i];
       }
-      break;
+      return lpn / kPageLpns != (lpn + pages - 1) / kPageLpns;
     }
     default: {
       // Verification sees the expected data, the unacked data or (a loss)
@@ -176,7 +209,7 @@ void random_step(ShadowStore& shadow, Model& model, sim::Rng& rng) {
       const std::uint64_t seen = choices[rng.below(3)];
       shadow.observe(lpn, seen);
       t = ModelTruth{seen};
-      break;
+      return false;
     }
   }
 }
@@ -185,9 +218,11 @@ TEST(ShadowStore, DifferentialAgainstMapModel) {
   ShadowStore shadow;
   Model model;
   sim::Rng rng(19);
+  int straddles = 0;
+  bool wide = false;
   const auto run = [&](int steps) {
     for (int i = 0; i < steps; ++i) {
-      random_step(shadow, model, rng);
+      if (random_step(shadow, model, rng, wide)) ++straddles;
       expect_matches_model(shadow, model);
       if (::testing::Test::HasFatalFailure()) return;
     }
@@ -195,25 +230,48 @@ TEST(ShadowStore, DifferentialAgainstMapModel) {
 
   run(1500);
   ASSERT_FALSE(HasFatalFailure());
-  ASSERT_GT(model.size(), kRange / 2);  // the tables doubled well past 16 slots
+  ASSERT_GT(model.size(), kRange / 2);  // most of the low range's tag pages exist
+  EXPECT_GT(straddles, 300);            // requests cross tag-page boundaries
+
+  // A commit straddling the high window's first group boundary grows the
+  // directory mid-run; later requests keep landing there.
+  {
+    const auto tags = shadow.allocate_tags(6);
+    shadow.commit_write(kHighBase, tags);
+    for (std::uint32_t i = 0; i < 6; ++i) model[kHighBase + i] = ModelTruth{tags[i]};
+    expect_matches_model(shadow, model);
+    ASSERT_FALSE(HasFatalFailure());
+    wide = true;
+  }
+  run(800);
+  ASSERT_FALSE(HasFatalFailure());
+  EXPECT_GT(std::distance(model.lower_bound(kHighBase), model.end()), 6);
 
   shadow.reset();
   model.clear();
+  wide = false;
   EXPECT_EQ(shadow.tags_allocated(), 0u);
   expect_matches_model(shadow, model);
   run(800);
   ASSERT_FALSE(HasFatalFailure());
 
+  // Snapshot, mutate (the directory grows past the image's), restore: the
+  // store is identical to the image, visit for visit.
   ShadowStore::StateImage image;
   shadow.snapshot(image);
   const Model saved = model;
+  const std::vector<Visit> saved_visits = visits_of(shadow);
   const std::uint64_t saved_tags = shadow.tags_allocated();
+  wide = true;
   run(400);
   ASSERT_FALSE(HasFatalFailure());
+  ASSERT_NE(visits_of(shadow), saved_visits);
   shadow.restore(image);
   model = saved;
   EXPECT_EQ(shadow.tags_allocated(), saved_tags);
+  EXPECT_EQ(visits_of(shadow), saved_visits);
   expect_matches_model(shadow, model);
+  ASSERT_FALSE(HasFatalFailure());
   run(400);
 }
 
